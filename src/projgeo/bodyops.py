@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .polytope import Polytope, SurfaceAreaMeasure
+from .polytope import Polytope
 from .zonotope import Zonotope, zonotope_to_polytope
 
 Body = Union[Polytope, Zonotope]
@@ -78,10 +78,6 @@ def project_body(body: Body, frame: np.ndarray) -> Body:
     if isinstance(body, Zonotope):
         return Zonotope(body.generators @ frame.T, frame @ body.center)
     return Polytope(body.vertices @ frame.T)
-
-
-def surface_measure_of(body: Body) -> SurfaceAreaMeasure:
-    return body.surface_measure()
 
 
 def support_points(body: Body, directions: np.ndarray) -> np.ndarray:

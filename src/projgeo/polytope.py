@@ -30,8 +30,6 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 from scipy.spatial import QhullError
 
-from .sampling import Direction, SubspaceBasis
-
 __all__ = [
     "Polytope",
     "SurfaceAreaMeasure",
@@ -39,16 +37,7 @@ __all__ = [
     "BudgetError",
     "convex_hull",
     "from_halfspaces",
-    "volume",
-    "surface_area",
-    "surface_measure",
-    "support",
-    "gauge",
     "polar",
-    "project",
-    "interval_shadow",
-    "transform",
-    "surface_area_under_transform",
     "inradius",
     "circumradius",
     "centroid_and_covariance",
@@ -73,15 +62,6 @@ class SurfaceAreaMeasure:
 
     normals: np.ndarray  # (F, n), unit rows
     weights: np.ndarray  # (F,), positive
-
-    @property
-    def total(self) -> float:
-        """Total mass = surface area."""
-        return float(self.weights.sum())
-
-    def centroid_defect(self) -> float:
-        """‖Σ a_i u_i‖ — zero for any closed convex surface."""
-        return float(np.linalg.norm(self.weights @ self.normals))
 
 
 @dataclass(frozen=True)
@@ -234,12 +214,6 @@ class Polytope:
             )
         return self._volume
 
-    def volume_cone_facets(self) -> float:
-        """Facet-level cone formula Σ a_i (b_i - ⟨u_i, z⟩)/n (cross-check)."""
-        z = self.interior_point
-        heights = self.facet_offsets - self.facet_normals @ z
-        return float((self.facet_areas * heights).sum() / self.dim)
-
     def surface_area(self) -> float:
         return float(self.facet_areas.sum())
 
@@ -308,7 +282,7 @@ class Polytope:
         return (np.asarray(directions, dtype=float) @ self.vertices.T).max(axis=1)
 
     def support(self, theta) -> float:
-        v = theta.coords if isinstance(theta, Direction) else np.asarray(theta, float)
+        v = np.asarray(theta, dtype=float)
         return float(self.support_batch(v[None])[0])
 
     def width_batch(self, directions: np.ndarray) -> np.ndarray:
@@ -318,21 +292,10 @@ class Polytope:
 
     def gauge(self, theta) -> float:
         """Minkowski functional ‖θ‖_K = max_i ⟨u_i, θ⟩ / b_i (origin interior)."""
-        v = theta.coords if isinstance(theta, Direction) else np.asarray(theta, float)
+        v = np.asarray(theta, dtype=float)
         if np.any(self.facet_offsets <= 1e-12 * max(self.scale, 1.0)):
             raise ValueError("gauge needs the origin in the interior")
         return float(np.max((self.facet_normals @ v) / self.facet_offsets))
-
-    def gauge_batch(self, directions: np.ndarray) -> np.ndarray:
-        if np.any(self.facet_offsets <= 1e-12 * max(self.scale, 1.0)):
-            raise ValueError("gauge needs the origin in the interior")
-        d = np.asarray(directions, dtype=float)
-        return (d @ self.facet_normals.T / self.facet_offsets).max(axis=1)
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        v = np.asarray(x, dtype=float)
-        slack = self.facet_offsets - self.facet_normals @ v
-        return bool(np.all(slack >= -tol * max(self.scale, 1.0)))
 
     # -- shadows ------------------------------------------------------------
 
@@ -426,70 +389,11 @@ def from_halfspaces(normals, offsets) -> Polytope:
     return Polytope(pts)
 
 
-def volume(p: Polytope) -> float:
-    return p.volume()
-
-
-def surface_area(p: Polytope) -> float:
-    return p.surface_area()
-
-
-def surface_measure(p: Polytope) -> SurfaceAreaMeasure:
-    return p.surface_measure()
-
-
-def support(p: Polytope, theta) -> float:
-    return p.support(theta)
-
-
-def gauge(p: Polytope, theta) -> float:
-    return p.gauge(theta)
-
-
 def polar(p: Polytope) -> Polytope:
     """Polar body K° = hull of u_i / b_i (origin must be interior)."""
     if np.any(p.facet_offsets <= 1e-12 * max(p.scale, 1.0)):
         raise ValueError("polar needs the origin in the interior")
     return Polytope(p.facet_normals / p.facet_offsets[:, None])
-
-
-def project(p: Polytope, subspace) -> Polytope:
-    """Orthogonal shadow P_F K in the frame's coordinates (k >= 2)."""
-    frame = subspace.frame if isinstance(subspace, SubspaceBasis) else np.asarray(subspace, float)
-    k, n = frame.shape
-    if n != p.dim:
-        raise ValueError("frame ambient dimension mismatch")
-    if not 2 <= k <= n - 1:
-        raise ValueError("projection subspace must have 2 <= k <= n-1")
-    return Polytope(p.vertices @ frame.T)
-
-
-def interval_shadow(p: Polytope, theta) -> tuple[float, float]:
-    """The segment P_{span θ}K as (lo, hi) coordinates along θ."""
-    v = theta.coords if isinstance(theta, Direction) else np.asarray(theta, float)
-    prods = p.vertices @ v
-    return float(prods.min()), float(prods.max())
-
-
-def transform(p: Polytope, t_matrix) -> Polytope:
-    """Image T·K (hull of transformed vertices, facet data recomputed)."""
-    t = np.asarray(t_matrix, dtype=float)
-    if t.shape != (p.dim, p.dim):
-        raise ValueError("transform must be a square matrix of matching size")
-    if abs(np.linalg.det(t)) < 1e-12:
-        raise DegenerateInputError("transform is singular")
-    return Polytope(p.vertices @ t.T)
-
-
-def surface_area_under_transform(p: Polytope, t_matrix) -> float:
-    """S(T·K) = |det T| · Σ a_i ‖T^{-T} u_i‖, without rebuilding the hull."""
-    t = np.asarray(t_matrix, dtype=float)
-    det = np.linalg.det(t)
-    if abs(det) < 1e-12:
-        raise DegenerateInputError("transform is singular")
-    tinv_t = np.linalg.inv(t).T
-    return float(abs(det) * (p.facet_areas
-                             * np.linalg.norm(p.facet_normals @ tinv_t.T, axis=1)).sum())
 
 
 def inradius(p: Polytope) -> tuple[float, np.ndarray]:

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize, nnls
 
-from .bodyops import Body, support_points, to_polytope, transform_body
-from .polytope import Polytope, centroid_and_covariance, inradius, polar
+from .bodyops import (Body, origin_symmetric, support_points, to_polytope,
+                      transform_body)
+from .polytope import centroid_and_covariance, inradius
 from .quermass import omega
 from .sampling import RngSeed, sphere_points
 
@@ -225,13 +226,6 @@ def _sym_to_vec(mat: np.ndarray) -> np.ndarray:
     return mat[iu] * weights
 
 
-def _is_origin_symmetric(points: np.ndarray, tol: float = 1e-9) -> bool:
-    scale = np.abs(points).max() + 1e-300
-    rounded = np.round(points / (scale * tol)).astype(np.int64)
-    have = {tuple(row) for row in rounded}
-    return all(tuple(-row) in have for row in rounded)
-
-
 def john_position(body: Body, tol: float = 1e-7,
                   max_iter: int = 300) -> tuple[PositionResult, Ellipsoid]:
     """Largest inscribed ellipsoid by sequential quadratic programming.
@@ -248,7 +242,7 @@ def john_position(body: Body, tol: float = 1e-7,
     n = poly.dim
     normals = poly.facet_normals
     offsets = poly.facet_offsets
-    symmetric = _is_origin_symmetric(poly.vertices)
+    symmetric = origin_symmetric(poly)
     r0, center0 = inradius(poly)
     q = n * (n + 1) // 2
     il = np.tril_indices(n)
@@ -421,7 +415,3 @@ def volume_ratio(body: Body, tol: float = 1e-7) -> float:
     _, ellipsoid = john_position(poly, tol=tol)
     return (poly.volume() / ellipsoid.volume()) ** (1.0 / poly.dim)
 
-
-def outer_volume_ratio(body: Body, tol: float = 1e-7) -> float:
-    """ovr(K) = vr(K°), the volume ratio of the polar body (origin interior)."""
-    return volume_ratio(polar(to_polytope(body)), tol=tol)

@@ -16,23 +16,14 @@ The remaining indices fall back to Monte Carlo over random subspaces.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .bodyops import Body, frame_shadow_panel, to_polytope
+from .bodyops import Body, frame_shadow_panel
 from .sampling import Estimate, RngSeed, grassmann_frames, mc_estimate, sphere_points
-from .zonotope import Zonotope
+from .zonotope import Zonotope, omega
 
 DEFAULT_SPHERE_SAMPLES = 20_000
 DEFAULT_FRAME_SAMPLES = 2_500
-
-
-def omega(k: int) -> float:
-    """Volume of the k-dimensional Euclidean unit ball (omega_0 = 1)."""
-    if k < 0:
-        raise ValueError("dimension must be nonnegative")
-    return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
 
 
 def b_constant(n: int) -> float:
@@ -53,14 +44,6 @@ def mean_width(body: Body, samples: int = DEFAULT_SPHERE_SAMPLES,
     pairs = max(1, samples // 2)
     dirs = sphere_points(n, pairs, seed.generator())
     return mc_estimate(body.width_batch(dirs) / 2.0)
-
-
-def m_value(body: Body, samples: int = DEFAULT_SPHERE_SAMPLES,
-            seed: RngSeed = RngSeed()) -> Estimate:
-    """Spherical average of the gauge, M(K) = E ||theta||_K (origin interior)."""
-    poly = to_polytope(body)
-    dirs = sphere_points(poly.dim, samples, seed.generator())
-    return mc_estimate(poly.gauge_batch(dirs))
 
 
 def polar_vrad(body: Body, samples: int = DEFAULT_SPHERE_SAMPLES,
@@ -128,19 +111,3 @@ def q_k(body: Body, k: int, samples: int | None = None,
     stderr = vk.stderr * value / (k * vk.value) if vk.value > 0 else 0.0
     return Estimate(value, stderr, vk.n_samples)
 
-
-def p_k(body: Body, k: int, samples: int | None = None,
-        seed: RngSeed = RngSeed()) -> Estimate:
-    """Mean k-shadow volume normalized by |K|^{k/n}."""
-    n = body.dim
-    vk = quermassintegral(body, n - k, samples, seed)
-    factor = (omega(k) / omega(n)) / body.volume() ** (k / n)
-    return Estimate(factor * vk.value, factor * vk.stderr, vk.n_samples)
-
-
-def mixed_volume_vn1(k_body: Body, l_body: Body) -> float:
-    """V(K, ..., K, L) = (1/n) * sum_i a_i(K) h_L(u_i), exact for our bodies."""
-    if k_body.dim != l_body.dim:
-        raise ValueError("bodies must share a dimension")
-    meas = k_body.surface_measure()
-    return float(meas.weights @ l_body.support_batch(meas.normals)) / k_body.dim

@@ -1,10 +1,10 @@
-"""Random directions, random subspaces, and stochastic minimization.
+"""Seeded random streams, sphere/Grassmannian sampling, and minimization.
 
-Every sampler takes an explicit :class:`RngSeed` (a root seed plus a stream
-id), so any number produced by the library can be regenerated bit for bit
-from the pair alone.  Stream ids for named purposes are derived by hashing
-label strings (see :meth:`RngSeed.derive`), which keeps concurrent consumers
-independent without global state.
+Every random number in the library is drawn from a :class:`RngSeed` (a root
+seed plus a stream id), so it can be regenerated bit for bit from the pair
+alone.  Stream ids for named purposes are derived by hashing label strings
+(see :meth:`RngSeed.derive`), which keeps concurrent consumers independent
+without global state.
 
 Conventions:
   * directions are unit vectors in R^n, sampled uniformly on S^{n-1} by
@@ -23,13 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Direction",
-    "SubspaceBasis",
     "Estimate",
     "RngSeed",
     "ObjectiveError",
-    "sample_sphere",
-    "sample_grassmannian",
     "sphere_points",
     "grassmann_frames",
     "mc_estimate",
@@ -38,9 +34,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-
-DEFAULT_SPHERE_SAMPLES = 20_000
-DEFAULT_GRASSMANN_SAMPLES = 10_000
 
 
 class ObjectiveError(ValueError):
@@ -69,57 +62,6 @@ class RngSeed:
         text = ":".join(str(lb) for lb in labels)
         digest = hashlib.sha256(text.encode("utf-8")).digest()
         return RngSeed(self.seed, int.from_bytes(digest[:8], "little"))
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A unit vector on S^{n-1}."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.coords, dtype=float)
-        if v.ndim != 1 or v.size < 2:
-            raise ValueError("a direction is a vector in R^n, n >= 2")
-        nrm = float(np.linalg.norm(v))
-        if not math.isfinite(nrm) or abs(nrm - 1.0) > 1e-9:
-            raise ValueError(f"direction must have unit norm, got {nrm!r}")
-        object.__setattr__(self, "coords", v / nrm)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-    def __neg__(self) -> "Direction":
-        return Direction(-self.coords)
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal frame of a k-dimensional subspace of R^n (rows = basis)."""
-
-    frame: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.frame, dtype=float)
-        if f.ndim != 2 or not (1 <= f.shape[0] <= f.shape[1]):
-            raise ValueError("frame must be a (k, n) matrix with k <= n")
-        gram = f @ f.T
-        if not np.allclose(gram, np.eye(f.shape[0]), atol=1e-9):
-            raise ValueError("frame rows must be orthonormal")
-        object.__setattr__(self, "frame", f)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.frame.shape[1]
-
-    @property
-    def subspace_dim(self) -> int:
-        return self.frame.shape[0]
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of x in the frame (a k-vector)."""
-        return self.frame @ np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -161,18 +103,6 @@ def grassmann_frames(n: int, k: int, count: int, rng: np.random.Generator) -> np
     signs = np.sign(np.einsum("bii->bi", r))
     signs[signs == 0.0] = 1.0
     return np.swapaxes(q * signs[:, None, :], 1, 2)
-
-
-def sample_sphere(n: int, count: int, seed: RngSeed) -> list[Direction]:
-    """Uniform directions on S^{n-1}; identical (seed, stream) ⇒ identical list."""
-    pts = sphere_points(n, count, seed.generator())
-    return [Direction(p) for p in pts]
-
-
-def sample_grassmannian(n: int, k: int, count: int, seed: RngSeed) -> list[SubspaceBasis]:
-    """Haar-uniform k-subspaces of R^n as orthonormal frames."""
-    frames = grassmann_frames(n, k, count, seed.generator())
-    return [SubspaceBasis(f) for f in frames]
 
 
 def mc_estimate(values) -> Estimate:
@@ -291,32 +221,37 @@ def _pattern_polish(fb: _BestTracker, retract, d: int,
             scale *= 0.5
 
 
-def _run_minimizer(objective, n_flat: int, starts: np.ndarray, retract,
-                   vectorized: bool, wrap_point, polish,
-                   polish_gen: np.random.Generator | None = None):
+def _run_minimizer(objective, shape: tuple[int, ...], starts: np.ndarray,
+                   retract, vectorized: bool, seed: RngSeed):
+    """Descend from the flat ``starts`` rows, then polish the best point.
+
+    ``objective`` sees points reshaped to ``shape`` (one at a time, or as a
+    (B, *shape) stack when ``vectorized``).  Returns the best point in that
+    shape and its value.
+    """
     if vectorized:
-        fbatch = objective
+        def fbatch(flat):
+            return objective(flat.reshape(-1, *shape))
     else:
-        def fbatch(xs):
-            return np.array([float(objective(wrap_point(row))) for row in xs])
+        def fbatch(flat):
+            return np.array([float(objective(row.reshape(shape)))
+                             for row in flat])
     fb = _BestTracker(fbatch)
     _descend(fb, starts, retract)
-    if polish:
-        if polish_gen is None:
-            polish_gen = np.random.default_rng(0)
-        _pattern_polish(fb, retract, n_flat, polish_gen)
-    return fb.best_x, fb.best_v
+    _pattern_polish(fb, retract, starts.shape[1],
+                    seed.derive("polish").generator())
+    return fb.best_x.reshape(shape), fb.best_v
 
 
 def minimize_on_sphere(objective, n: int, restarts: int | None = None,
-                       seed: RngSeed = RngSeed(), *, vectorized: bool = False,
-                       polish: bool = True) -> tuple[Direction, float]:
+                       seed: RngSeed = RngSeed(), *,
+                       vectorized: bool = False) -> tuple[np.ndarray, float]:
     """Minimize a function on S^{n-1}.
 
-    ``objective`` maps a :class:`Direction` to a finite scalar; pass
+    ``objective`` maps a unit vector (an (n,) array) to a finite scalar; pass
     ``vectorized=True`` if it instead maps a (B, n) array of unit rows to a
     (B,) array (much faster for array-native objectives).  Returns the best
-    direction found and its value, which is ≤ the objective at every point
+    unit vector found and its value, which is ≤ the objective at every point
     evaluated during the search.
     """
     if restarts is None:
@@ -324,23 +259,19 @@ def minimize_on_sphere(objective, n: int, restarts: int | None = None,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     starts = sphere_points(n, restarts, seed.generator())
-    x, v = _run_minimizer(
-        objective, n, starts, _normalize_rows, vectorized,
-        lambda row: Direction(row), polish,
-        polish_gen=seed.derive("polish").generator(),
-    )
-    return Direction(x), v
+    return _run_minimizer(objective, (n,), starts, _normalize_rows,
+                          vectorized, seed)
 
 
 def minimize_on_grassmannian(objective, n: int, k: int,
                              restarts: int | None = None,
                              seed: RngSeed = RngSeed(), *,
-                             vectorized: bool = False,
-                             polish: bool = True) -> tuple[SubspaceBasis, float]:
+                             vectorized: bool = False) -> tuple[np.ndarray, float]:
     """Minimize a function on the Grassmannian G_{n,k}.
 
-    ``objective`` maps a :class:`SubspaceBasis` to a finite scalar; with
-    ``vectorized=True`` it maps a (B, k, n) stack of frames to a (B,) array.
+    ``objective`` maps an orthonormal (k, n) frame (basis vectors as rows) to
+    a finite scalar; with ``vectorized=True`` it maps a (B, k, n) stack of
+    frames to a (B,) array.  Returns the best frame found and its value.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -358,13 +289,4 @@ def minimize_on_grassmannian(objective, n: int, k: int,
         return frames.reshape(flat.shape[0], k * n)
 
     starts = grassmann_frames(n, k, restarts, seed.generator()).reshape(restarts, k * n)
-    if vectorized:
-        fobj = lambda flat: objective(flat.reshape(-1, k, n))
-    else:
-        fobj = objective
-    x, v = _run_minimizer(
-        fobj, k * n, starts, retract, vectorized,
-        lambda row: SubspaceBasis(row.reshape(k, n)), polish,
-        polish_gen=seed.derive("polish").generator(),
-    )
-    return SubspaceBasis(x.reshape(k, n)), v
+    return _run_minimizer(objective, (k, n), starts, retract, vectorized, seed)

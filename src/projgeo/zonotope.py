@@ -27,18 +27,12 @@ from functools import lru_cache
 import numpy as np
 
 from .polytope import BudgetError, Polytope, SurfaceAreaMeasure
-from .sampling import Direction, RngSeed, minimize_on_sphere
 
 __all__ = [
     "Zonotope",
-    "zonotope_support",
-    "zonotope_volume",
-    "zonotope_surface_area",
-    "zonotope_quermassintegral",
+    "omega",
     "projection_body",
-    "zonotope_project",
     "zonotope_to_polytope",
-    "zonoid_min_projection",
 ]
 
 _SUBSET_BUDGET = 300_000
@@ -60,7 +54,10 @@ def _check_budget(m: int, k: int, what: str) -> None:
         )
 
 
-def _omega(k: int) -> float:
+def omega(k: int) -> float:
+    """Volume of the k-dimensional Euclidean unit ball (omega_0 = 1)."""
+    if k < 0:
+        raise ValueError("dimension must be nonnegative")
     return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
 
 
@@ -124,10 +121,6 @@ class Zonotope:
         d = np.atleast_2d(np.asarray(directions, dtype=float))
         return d @ self.center + np.abs(d @ self.generators.T).sum(axis=1)
 
-    def support(self, theta) -> float:
-        v = theta.coords if isinstance(theta, Direction) else np.asarray(theta, float)
-        return float(self.support_batch(v[None])[0])
-
     def width_batch(self, directions: np.ndarray) -> np.ndarray:
         d = np.atleast_2d(np.asarray(directions, dtype=float))
         return 2.0 * np.abs(d @ self.generators.T).sum(axis=1)
@@ -156,13 +149,13 @@ class Zonotope:
             return self.volume()
         k = n - j
         if k == 0:
-            return _omega(n)
+            return omega(n)
         _check_budget(m, k, "zonotope quermassintegral")
         idx = _subsets(m, k)
         sub = self.generators[idx]
         gram = np.einsum("cik,cjk->cij", sub, sub)
         vols = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-        return float(2.0 ** k * _omega(j) / math.comb(n, j) * vols.sum())
+        return float(2.0 ** k * omega(j) / math.comb(n, j) * vols.sum())
 
     # -- hyperplane shadows ---------------------------------------------------
 
@@ -258,15 +251,6 @@ class Zonotope:
             np.vstack([units, -units]), np.concatenate([w, w])
         )
 
-    def transform(self, t_matrix) -> "Zonotope":
-        t = np.asarray(t_matrix, dtype=float)
-        if t.shape != (self.dim, self.dim):
-            raise ValueError("transform must be square of matching size")
-        return Zonotope(self.generators @ t.T, t @ self.center)
-
-    def to_polytope(self) -> Polytope:
-        return zonotope_to_polytope(self)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Zonotope(dim={self.dim}, generators={self.n_generators})"
 
@@ -274,22 +258,6 @@ class Zonotope:
 # ---------------------------------------------------------------------------
 # Module-level operations.
 # ---------------------------------------------------------------------------
-
-
-def zonotope_support(z: Zonotope, theta) -> float:
-    return z.support(theta)
-
-
-def zonotope_volume(z: Zonotope) -> float:
-    return z.volume()
-
-
-def zonotope_surface_area(z: Zonotope) -> float:
-    return z.surface_area()
-
-
-def zonotope_quermassintegral(z: Zonotope, j: int) -> float:
-    return z.quermassintegral_exact(j)
 
 
 def projection_body(body) -> Zonotope:
@@ -311,14 +279,6 @@ def projection_body(body) -> Zonotope:
     raise TypeError(f"cannot form a projection body of {type(body).__name__}")
 
 
-def zonotope_project(z: Zonotope, subspace) -> Zonotope:
-    """Shadow P_F Z — a zonotope in the frame's coordinates."""
-    frame = getattr(subspace, "frame", None)
-    if frame is None:
-        frame = np.asarray(subspace, dtype=float)
-    return Zonotope(z.generators @ frame.T, frame @ z.center)
-
-
 def zonotope_to_polytope(z: Zonotope) -> Polytope:
     """Vertex representation via sign-pattern enumeration (m <= 12)."""
     zz = z.merge_parallel()
@@ -330,10 +290,3 @@ def zonotope_to_polytope(z: Zonotope) -> Polytope:
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
     return Polytope(zz.center + signs @ zz.generators)
 
-
-def zonoid_min_projection(z: Zonotope, seed: RngSeed = RngSeed(),
-                          restarts: int | None = None) -> tuple[Direction, float]:
-    """min_ξ |P_{ξ⊥}Z| over the sphere (exact objective, global multistart)."""
-    obj = z.shadow_volumes
-    return minimize_on_sphere(obj, z.dim, restarts=restarts, seed=seed,
-                              vectorized=True)

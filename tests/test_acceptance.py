@@ -29,8 +29,15 @@ def _cell(check_id, spec, cfg=CFG):
     return run_check(CHECK_MAP[check_id], BodyContext(spec, cfg))
 
 
+# (pass, skipped, budget skips) per dimension at seed 0.  A budget skip is
+# an unverified claim on an admissible body, so a pass must not silently
+# turn into one.
+PINNED_VERDICTS = {3: (321, 57, 8), 4: (317, 61, 12), 5: (306, 72, 23)}
+
+
 def test_acceptance_01_full_suite_clean():
     bad = []
+    verdicts = {}
     for n in (3, 4, 5):
         report = run_suite(bodies.corpus(n), seed=0, jobs=4)
         counts = report["summary"]["counts"]
@@ -39,7 +46,12 @@ def test_acceptance_01_full_suite_clean():
                 bad.append((n, status, counts[status],
                             report["summary"]["failures"],
                             report["summary"]["errors"]))
+        budget = sum(
+            1 for cell in report["results"] if cell["status"] == "skipped"
+            and not cell["detail"]["reason"].startswith("body class outside"))
+        verdicts[n] = (counts["pass"], counts["skipped"], budget)
     assert not bad, bad
+    assert verdicts == PINNED_VERDICTS
     print("ACCEPTANCE 1: PASS — full suite clean (pass/skipped only) "
           "on the 14-body corpus for n=3,4,5")
 

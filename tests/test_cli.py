@@ -19,6 +19,16 @@ def test_compute_exact_quermassintegral(capsys):
     assert capsys.readouterr().out.strip() == "6.28318531"
 
 
+def test_compute_normalized_mean_shadow(capsys):
+    # pk(2) of Q3: mean shadow area S/4 = 6 over |Q3|^{2/3} = 4
+    assert main(["compute", "--body", "cube", "--dim", "3",
+                 "--quantity", "pk(2)"]) == 0
+    assert capsys.readouterr().out.strip() == "1.5"
+    assert main(["compute", "--body", "cube", "--dim", "3",
+                 "--quantity", "pk(4)"]) == 2
+    assert "pk index" in capsys.readouterr().err
+
+
 def test_compute_sampled_quantity_reports_error_bar(capsys):
     assert main(["compute", "--body", "random-hull(10,1)", "--dim", "3",
                  "--quantity", "mean-width", "--samples", "2000"]) == 0

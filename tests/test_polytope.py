@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projgeo import bodies
-from projgeo.polytope import (DegenerateInputError, Polytope, circumradius,
-                              convex_hull, from_halfspaces, inradius, polar,
-                              project, transform)
+from projgeo.bodyops import project_body, transform_body
+from projgeo.polytope import (DegenerateInputError, circumradius, convex_hull,
+                              from_halfspaces, inradius, polar)
 from projgeo.sampling import RngSeed, sphere_points
 
 
@@ -106,7 +106,7 @@ def test_cube_shadow_surfaces_are_perimeters():
 def test_projection_to_subspace():
     q3 = _cube()
     frame = np.eye(3)[:2]
-    sq = project(q3, frame)
+    sq = project_body(q3, frame)
     assert sq.dim == 2
     assert sq.volume() == pytest.approx(4.0, rel=1e-12)
 
@@ -138,7 +138,7 @@ def test_ridge_mean_width_of_cube():
 def test_transform_scales_volume_by_determinant():
     q3 = _cube()
     mat = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 3.0]])
-    image = transform(q3, mat)
+    image = transform_body(q3, mat)
     assert image.volume() == pytest.approx(8.0 * abs(np.linalg.det(mat)),
                                            rel=1e-10)
 
@@ -150,12 +150,6 @@ def test_from_halfspaces_round_trip():
     assert rebuilt.n_vertices == 8
 
 
-def test_contains_vertices_and_outside_points():
-    q3 = _cube()
-    assert all(q3.contains(v) for v in q3.vertices)
-    assert not q3.contains(np.array([1.5, 0.0, 0.0]))
-
-
 def test_degenerate_input_reports_affine_dimension():
     flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                      [1.0, 1.0, 0.0]])
@@ -164,7 +158,7 @@ def test_degenerate_input_reports_affine_dimension():
 
 
 def test_polar_requires_interior_origin():
-    shifted = transform(_cube(), np.eye(3))
+    shifted = transform_body(_cube(), np.eye(3))
     pts = shifted.vertices + 5.0
     with pytest.raises(ValueError):
         polar(convex_hull(pts))

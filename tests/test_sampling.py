@@ -61,15 +61,15 @@ def test_mc_estimate_matches_sample_statistics():
 
 def test_minimize_on_sphere_linear_objective():
     a = np.array([1.0, 2.0, 2.0])
-    x, v = minimize_on_sphere(lambda d: float(a @ d.coords), 3,
+    x, v = minimize_on_sphere(lambda d: float(a @ d), 3,
                               seed=RngSeed(1))
     assert v == pytest.approx(-3.0, abs=1e-8)  # min <a, theta> = -|a|
-    assert np.allclose(x.coords, -a / 3.0, atol=1e-4)
+    assert np.allclose(x, -a / 3.0, atol=1e-4)
 
 
 def test_minimize_on_sphere_vectorized_matches_scalar():
     a = np.array([0.5, -1.0, 2.0, 1.0])
-    _, v_scalar = minimize_on_sphere(lambda d: float(a @ d.coords), 4,
+    _, v_scalar = minimize_on_sphere(lambda d: float(a @ d), 4,
                                      seed=RngSeed(2))
     _, v_vec = minimize_on_sphere(lambda xs: xs @ a, 4, seed=RngSeed(2),
                                   vectorized=True)
@@ -97,7 +97,7 @@ def test_minimize_on_grassmannian_avoids_a_vector():
                                         vectorized=True)
     # a 2-plane in R^3 orthogonal to e1 exists, so the projection vanishes
     assert v == pytest.approx(0.0, abs=1e-8)
-    assert np.allclose(frame.frame @ e1, 0.0, atol=1e-4)
+    assert np.allclose(frame @ e1, 0.0, atol=1e-4)
 
 
 def test_minimizer_rejects_bad_restarts():

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from projgeo import bodies
 from projgeo.sampling import RngSeed, sphere_points
-from projgeo.zonotope import (Zonotope, projection_body, zonoid_min_projection,
-                              zonotope_to_polytope)
+from projgeo.zonotope import Zonotope, projection_body, zonotope_to_polytope
 
 
 def _zcube(n=3):
@@ -90,12 +89,6 @@ def test_support_is_positively_homogeneous_and_even(seed):
     assert z.support_batch(3.0 * theta[None])[0] == pytest.approx(3.0 * h)
     # zonotopes centered at the origin are symmetric
     assert z.support_batch(-theta[None])[0] == pytest.approx(h, rel=1e-12)
-
-
-def test_min_projection_of_cube():
-    xi, value = zonoid_min_projection(_zcube(), seed=RngSeed(4))
-    assert value == pytest.approx(4.0, rel=1e-9)
-    assert np.abs(xi.coords).max() == pytest.approx(1.0, abs=1e-5)
 
 
 def test_frame_shadow_volumes_match_projection():
