@@ -38,8 +38,7 @@ from .zonotope import Zonotope, projection_body, zonotope_to_polytope
 # finishes in minutes while every Monte Carlo side keeps a sub-percent
 # standard error).
 SPHERE_PANEL_MAX = 20_000
-NESTED_OUTER = 2_000
-NESTED_INNER = 4_000
+KUBOTA_WIDTH_PAIRS = 200_000
 HEAVY_VERTEX_LIMIT = 100
 ZONOTOPE_VOLUME_BUDGET = 400_000  # max n-subsets for exact zonotope volume
 ZONOTOPE_SHADOW_BUDGET = 4_000_000  # max (n-1)-subset evaluations for shadows
@@ -380,21 +379,17 @@ class BodyContext:
 
     def projection_body_merged(self) -> Zonotope:
         return self._memo("projection_body",
-                          lambda: projection_body(self.body).merge_parallel())
+                          lambda: projection_body(self.body))
 
     # -- shadow quermassintegrals ----------------------------------------------
     #
     # V_j of the (n-1)-dimensional shadows, j = n-1-p.  Exact per direction
-    # when j is the shadow's surface index (j = n-2); a nested Monte Carlo
-    # (outer directions x inner sphere-in-the-hyperplane samples) when j = 1;
-    # for the one remaining desk-scale case (n = 5, j = 2) the tower property
-    # of Haar measure collapses the double average to a single 2-frame panel.
-
-    def _nested_params(self) -> tuple[int, int]:
-        outer, inner = NESTED_OUTER, NESTED_INNER
-        if self.n_vertices() > HEAVY_VERTEX_LIMIT or self.position is not None:
-            outer, inner = outer // 2, inner // 2
-        return outer, inner
+    # when j is the shadow's surface index (j = n-2).  For j = 1, averaging
+    # Kubota's formula over the direction gives E_xi V_1(P_xi K) =
+    # (omega_{n-1}/omega_n) V_1(K): exact for zonoids, one antithetic width
+    # panel of KUBOTA_WIDTH_PAIRS directions otherwise.  For the one
+    # remaining desk-scale case (n = 5, j = 2) the tower property of Haar
+    # measure collapses the double average to a single 2-frame panel.
 
     def _chunked_widths(self, directions: np.ndarray) -> np.ndarray:
         """width_batch in row blocks sized so the support GEMM stays small."""
@@ -409,27 +404,19 @@ class BodyContext:
             out[lo:lo + chunk] = self.body.width_batch(directions[lo:lo + chunk])
         return out
 
-    def _nested_width_values(self) -> np.ndarray:
-        """Per-direction Monte Carlo values of V_1(shadow) = w * omega_{n-1}."""
+    def _kubota_v1_mean(self) -> tuple[Quantity, str]:
+        """(E_xi V_1(P_xi K) = (omega_{n-1}/omega_n) V_1(K), method note)."""
         def build():
             n = self.n
-            outer, inner = self._nested_params()
-            gen = self.rng("nested-v1").generator()
-            xis = sphere_points(n, outer, gen)
-            half = max(inner // 2, 1)
-            out = np.empty(outer)
-            chunk = max(1, 24_000 // half)
-            for lo in range(0, outer, chunk):
-                xi = xis[lo:lo + chunk]
-                block = gen.standard_normal((xi.shape[0], half, n))
-                block -= np.einsum("bij,bj->bi", block, xi)[:, :, None] * xi[:, None, :]
-                norms = np.linalg.norm(block, axis=2, keepdims=True)
-                np.maximum(norms, 1e-300, out=norms)
-                flat = (block / norms).reshape(-1, n)
-                widths = self._chunked_widths(flat).reshape(xi.shape[0], half)
-                out[lo:lo + chunk] = widths.mean(axis=1) / 2.0
-            return omega(n - 1) * out
-        return self._memo("nested_v1", build)
+            if self.is_zonoid:
+                return (self.quermass(n - 1).scaled(omega(n - 1) / omega(n)),
+                        "Kubota identity, exact zonoid V_1")
+            dirs = sphere_points(n, KUBOTA_WIDTH_PAIRS,
+                                 self.rng("kubota-v1").generator())
+            est = mc_estimate(self._chunked_widths(dirs) / 2.0)
+            return (Quantity.from_estimate(est).scaled(omega(n - 1)),
+                    f"Kubota identity, {KUBOTA_WIDTH_PAIRS} width pairs")
+        return self._memo("kubota_v1", build)
 
     def shadow_quermass_mean(self, p: int) -> tuple[Quantity, str]:
         """(mean over directions of V_{n-1-p}(shadow), method note)."""
@@ -441,10 +428,7 @@ class BodyContext:
             est = mc_estimate(self.shadow_surfs() / (n - 1))
             return Quantity.from_estimate(est), "exact shadow surfaces / (n-1)"
         if j == 1:
-            outer, inner = self._nested_params()
-            est = mc_estimate(self._nested_width_values())
-            return (Quantity.from_estimate(est),
-                    f"nested MC, outer {outer} x inner {inner}")
+            return self._kubota_v1_mean()
         if j == 2:
             vols, _ = self.frame_stats(2)
             est = mc_estimate(vols)
@@ -790,7 +774,7 @@ def _check_zon_vol(ctx: BodyContext):
     n = ctx.n
     vol = ctx.volume()
     unit = transform_body(ctx.body, np.eye(n), scale=vol ** (-1.0 / n))
-    zone = projection_body(unit).merge_parallel()
+    zone = projection_body(unit)
     part = ctx.partial()
     subs = []
     m = zone.n_generators
@@ -914,6 +898,10 @@ def _check_t_quer_3(ctx: BodyContext):
         expo = (n - 1.0 - p) / (n - p)
         rhs = ctx.quermass(p).powered(expo).scaled(omega(n - 1) / omega(n) ** expo)
         subs.append(SubCase(f"p={p}", mean, rhs, "ge", tol=ctx.cfg.tol))
+        if p == n - 2:
+            # the mean is (omega_{n-1}/omega_n) V_1(K) by Kubota, so this
+            # sub-case divided by omega_{n-1} reads Q_1(K) >= Q_2(K)
+            method += "; Aleksandrov inequality Q_1(K) >= Q_2(K)"
         methods[f"p={p}"] = method
     return subs, {"methods": methods}
 

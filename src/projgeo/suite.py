@@ -27,20 +27,22 @@ import numpy as np
 
 from . import bodies
 from .bodies import BodySpec
-from .checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext, CheckResult,
-                     SuiteConfig, run_check)
+from .checks import (CHECK_IDS, CHECK_MAP, CHECKS, KUBOTA_WIDTH_PAIRS,
+                     BodyContext, CheckResult, SuiteConfig, run_check)
 from .sampling import RngSeed
 
 CSV_HEADER = ["id", "body", "n", "lhs", "lhs_err", "rhs", "rhs_err",
               "ratio", "status"]
 
-# How nested quantities in the report were estimated (kept in the report so
-# a reader can judge the error bars without consulting the source).
-NESTED_MC_NOTE = (
-    "Shadow quermassintegrals V_j(P_F K) with 0 < j < dim(F) are Kubota "
-    "averages estimated by nested Monte Carlo inside the subspace: 2000 "
-    "outer projection directions with 4000 inner width samples each at "
-    "full budget, halved for vertex-heavy and for positioned bodies."
+# How shadow quermassintegrals in the report were estimated (kept in the
+# report so a reader can judge the error bars without consulting the source).
+SHADOW_QUERMASS_NOTE = (
+    "The mean over directions xi of V_1(P_xi K) comes from Kubota's "
+    "identity (omega_{n-1}/omega_n) V_1(K): exact for zonoids, and for "
+    f"vertex bodies one antithetic panel of {KUBOTA_WIDTH_PAIRS} width "
+    "pairs. The mean of V_2 of hyperplane shadows (n = 5) averages a "
+    "2-frame panel; V_j of a single vertex shadow (minima, FGM) is a "
+    "Monte Carlo average inside its subspace."
 )
 
 
@@ -129,7 +131,7 @@ def run_suite(corpus, ids=None, seed: int = 0, out=None, *, jobs: int = 1,
             "ids": list(ids),
             "corpus": [spec.to_dict() for spec in corpus],
         },
-        "note": NESTED_MC_NOTE,
+        "note": SHADOW_QUERMASS_NOTE,
         "summary": summary,
         "results": [res.to_dict() for res in results],
     }

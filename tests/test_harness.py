@@ -165,6 +165,37 @@ def test_monotone_shadow_sequence_on_cube():
     assert len(labels) == 3
 
 
+# ---------------------------------------------------------------------------
+# mean shadow V_1 by Kubota's identity
+
+
+def test_kubota_shadow_mean_is_exact_for_zonotopes():
+    ctx = BodyContext(bodies.random_zonotope(4, 7, 1), CFG)
+    mean, method = ctx.shadow_quermass_mean(2)
+    expected = omega(3) / omega(4) * ctx.body.quermassintegral_exact(3)
+    assert mean.exact and mean.stderr == 0.0
+    assert mean.value == pytest.approx(expected, rel=1e-12)
+    assert "exact" in method
+
+
+def test_kubota_shadow_mean_on_cube():
+    # E_xi V_1(P_xi Q4) = (omega_3/omega_4) V_1(Q4) = (16/(3 pi)) (4 pi/3) = 64/9
+    mean, _ = BodyContext(bodies.cube(4), CFG).shadow_quermass_mean(2)
+    assert not mean.exact
+    assert 0.0 < mean.stderr <= 0.0031
+    assert abs(mean.value - 64.0 / 9.0) <= 3.0 * mean.stderr
+
+
+def test_shadow_quermass_checks_pass_at_n4():
+    corpus = [bodies.from_name(name, 4)
+              for name in ("random-hull(12,1)", "random-zonotope(7,1)")]
+    report = run_suite(corpus, ids=["T-QUER-2", "T-QUER-3", "T-QUER-4"])
+    assert [r["status"] for r in report["results"]] == ["pass"] * 6
+    aleksandrov = [r["detail"]["methods"]["p=2"] for r in report["results"]
+                   if r["id"] == "T-QUER-3"]
+    assert all("Q_1(K) >= Q_2(K)" in m for m in aleksandrov)
+
+
 def test_unknown_check_cells_report_errors_not_raises():
     # an evaluator crash must surface as status "error" with a traceback
     spec = CHECK_MAP["T-HYPER-1"]
