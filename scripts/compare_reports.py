@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Diff two `projgeo verify` JSON reports cell by cell.
+
+    python3 scripts/compare_reports.py A.json B.json
+
+Cells are matched by (id, body, n) and sub-cases by position and label.
+Prints:
+
+  * every cell and sub-case whose status changed (a cell present in only
+    one report counts as a status change);
+  * every changed cell, with its largest relative lhs/rhs value and
+    stderr changes;
+  * the largest relative lhs/rhs value change over all cells and sub-cases;
+  * every sub-case whose lhs or rhs stderr widened by more than 1e-12
+    relative (a stderr that was 0 and is not any more counts as widened).
+
+Exits 1 when any verdict changed, 0 otherwise.
+"""
+
+import argparse
+import json
+import math
+import sys
+
+STDERR_WIDEN_REL = 1e-12
+
+
+def _cells(report: dict) -> dict:
+    return {(r["id"], r["body"], r["n"]): r for r in report["results"]}
+
+
+def _cases(cell: dict) -> dict:
+    """Sub-cases keyed by (position, label); the cell itself if it has none."""
+    cases = cell.get("detail", {}).get("cases")
+    if not cases:
+        return {(0, ""): cell}
+    return {(i, c["label"]): c for i, c in enumerate(cases)}
+
+
+def _rel_change(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
+    return abs(b - a) / max(abs(a), abs(b))
+
+
+def _widened(a: float, b: float) -> bool:
+    return b - a > STDERR_WIDEN_REL * a if a > 0.0 else b > 0.0
+
+
+def _name(key) -> str:
+    check, body, n = key
+    return f"{check} {body} n={n}"
+
+
+def compare(a: dict, b: dict, out=sys.stdout) -> int:
+    """Print the diff of reports ``a`` and ``b``; return the exit code."""
+    cells_a, cells_b = _cells(a), _cells(b)
+    status_changes = []
+    for key in sorted(cells_a.keys() - cells_b.keys()):
+        status_changes.append(f"{_name(key)}: {cells_a[key]['status']} -> (absent)")
+    for key in sorted(cells_b.keys() - cells_a.keys()):
+        status_changes.append(f"{_name(key)}: (absent) -> {cells_b[key]['status']}")
+
+    sub_changes = []
+    changed_cells = []
+    widened = []
+    worst = (0.0, "none")
+    for key in sorted(cells_a.keys() & cells_b.keys()):
+        ca, cb = cells_a[key], cells_b[key]
+        if ca["status"] != cb["status"]:
+            status_changes.append(f"{_name(key)}: {ca['status']} -> {cb['status']}")
+        cell_worst = 0.0
+        sides = [("", ca, cb)]
+        subs_a, subs_b = _cases(ca), _cases(cb)
+        for sk in sorted(subs_a.keys() | subs_b.keys()):
+            sa, sb = subs_a.get(sk), subs_b.get(sk)
+            suffix = f" [{sk[1]}]" if sk[1] else ""
+            label = _name(key) + suffix
+            if sa is None or sb is None or sa["status"] != sb["status"]:
+                before = "(absent)" if sa is None else sa["status"]
+                after = "(absent)" if sb is None else sb["status"]
+                sub_changes.append(f"{label}: {before} -> {after}")
+                continue
+            sides.append((suffix, sa, sb))
+            for side in ("lhs", "rhs"):
+                if _widened(sa[side]["stderr"], sb[side]["stderr"]):
+                    widened.append(f"{label} {side}: stderr "
+                                   f"{sa[side]['stderr']!r} -> {sb[side]['stderr']!r}")
+        cell_worst_se = 0.0
+        for suffix, sa, sb in sides:
+            for side in ("lhs", "rhs"):
+                rel = _rel_change(sa[side]["value"], sb[side]["value"])
+                cell_worst = max(cell_worst, rel)
+                cell_worst_se = max(cell_worst_se, _rel_change(
+                    sa[side]["stderr"], sb[side]["stderr"]))
+                if rel > worst[0]:
+                    worst = (rel, f"{_name(key)}{suffix} {side}")
+        if ca != cb:
+            changed_cells.append(
+                f"{_name(key)}: largest relative lhs/rhs value change "
+                f"{cell_worst:.3g}, stderr change {cell_worst_se:.3g}")
+
+    def section(title, lines):
+        print(f"{title}: {len(lines)}", file=out)
+        for line in lines:
+            print(f"  {line}", file=out)
+
+    print(f"cells: {len(cells_a)} in A, {len(cells_b)} in B", file=out)
+    section("cell status changes", status_changes)
+    section("sub-case status changes", sub_changes)
+    section("changed cells", changed_cells)
+    print(f"largest relative lhs/rhs value change: {worst[0]:.3g} ({worst[1]})",
+          file=out)
+    section(f"sub-cases with stderr widened by more than {STDERR_WIDEN_REL:g} "
+            "relative", widened)
+    verdict_changed = bool(status_changes or sub_changes)
+    print("verdicts: " + ("CHANGED" if verdict_changed else "unchanged"),
+          file=out)
+    return 1 if verdict_changed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("a", help="the reference report (JSON)")
+    parser.add_argument("b", help="the report to compare with it (JSON)")
+    args = parser.parse_args(argv)
+    with open(args.a) as fa, open(args.b) as fb:
+        return compare(json.load(fa), json.load(fb))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -391,19 +391,6 @@ class BodyContext:
     # remaining desk-scale case (n = 5, j = 2) the tower property of Haar
     # measure collapses the double average to a single 2-frame panel.
 
-    def _chunked_widths(self, directions: np.ndarray) -> np.ndarray:
-        """width_batch in row blocks sized so the support GEMM stays small."""
-        rows = directions.shape[0]
-        per_row = (self.body.n_generators if self.is_zonoid
-                   else self.to_poly().n_vertices)
-        chunk = max(256, int(1.2e7) // max(per_row, 1))
-        if rows <= chunk:
-            return self.body.width_batch(directions)
-        out = np.empty(rows)
-        for lo in range(0, rows, chunk):
-            out[lo:lo + chunk] = self.body.width_batch(directions[lo:lo + chunk])
-        return out
-
     def _kubota_v1_mean(self) -> tuple[Quantity, str]:
         """(E_xi V_1(P_xi K) = (omega_{n-1}/omega_n) V_1(K), method note)."""
         def build():
@@ -413,7 +400,7 @@ class BodyContext:
                         "Kubota identity, exact zonoid V_1")
             dirs = sphere_points(n, KUBOTA_WIDTH_PAIRS,
                                  self.rng("kubota-v1").generator())
-            est = mc_estimate(self._chunked_widths(dirs) / 2.0)
+            est = mc_estimate(self.body.width_batch(dirs) / 2.0)
             return (Quantity.from_estimate(est).scaled(omega(n - 1)),
                     f"Kubota identity, {KUBOTA_WIDTH_PAIRS} width pairs")
         return self._memo("kubota_v1", build)
@@ -458,7 +445,7 @@ class BodyContext:
                 norms = np.linalg.norm(proj, axis=2, keepdims=True)
                 np.maximum(norms, 1e-300, out=norms)
                 flat = (proj / norms).reshape(-1, self.n)
-                widths = self._chunked_widths(flat).reshape(dirs.shape[0], half)
+                widths = self.body.width_batch(flat).reshape(dirs.shape[0], half)
                 return omega(n - 1) * widths.mean(axis=1) / 2.0
 
             value = _screened_sphere_min(objective, self.n, gen,

@@ -167,15 +167,17 @@ def _descend(fb: _BestTracker, x0: np.ndarray, retract, max_iter: int = 400,
     r, d = x.shape
     t = np.full(r, 0.25)
     grad = np.empty_like(x)
+    coords = np.arange(d)
     for _ in range(max_iter):
         live = t >= step_min
         if not live.any():
             break
-        # FD gradient of f∘retract, one coordinate at a time (batched rows).
-        for j in range(d):
-            xp = x.copy()
-            xp[:, j] += fd_step
-            grad[:, j] = (fb(retract(xp)) - fx) / fd_step
+        # FD gradient of f∘retract: the d perturbed copies x + fd_step·e_j,
+        # stacked coordinate-major into one (d·r, d) batch and one call.
+        xp = np.repeat(x[None], d, axis=0)
+        xp[coords, :, coords] += fd_step
+        fd = fb(retract(xp.reshape(d * r, d))).reshape(d, r)
+        grad[:] = ((fd - fx) / fd_step).T
         gn2 = np.einsum("ij,ij->i", grad, grad)
         prop = retract(x - (t * live)[:, None] * grad)
         fp = fb(prop)

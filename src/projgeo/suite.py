@@ -8,9 +8,12 @@ check's lhs/rhs ratio as high as it will go — an empirical probe of how
 much slack the corresponding bound has, with no claim of optimality.
 
 Reports are deterministic: reruns with the same corpus, ids, and seed
-produce byte-identical JSON and CSV, regardless of the thread count,
-because every random stream is derived from (seed, body, purpose) rather
-than drawn from shared sequential state.
+produce byte-identical JSON and CSV independent of ``jobs``, because every
+random stream is derived from (seed, body, purpose) rather than drawn from
+shared sequential state.  Byte identity also needs the BLAS thread count
+pinned (say ``OPENBLAS_NUM_THREADS=1``): a threaded BLAS splits large
+products differently per thread count, which moves values by roundoff
+(verdicts stay the same).
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polytope import BudgetError, Polytope, SurfaceAreaMeasure
+from .polytope import BudgetError, Polytope, SurfaceAreaMeasure, row_blocks
 
 __all__ = [
     "Zonotope",
@@ -123,7 +123,10 @@ class Zonotope:
 
     def width_batch(self, directions: np.ndarray) -> np.ndarray:
         d = np.atleast_2d(np.asarray(directions, dtype=float))
-        return 2.0 * np.abs(d @ self.generators.T).sum(axis=1)
+        out = np.empty(d.shape[0])
+        for blk in row_blocks(d.shape[0], self.n_generators):
+            out[blk] = 2.0 * np.abs(d[blk] @ self.generators.T).sum(axis=1)
+        return out
 
     # -- exact volumes --------------------------------------------------------
 

@@ -1,0 +1,100 @@
+"""scripts/compare_reports.py on two small synthetic reports."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+
+
+def _side(value, stderr=0.0):
+    return {"value": value, "stderr": stderr, "n_samples": 0 if stderr == 0.0
+            else 1000, "exact": stderr == 0.0}
+
+
+def _case(label, lhs, rhs, status="pass"):
+    return {"label": label, "lhs": lhs, "rhs": rhs, "direction": "le",
+            "tol": 0.0, "sigmas": 3.0, "status": status, "margin": 0.0,
+            "ratio": lhs["value"] / rhs["value"]}
+
+
+def _cell(check, body, cases):
+    binding = cases[0]
+    return {"id": check, "body": body, "n": 3, "lhs": binding["lhs"],
+            "rhs": binding["rhs"], "ratio": binding["ratio"],
+            "status": binding["status"], "detail": {"cases": cases}}
+
+
+def _report():
+    return {"results": [
+        _cell("T-QUER-2", "cube", [_case("p=1", _side(1.0, 0.01), _side(2.0)),
+                                   _case("p=2", _side(1.5, 0.02), _side(2.0))]),
+        _cell("GHP", "cube", [_case("worst", _side(1.9), _side(4.0))]),
+        {"id": "T-HYPER-2", "body": "cube", "n": 3, "lhs": _side(float("nan")),
+         "rhs": _side(float("nan")), "ratio": float("nan"),
+         "status": "skipped", "detail": {"reason": "body class outside zonoid"}},
+    ]}
+
+
+def _run(tmp_path, a, b):
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(b))
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(pa), str(pb)],
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout
+
+
+def test_identical_reports(tmp_path):
+    code, out = _run(tmp_path, _report(), _report())
+    assert code == 0
+    assert "changed cells: 0" in out
+    assert "largest relative lhs/rhs value change: 0 (none)" in out
+    assert "verdicts: unchanged" in out
+
+
+def test_value_and_stderr_changes_keep_exit_zero(tmp_path):
+    b = _report()
+    quer = b["results"][0]["detail"]["cases"]
+    quer[0]["lhs"] = _side(1.0 * (1 + 1e-9), 0.01)           # value moves
+    quer[1]["lhs"] = _side(1.5, 0.02 * (1 + 1e-9))           # stderr widens
+    b["results"][1]["detail"]["cases"][0]["lhs"] = _side(1.9, 1e-3)  # 0 -> > 0
+    code, out = _run(tmp_path, _report(), b)
+    assert code == 0
+    assert "changed cells: 2" in out
+    assert "largest relative lhs/rhs value change: 1e-09 (T-QUER-2 cube n=3 " \
+           "[p=1] lhs)" in out
+    assert "sub-cases with stderr widened by more than 1e-12 relative: 2" in out
+    assert "T-QUER-2 cube n=3 [p=2] lhs: stderr" in out
+    assert "GHP cube n=3 [worst] lhs: stderr 0.0 -> 0.001" in out
+    assert "verdicts: unchanged" in out
+
+
+def test_narrower_stderr_is_not_reported(tmp_path):
+    b = _report()
+    b["results"][0]["detail"]["cases"][0]["lhs"] = _side(1.0, 0.005)
+    code, out = _run(tmp_path, _report(), b)
+    assert code == 0
+    assert "relative: 0" in out
+
+
+def test_verdict_changes_exit_one(tmp_path):
+    b = _report()
+    b["results"][0]["detail"]["cases"][1]["status"] = "fail"
+    b["results"][0]["status"] = "fail"
+    code, out = _run(tmp_path, _report(), b)
+    assert code == 1
+    assert "cell status changes: 1" in out
+    assert "T-QUER-2 cube n=3: pass -> fail" in out
+    assert "sub-case status changes: 1" in out
+    assert "T-QUER-2 cube n=3 [p=2]: pass -> fail" in out
+    assert "verdicts: CHANGED" in out
+
+
+def test_missing_cell_is_a_verdict_change(tmp_path):
+    b = _report()
+    del b["results"][1]
+    code, out = _run(tmp_path, _report(), b)
+    assert code == 1
+    assert "GHP cube n=3: pass -> (absent)" in out

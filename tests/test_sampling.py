@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projgeo.sampling import (RngSeed, grassmann_frames, mc_estimate,
+from projgeo.sampling import (RngSeed, _BestTracker, _descend,
+                              _normalize_rows, grassmann_frames, mc_estimate,
                               minimize_on_grassmannian, minimize_on_sphere,
                               sphere_points)
 
@@ -103,3 +104,66 @@ def test_minimize_on_grassmannian_avoids_a_vector():
 def test_minimizer_rejects_bad_restarts():
     with pytest.raises(ValueError):
         minimize_on_sphere(lambda d: 0.0, 3, restarts=0)
+
+
+class _Recorder:
+    """A smooth batched objective that keeps a copy of every batch."""
+
+    def __init__(self):
+        self.batches = []
+
+    def __call__(self, x):
+        self.batches.append(x.copy())
+        return np.cos(3.0 * x[:, 0]) + (x[:, 1:] ** 2).sum(axis=1)
+
+
+def test_descend_makes_one_gradient_call_per_iteration():
+    rec = _Recorder()
+    starts = sphere_points(4, 6, RngSeed(6).generator())
+    iterations = 5
+    _descend(_BestTracker(rec), starts, _normalize_rows, max_iter=iterations)
+    assert len(rec.batches) == 1 + 2 * iterations
+    r, d = starts.shape
+    assert [b.shape[0] for b in rec.batches] == [r] + [d * r, r] * iterations
+    # the first gradient batch: retract(x + fd_step e_j), coordinate-major
+    x = rec.batches[0]
+    expected = np.concatenate([_normalize_rows(x + 1e-6 * e) for e in np.eye(d)])
+    assert np.array_equal(rec.batches[1], expected)
+
+
+def _descend_per_coordinate(fb, x0, retract, max_iter=400, fd_step=1e-6,
+                            step_min=1e-10):
+    """Reference: the descent with one objective call per FD coordinate."""
+    x = retract(x0.copy())
+    fx = fb(x)
+    r, d = x.shape
+    t = np.full(r, 0.25)
+    grad = np.empty_like(x)
+    for _ in range(max_iter):
+        live = t >= step_min
+        if not live.any():
+            break
+        for j in range(d):
+            xp = x.copy()
+            xp[:, j] += fd_step
+            grad[:, j] = (fb(retract(xp)) - fx) / fd_step
+        gn2 = np.einsum("ij,ij->i", grad, grad)
+        prop = retract(x - (t * live)[:, None] * grad)
+        fp = fb(prop)
+        ok = live & (fp <= fx - 1e-4 * t * gn2)
+        x[ok] = prop[ok]
+        fx[ok] = fp[ok]
+        t[ok] = np.minimum(t[ok] * 1.25, 1.0)
+        t[live & ~ok] *= 0.5
+
+
+def test_stacked_descent_matches_per_coordinate_reference():
+    def objective(x):
+        return np.cos(3.0 * x[:, 0]) + np.abs(x[:, 1:]).sum(axis=1)
+
+    starts = sphere_points(4, 12, RngSeed(8).generator())
+    stacked, reference = _BestTracker(objective), _BestTracker(objective)
+    _descend(stacked, starts, _normalize_rows)
+    _descend_per_coordinate(reference, starts, _normalize_rows)
+    assert stacked.best_v == reference.best_v
+    assert np.array_equal(stacked.best_x, reference.best_x)
