@@ -9,7 +9,8 @@ Prints:
   * every cell and sub-case whose status changed (a cell present in only
     one report counts as a status change);
   * every changed cell, with its largest relative lhs/rhs value and
-    stderr changes;
+    stderr changes, followed by each lhs/rhs value that moved and its
+    signed relative change (B-A)/|A| (positive means the value rose);
   * the largest relative lhs/rhs value change over all cells and sub-cases;
   * every sub-case whose lhs or rhs stderr widened by more than 1e-12
     relative (a stderr that was 0 and is not any more counts as widened).
@@ -43,6 +44,17 @@ def _rel_change(a: float, b: float) -> float:
     if math.isnan(a) or math.isnan(b):
         return math.inf
     return abs(b - a) / max(abs(a), abs(b))
+
+
+def _signed_change(a: float, b: float) -> float:
+    """(b - a)/|a|: positive when the value rose, nan when one side is nan."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.nan
+    if a == 0.0:
+        return math.copysign(math.inf, b)
+    return (b - a) / abs(a)
 
 
 def _widened(a: float, b: float) -> bool:
@@ -89,18 +101,26 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
                     widened.append(f"{label} {side}: stderr "
                                    f"{sa[side]['stderr']!r} -> {sb[side]['stderr']!r}")
         cell_worst_se = 0.0
-        for suffix, sa, sb in sides:
+        lines = []
+        for i, (suffix, sa, sb) in enumerate(sides):
             for side in ("lhs", "rhs"):
-                rel = _rel_change(sa[side]["value"], sb[side]["value"])
+                va, vb = sa[side]["value"], sb[side]["value"]
+                rel = _rel_change(va, vb)
+                # sides[0] is the cell, which repeats one of sides[1:]
+                if rel > 0.0 and i > 0:
+                    lines.append(f"    {(suffix + ' ' + side).strip()}: "
+                                 f"{va!r} -> {vb!r}, signed relative change "
+                                 f"{_signed_change(va, vb):+.3g}")
                 cell_worst = max(cell_worst, rel)
                 cell_worst_se = max(cell_worst_se, _rel_change(
                     sa[side]["stderr"], sb[side]["stderr"]))
                 if rel > worst[0]:
                     worst = (rel, f"{_name(key)}{suffix} {side}")
         if ca != cb:
-            changed_cells.append(
-                f"{_name(key)}: largest relative lhs/rhs value change "
-                f"{cell_worst:.3g}, stderr change {cell_worst_se:.3g}")
+            lines.insert(0, f"{_name(key)}: largest relative lhs/rhs value "
+                            f"change {cell_worst:.3g}, stderr change "
+                            f"{cell_worst_se:.3g}")
+            changed_cells.append("\n".join(lines))
 
     def section(title, lines):
         print(f"{title}: {len(lines)}", file=out)

@@ -120,12 +120,13 @@ def mc_estimate(values) -> Estimate:
 # ---------------------------------------------------------------------------
 # Stochastic minimization on the sphere / Grassmannian.
 #
-# Multi-start projected (sub)gradient descent, run on all restarts at once as
-# array rows: finite-difference gradients of f∘retract, per-restart Armijo
-# step control, each restart iterated until its step drops below 1e-10.  The
-# best point is then polished by a shrinking pattern search (handles kinks,
-# where gradient steps stall at ~sqrt(fd_step) accuracy).  The returned value
-# is the minimum over every point evaluated anywhere in the procedure.
+# Multi-start projected (sub)gradient descent, run on the live restarts at
+# once as array rows: finite-difference gradients of f∘retract and
+# per-restart Armijo step control.  A restart retires when its step drops
+# below 1e-10 and is never evaluated again.  The best point is then polished
+# by a shrinking pattern search (handles kinks, where gradient steps stall at
+# ~sqrt(fd_step) accuracy).  The returned value is the minimum over every
+# point evaluated anywhere in the procedure.
 # ---------------------------------------------------------------------------
 
 
@@ -161,31 +162,29 @@ class _BestTracker:
 
 def _descend(fb: _BestTracker, x0: np.ndarray, retract, max_iter: int = 400,
              fd_step: float = 1e-6, step_min: float = 1e-10) -> None:
-    """Batched multi-start descent; results accumulate inside ``fb``."""
+    """Batched descent of the live restarts; results accumulate inside ``fb``.
+
+    A retired restart (step below ``step_min``) is never evaluated again."""
     x = retract(x0.copy())
     fx = fb(x)
-    r, d = x.shape
-    t = np.full(r, 0.25)
-    grad = np.empty_like(x)
-    coords = np.arange(d)
+    d = x.shape[1]
+    t = np.full(x.shape[0], 0.25)
+    steps = fd_step * np.eye(d)[:, None, :]
     for _ in range(max_iter):
-        live = t >= step_min
-        if not live.any():
+        live = np.flatnonzero(t >= step_min)
+        if live.size == 0:
             break
+        xl, fl, tl = x[live], fx[live], t[live]
         # FD gradient of f∘retract: the d perturbed copies x + fd_step·e_j,
-        # stacked coordinate-major into one (d·r, d) batch and one call.
-        xp = np.repeat(x[None], d, axis=0)
-        xp[coords, :, coords] += fd_step
-        fd = fb(retract(xp.reshape(d * r, d))).reshape(d, r)
-        grad[:] = ((fd - fx) / fd_step).T
-        gn2 = np.einsum("ij,ij->i", grad, grad)
-        prop = retract(x - (t * live)[:, None] * grad)
+        # stacked coordinate-major into one (d·m, d) batch and one call.
+        fd = fb(retract((xl[None] + steps).reshape(-1, d))).reshape(d, -1)
+        grad = ((fd - fl) / fd_step).T
+        prop = retract(xl - tl[:, None] * grad)
         fp = fb(prop)
-        ok = live & (fp <= fx - 1e-4 * t * gn2)
-        x[ok] = prop[ok]
-        fx[ok] = fp[ok]
-        t[ok] = np.minimum(t[ok] * 1.25, 1.0)
-        t[live & ~ok] *= 0.5
+        ok = fp <= fl - 1e-4 * tl * np.einsum("ij,ij->i", grad, grad)
+        x[live[ok]] = prop[ok]
+        fx[live[ok]] = fp[ok]
+        t[live] = np.where(ok, np.minimum(tl * 1.25, 1.0), tl * 0.5)
 
 
 def _pattern_polish(fb: _BestTracker, retract, d: int,

@@ -86,6 +86,7 @@ class Zonotope:
             raise ValueError("center dimension mismatch")
         self.dim: int = n
         self._atoms: np.ndarray | None = None
+        self._grams: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- canonicalization ----------------------------------------------------
 
@@ -184,17 +185,21 @@ class Zonotope:
         return 2.0 ** (self.dim - 1) * np.abs(d @ atoms.T).sum(axis=1)
 
     def shadow_surfaces(self, directions: np.ndarray) -> np.ndarray:
-        """S(P_{ξ⊥}Z) for each unit row ξ (exact rank-one Gram update)."""
+        """S(P_{ξ⊥}Z) for each unit row ξ (exact rank-one Gram update).
+
+        The (n-2)-subset stack, its Gram determinants and inverses do not
+        depend on the directions; they are built once per zonotope.
+        """
         m, n = self.generators.shape
         if n < 3:
             raise ValueError("shadow surfaces need ambient dimension >= 3")
-        _check_budget(m, n - 2, "zonotope shadow surfaces")
+        if self._grams is None:
+            _check_budget(m, n - 2, "zonotope shadow surfaces")
+            sub = self.generators[_subsets(m, n - 2)]     # (C, n-2, n)
+            gram = np.einsum("cik,cjk->cij", sub, sub)
+            self._grams = sub, np.linalg.det(gram), np.linalg.inv(gram)
+        sub, det_a, inv_a = self._grams
         d = np.atleast_2d(np.asarray(directions, dtype=float))
-        idx = _subsets(m, n - 2)
-        sub = self.generators[idx]                        # (C, n-2, n)
-        gram = np.einsum("cik,cjk->cij", sub, sub)
-        det_a = np.linalg.det(gram)
-        inv_a = np.linalg.inv(gram)
         b = np.einsum("cik,bk->bci", sub, d)              # (B, C, n-2)
         quad = np.einsum("bci,cij,bcj->bc", b, inv_a, b)
         vols = np.sqrt(np.maximum(det_a[None, :] * (1.0 - quad), 0.0))

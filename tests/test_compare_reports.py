@@ -98,3 +98,27 @@ def test_missing_cell_is_a_verdict_change(tmp_path):
     code, out = _run(tmp_path, _report(), b)
     assert code == 1
     assert "GHP cube n=3: pass -> (absent)" in out
+
+
+def test_rise_prints_positive_signed_change(tmp_path):
+    b = _report()
+    b["results"][1]["detail"]["cases"][0]["lhs"] = _side(1.9 * (1 + 2e-9))
+    b["results"][1]["lhs"] = b["results"][1]["detail"]["cases"][0]["lhs"]
+    code, out = _run(tmp_path, _report(), b)
+    assert code == 0
+    assert "changed cells: 1" in out
+    assert "GHP cube n=3: largest relative lhs/rhs value change 2e-09" in out
+    line = next(ln for ln in out.splitlines() if ln.startswith("    [worst]"))
+    assert line.startswith("    [worst] lhs: 1.9 -> 1.900000003")
+    assert line.endswith(", signed relative change +2e-09")
+
+
+def test_drop_prints_negative_signed_change(tmp_path):
+    b = _report()
+    b["results"][0]["detail"]["cases"][1]["rhs"] = _side(1.5)
+    code, out = _run(tmp_path, _report(), b)
+    assert code == 0
+    assert "changed cells: 1" in out
+    assert "T-QUER-2 cube n=3: largest relative lhs/rhs value change 0.25" in out
+    assert "    [p=2] rhs: 2.0 -> 1.5, signed relative change -0.25" in out
+    assert "[p=1]" not in out

@@ -167,3 +167,65 @@ def test_stacked_descent_matches_per_coordinate_reference():
     _descend_per_coordinate(reference, starts, _normalize_rows)
     assert stacked.best_v == reference.best_v
     assert np.array_equal(stacked.best_x, reference.best_x)
+
+
+def _descend_full_batch(fb, x0, retract, max_iter=400, fd_step=1e-6,
+                        step_min=1e-10, live_counts=None):
+    """Reference: the descent that evaluates every row, retired or not.
+
+    Appends the number of live rows (t >= step_min) of each iteration to
+    ``live_counts``.
+    """
+    x = retract(x0.copy())
+    fx = fb(x)
+    r, d = x.shape
+    t = np.full(r, 0.25)
+    grad = np.empty_like(x)
+    coords = np.arange(d)
+    for _ in range(max_iter):
+        live = t >= step_min
+        if not live.any():
+            break
+        if live_counts is not None:
+            live_counts.append(int(live.sum()))
+        xp = np.repeat(x[None], d, axis=0)
+        xp[coords, :, coords] += fd_step
+        fd = fb(retract(xp.reshape(d * r, d))).reshape(d, r)
+        grad[:] = ((fd - fx) / fd_step).T
+        gn2 = np.einsum("ij,ij->i", grad, grad)
+        prop = retract(x - (t * live)[:, None] * grad)
+        fp = fb(prop)
+        ok = live & (fp <= fx - 1e-4 * t * gn2)
+        x[ok] = prop[ok]
+        fx[ok] = fp[ok]
+        t[ok] = np.minimum(t[ok] * 1.25, 1.0)
+        t[live & ~ok] *= 0.5
+
+
+def test_descend_evaluates_only_live_rows():
+    rec = _Recorder()
+    starts = sphere_points(4, 12, RngSeed(6).generator())
+    r, d = starts.shape
+    max_iter = 400
+    _descend(_BestTracker(rec), starts, _normalize_rows, max_iter=max_iter)
+    live_counts = []
+    _descend_full_batch(_BestTracker(_Recorder()), starts, _normalize_rows,
+                        max_iter=max_iter, live_counts=live_counts)
+    # the restarts retire at different iterations, all before max_iter
+    assert len(set(live_counts)) > 3 and len(live_counts) < max_iter
+    sizes = [b.shape[0] for b in rec.batches]
+    assert sizes[0] == r
+    # an FD and a proposal batch per iteration with a live row, none after
+    assert sizes[1:] == [s for m in live_counts for s in (d * m, m)]
+    assert all(b <= a for a, b in zip(live_counts, live_counts[1:]))
+
+
+def test_live_row_descent_is_no_worse_than_full_batch_on_a_kink():
+    def objective(x):
+        return np.cos(3.0 * x[:, 0]) + np.abs(x[:, 1:]).sum(axis=1)
+
+    starts = sphere_points(4, 12, RngSeed(8).generator())
+    live, full = _BestTracker(objective), _BestTracker(objective)
+    _descend(live, starts, _normalize_rows)
+    _descend_full_batch(full, starts, _normalize_rows)
+    assert live.best_v <= full.best_v

@@ -1,5 +1,6 @@
 """Zonotope computations: determinant formulas against hull conversions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -101,3 +102,27 @@ def test_frame_shadow_volumes_match_projection():
     for frame, vol in zip(frames, vols):
         shadow = Zonotope(gens @ frame.T)
         assert vol == pytest.approx(shadow.volume(), rel=1e-10)
+
+
+def _shadow_surfaces_uncached(z, dirs):
+    """The rank-one Gram update with the subset Grams rebuilt per call."""
+    m, n = z.generators.shape
+    idx = np.array(list(itertools.combinations(range(m), n - 2)), dtype=int)
+    sub = z.generators[idx]
+    gram = np.einsum("cik,cjk->cij", sub, sub)
+    det_a, inv_a = np.linalg.det(gram), np.linalg.inv(gram)
+    b = np.einsum("cik,bk->bci", sub, dirs)
+    quad = np.einsum("bci,cij,bcj->bc", b, inv_a, b)
+    vols = np.sqrt(np.maximum(det_a[None, :] * (1.0 - quad), 0.0))
+    return 2.0 ** (n - 1) * vols.sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cached_shadow_surfaces_are_bit_identical(n):
+    z = Zonotope(RngSeed(n).generator().standard_normal((7, n)))
+    gen = RngSeed(10 + n).generator()
+    for count in (37, 5):
+        dirs = sphere_points(n, count, gen)
+        got = z.shadow_surfaces(dirs)
+        assert np.array_equal(got, _shadow_surfaces_uncached(z, dirs))
+        assert np.array_equal(got, Zonotope(z.generators).shadow_surfaces(dirs))
