@@ -12,6 +12,9 @@ Prints:
     stderr changes, followed by each lhs/rhs value that moved and its
     signed relative change (B-A)/|A| (positive means the value rose);
   * the largest relative lhs/rhs value change over all cells and sub-cases;
+  * how many sub-case lhs/rhs values rose and how many dropped, and the
+    largest signed rise, so a gate that minima may only drop reads in one
+    line;
   * every sub-case whose lhs or rhs stderr widened by more than 1e-12
     relative (a stderr that was 0 and is not any more counts as widened).
 
@@ -79,6 +82,8 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
     changed_cells = []
     widened = []
     worst = (0.0, "none")
+    rose, dropped = 0, 0
+    top_rise = (0.0, "none")
     for key in sorted(cells_a.keys() & cells_b.keys()):
         ca, cb = cells_a[key], cells_b[key]
         if ca["status"] != cb["status"]:
@@ -108,9 +113,14 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
                 rel = _rel_change(va, vb)
                 # sides[0] is the cell, which repeats one of sides[1:]
                 if rel > 0.0 and i > 0:
+                    signed = _signed_change(va, vb)
                     lines.append(f"    {(suffix + ' ' + side).strip()}: "
                                  f"{va!r} -> {vb!r}, signed relative change "
-                                 f"{_signed_change(va, vb):+.3g}")
+                                 f"{signed:+.3g}")
+                    rose += signed > 0.0
+                    dropped += signed < 0.0
+                    if signed > top_rise[0]:
+                        top_rise = (signed, f"{_name(key)}{suffix} {side}")
                 cell_worst = max(cell_worst, rel)
                 cell_worst_se = max(cell_worst_se, _rel_change(
                     sa[side]["stderr"], sb[side]["stderr"]))
@@ -133,6 +143,9 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
     section("changed cells", changed_cells)
     print(f"largest relative lhs/rhs value change: {worst[0]:.3g} ({worst[1]})",
           file=out)
+    rise = f"{top_rise[0]:+.3g} ({top_rise[1]})" if rose else "none"
+    print(f"lhs/rhs values: {rose} rose, {dropped} dropped; largest rise "
+          f"{rise}", file=out)
     section(f"sub-cases with stderr widened by more than {STDERR_WIDEN_REL:g} "
             "relative", widened)
     verdict_changed = bool(status_changes or sub_changes)

@@ -370,12 +370,60 @@ class BodyContext:
         return self._memo("min_shadow_surface", build)
 
     def min_shadow_volume(self) -> float:
+        """min over directions of |P_{xi-perp} K|, the inradius of Pi K.
+
+        The sphere descent is followed by a facet snap of Pi K.  The
+        objective h_{Pi K} is piecewise linear and its minimum sits at a
+        facet normal of the zonotope Pi K, a kink where finite-difference
+        steps stall short of the vertex; the snap walks those normals from
+        the descent's best point and from the 8n lowest directions of the
+        sphere panel (`_facet_snap`).  The snap only proposes directions:
+        every value is Cauchy's formula on K, so MINPROJ's inradius of Pi K
+        stays an independent route.
+        """
         def build():
-            _, value = minimize_on_sphere(
+            x, value = minimize_on_sphere(
                 self.body.shadow_volumes, self.n,
                 seed=self.rng("min-shadow-volume"), vectorized=True)
-            return value
+            lowest = np.argsort(self.shadow_vols(), kind="stable")[:8 * self.n]
+            starts = np.vstack([x, self.sphere_panel()[lowest]])
+            return min(value, self._facet_snap(starts))
         return self._memo("min_shadow_volume", build)
+
+    def _facet_snap(self, starts: np.ndarray) -> float:
+        """Lowest shadow volume met walking facet normals of Pi K from starts.
+
+        At a direction xi, the 2n+2 generators of Pi K most nearly
+        orthogonal to xi span the facets around xi; the unit normals of
+        their (n-1)-subsets are the candidates, and the walk moves to the
+        lowest while the value drops.  A generator set met before is not
+        expanded again, since its walk is already counted.
+        """
+        gens = self.projection_body_merged().generators
+        units = gens / np.linalg.norm(gens, axis=1, keepdims=True)
+        near = min(len(gens), 2 * self.n + 2)
+        seen = set()
+        best = math.inf
+        for xi in starts:
+            fx = math.inf
+            while True:
+                idx = np.sort(np.argsort(np.abs(units @ xi), kind="stable")[:near])
+                if idx.tobytes() in seen:
+                    break
+                seen.add(idx.tobytes())
+                atoms = Zonotope(gens[idx]).cross_atoms()
+                lens = np.linalg.norm(atoms, axis=1)
+                keep = lens > 1e-12 * lens.max()
+                if not keep.any():
+                    break
+                normals = atoms[keep] / lens[keep, None]
+                vals = self.body.shadow_volumes(normals)
+                i = int(np.argmin(vals))
+                if vals[i] >= fx:
+                    break
+                xi, fx = normals[i], float(vals[i])
+            best = min(best, fx)
+        return best
 
     def projection_body_merged(self) -> Zonotope:
         return self._memo("projection_body",
@@ -746,15 +794,21 @@ def _check_l_zon_1(ctx: BodyContext):
 def _check_t_zon_2(ctx: BodyContext):
     n = ctx.n
     body = ctx.body
-    subs = []
+    subs, methods = [], {}
     for k in range(2, n):
-        _, value = minimize_on_grassmannian(
-            body.frame_shadow_volumes, n, k,
-            seed=ctx.rng("min-frame-volume", k), vectorized=True)
+        if k == n - 1:
+            # hyperplane shadows: the quantity and bound of L-ZON-1
+            value = ctx.min_shadow_volume()
+            methods[f"k={k}"] = "sphere minimum shared with L-ZON-1"
+        else:
+            _, value = minimize_on_grassmannian(
+                body.frame_shadow_volumes, n, k,
+                seed=ctx.rng("min-frame-volume", k), vectorized=True)
+            methods[f"k={k}"] = f"Grassmann minimizer, d = {k * n}"
         lhs = Quantity.of(value)
         rhs = Quantity.of(n * _b(n) ** (n - k) / k * ctx.volume() ** (k / n))
         subs.append(SubCase(f"k={k}", lhs, rhs, "le", tol=0.0))
-    return subs, {}
+    return subs, {"methods": methods}
 
 
 def _check_zon_vol(ctx: BodyContext):
@@ -1003,18 +1057,24 @@ def _check_t_higher_2(ctx: BodyContext):
     body = ctx.body
     surf = ctx.surface()
     vol = ctx.volume()
-    subs = []
+    subs, methods = [], {}
     for k in range(1, n):
         if k == 1:
             value = 2.0
+            methods[f"k={k}"] = "exact: a segment's boundary is two points"
+        elif k == n - 1:
+            # hyperplane shadows: T-HYPER-2's quantity, its doubled form
+            value = ctx.min_shadow_surface()
+            methods[f"k={k}"] = "sphere minimum shared with T-HYPER-2"
         else:
             _, value = minimize_on_grassmannian(
                 body.frame_shadow_surfaces, n, k,
                 seed=ctx.rng("min-frame-surface", k), vectorized=True)
+            methods[f"k={k}"] = f"Grassmann minimizer, d = {k * n}"
         lhs = Quantity.of(vol ** ((n - k) / n) * value)
         rhs = Quantity.of((n - k + 1.0) * _b(n) ** (n - k) * surf)
         subs.append(SubCase(f"k={k}", lhs, rhs, "le", tol=0.0))
-    return subs, {}
+    return subs, {"methods": methods}
 
 
 def _check_t_higher_5(ctx: BodyContext):

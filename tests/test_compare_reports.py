@@ -122,3 +122,18 @@ def test_drop_prints_negative_signed_change(tmp_path):
     assert "T-QUER-2 cube n=3: largest relative lhs/rhs value change 0.25" in out
     assert "    [p=2] rhs: 2.0 -> 1.5, signed relative change -0.25" in out
     assert "[p=1]" not in out
+
+
+def test_summary_counts_rises_and_drops(tmp_path):
+    code, out = _run(tmp_path, _report(), _report())
+    assert "lhs/rhs values: 0 rose, 0 dropped; largest rise none" in out
+    b = _report()
+    quer = b["results"][0]["detail"]["cases"]
+    quer[0]["lhs"] = _side(1.0 * (1 + 1e-9), 0.01)
+    quer[1]["rhs"] = _side(1.5)
+    quer[1]["lhs"] = _side(1.4, 0.02)
+    b["results"][1]["detail"]["cases"][0]["lhs"] = _side(1.9 * (1 + 2e-9))
+    code, out = _run(tmp_path, _report(), b)
+    assert code == 0
+    assert ("lhs/rhs values: 2 rose, 2 dropped; largest rise +2e-09 "
+            "(GHP cube n=3 [worst] lhs)") in out

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projgeo import bodies
+from projgeo import bodies, checks
 from projgeo.bodyops import transform_body
 from projgeo.checks import (CHECK_IDS, CHECK_MAP, BodyContext, Quantity,
                             SubCase, SuiteConfig, run_check)
@@ -17,6 +17,7 @@ from projgeo.quermass import omega
 from projgeo.sampling import Estimate
 from projgeo.suite import SEARCH_IDS, extremizer_search, run_suite
 from projgeo.svgplot import render
+from projgeo.zonotope import Zonotope
 
 CFG = SuiteConfig(samples=20_000, tol=0.05, seed=0)
 
@@ -194,6 +195,61 @@ def test_shadow_quermass_checks_pass_at_n4():
     aleksandrov = [r["detail"]["methods"]["p=2"] for r in report["results"]
                    if r["id"] == "T-QUER-3"]
     assert all("Q_1(K) >= Q_2(K)" in m for m in aleksandrov)
+
+
+# ---------------------------------------------------------------------------
+# one minimum per quantity: hyperplane shadows read the sphere memos
+
+
+@pytest.mark.parametrize("n, solved", [(3, []), (4, [2, 2])])
+def test_frame_minima_solve_the_grassmannian_only_below_n_minus_1(
+        monkeypatch, n, solved):
+    calls = []
+    real = checks.minimize_on_grassmannian
+
+    def counting(objective, dim, k, *args, **kwargs):
+        calls.append(k)
+        return real(objective, dim, k, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "minimize_on_grassmannian", counting)
+    ctx = BodyContext(bodies.random_zonotope(n, 6, 1), CFG)
+    for check_id in ("T-ZON-2", "T-HIGHER-2"):
+        assert run_check(CHECK_MAP[check_id], ctx).status == "pass"
+    assert calls == solved
+
+
+def test_hyperplane_frame_minima_equal_the_sphere_checks_bit_for_bit():
+    ctx = BodyContext(bodies.random_zonotope(4, 6, 1), CFG)
+
+    def lhs(check_id, label):
+        subs, detail = CHECK_MAP[check_id].fn(ctx)
+        return next(s.lhs.value for s in subs if s.label == label), detail
+
+    zon, zon_detail = lhs("T-ZON-2", "k=3")
+    higher, higher_detail = lhs("T-HIGHER-2", "k=3")
+    assert zon == lhs("L-ZON-1", "min shadow volume")[0]
+    assert higher == lhs("T-HYPER-2", "doubled form")[0]
+    assert zon_detail["methods"] == {
+        "k=2": "Grassmann minimizer, d = 8",
+        "k=3": "sphere minimum shared with L-ZON-1"}
+    assert higher_detail["methods"]["k=2"] == "Grassmann minimizer, d = 8"
+    assert higher_detail["methods"]["k=3"] == \
+        "sphere minimum shared with T-HYPER-2"
+
+
+def test_min_shadow_volume_snaps_to_the_projection_body_inradius():
+    # h_{Pi K} is least at a facet normal of Pi K; brute force over all
+    # C(32, 3) normals c_J of the 32-generator projection body
+    ctx = BodyContext(bodies.random_hull(4, 12, 5), CFG)
+    atoms = Zonotope(ctx.projection_body_merged().generators).cross_atoms()
+    assert atoms.shape[0] == math.comb(32, 3)
+    normals = atoms / np.linalg.norm(atoms, axis=1, keepdims=True)
+    exact = ctx.body.shadow_volumes(normals).min()
+    assert ctx.min_shadow_volume() == pytest.approx(exact, rel=1e-12)
+
+
+def test_min_shadow_volume_of_cube_is_four():
+    assert BodyContext(bodies.cube(3), CFG).min_shadow_volume() == 4.0
 
 
 def test_unknown_check_cells_report_errors_not_raises():
