@@ -11,7 +11,10 @@ Prints:
   * every changed cell, with its largest relative lhs/rhs value and
     stderr changes, followed by each lhs/rhs value that moved and its
     signed relative change (B-A)/|A| (positive means the value rose);
-  * the largest relative lhs/rhs value change over all cells and sub-cases;
+  * every cell whose binding sub-case switched (the cell row repeats the
+    binding sub-case, so a switch is not a value change);
+  * the largest relative lhs/rhs value change over all sub-cases (the cell
+    row stands in only for cells without sub-cases);
   * how many sub-case lhs/rhs values rose and how many dropped, and the
     largest signed rise, so a gate that minima may only drop reads in one
     line;
@@ -80,6 +83,7 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
 
     sub_changes = []
     changed_cells = []
+    switches = []
     widened = []
     worst = (0.0, "none")
     rose, dropped = 0, 0
@@ -88,8 +92,12 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
         ca, cb = cells_a[key], cells_b[key]
         if ca["status"] != cb["status"]:
             status_changes.append(f"{_name(key)}: {ca['status']} -> {cb['status']}")
+        bind_a = ca.get("detail", {}).get("binding_case")
+        bind_b = cb.get("detail", {}).get("binding_case")
+        if bind_a != bind_b:
+            switches.append(f"{_name(key)}: {bind_a} -> {bind_b}")
         cell_worst = 0.0
-        sides = [("", ca, cb)]
+        sides = []
         subs_a, subs_b = _cases(ca), _cases(cb)
         for sk in sorted(subs_a.keys() | subs_b.keys()):
             sa, sb = subs_a.get(sk), subs_b.get(sk)
@@ -107,12 +115,11 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
                                    f"{sa[side]['stderr']!r} -> {sb[side]['stderr']!r}")
         cell_worst_se = 0.0
         lines = []
-        for i, (suffix, sa, sb) in enumerate(sides):
+        for suffix, sa, sb in sides:
             for side in ("lhs", "rhs"):
                 va, vb = sa[side]["value"], sb[side]["value"]
                 rel = _rel_change(va, vb)
-                # sides[0] is the cell, which repeats one of sides[1:]
-                if rel > 0.0 and i > 0:
+                if rel > 0.0:
                     signed = _signed_change(va, vb)
                     lines.append(f"    {(suffix + ' ' + side).strip()}: "
                                  f"{va!r} -> {vb!r}, signed relative change "
@@ -141,6 +148,7 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
     section("cell status changes", status_changes)
     section("sub-case status changes", sub_changes)
     section("changed cells", changed_cells)
+    section("binding-case switches", switches)
     print(f"largest relative lhs/rhs value change: {worst[0]:.3g} ({worst[1]})",
           file=out)
     rise = f"{top_rise[0]:+.3g} ({top_rise[1]})" if rose else "none"

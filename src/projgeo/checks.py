@@ -262,6 +262,8 @@ class BodyContext:
     def n_vertices(self) -> int:
         return self.to_poly().n_vertices
 
+    # The cost heuristics read ridge_count and n_vertices of vertex bodies
+    # only: a zonotope over the conversion cap has no vertex polytope.
     def ridge_count(self) -> int:
         return self._memo("ridge_count",
                           lambda: self.to_poly().ridges().volumes.size)
@@ -276,7 +278,7 @@ class BodyContext:
     # -- shared panels --------------------------------------------------------
 
     def _sphere_panel_size(self) -> int:
-        ridges = self.ridge_count()
+        ridges = 0 if self.is_zonoid else self.ridge_count()
         if ridges > 20_000:
             size = 4096
         elif ridges > 8_000:
@@ -347,7 +349,8 @@ class BodyContext:
 
     def quermass(self, p: int) -> Quantity:
         def build():
-            heavy = self.n_vertices() > HEAVY_VERTEX_LIMIT
+            heavy = (not self.is_zonoid
+                     and self.n_vertices() > HEAVY_VERTEX_LIMIT)
             samples = 1200 if heavy else None
             est = quermassintegral(self.body, p, samples=samples,
                                    seed=self.rng("quermass", p))
@@ -362,7 +365,8 @@ class BodyContext:
 
     def min_shadow_surface(self) -> float:
         def build():
-            restarts = None if self.ridge_count() <= 8000 else 12
+            restarts = (None if self.is_zonoid or self.ridge_count() <= 8000
+                        else 12)
             _, value = minimize_on_sphere(
                 self.body.shadow_surfaces, self.n, restarts=restarts,
                 seed=self.rng("min-shadow-surface"), vectorized=True)
@@ -431,27 +435,14 @@ class BodyContext:
 
     # -- shadow quermassintegrals ----------------------------------------------
     #
-    # V_j of the (n-1)-dimensional shadows, j = n-1-p.  Exact per direction
-    # when j is the shadow's surface index (j = n-2).  For j = 1, averaging
-    # Kubota's formula over the direction gives E_xi V_1(P_xi K) =
-    # (omega_{n-1}/omega_n) V_1(K): exact for zonoids, one antithetic width
-    # panel of KUBOTA_WIDTH_PAIRS directions otherwise.  For the one
-    # remaining desk-scale case (n = 5, j = 2) the tower property of Haar
-    # measure collapses the double average to a single 2-frame panel.
-
-    def _kubota_v1_mean(self) -> tuple[Quantity, str]:
-        """(E_xi V_1(P_xi K) = (omega_{n-1}/omega_n) V_1(K), method note)."""
-        def build():
-            n = self.n
-            if self.is_zonoid:
-                return (self.quermass(n - 1).scaled(omega(n - 1) / omega(n)),
-                        "Kubota identity, exact zonoid V_1")
-            dirs = sphere_points(n, KUBOTA_WIDTH_PAIRS,
-                                 self.rng("kubota-v1").generator())
-            est = mc_estimate(self.body.width_batch(dirs) / 2.0)
-            return (Quantity.from_estimate(est).scaled(omega(n - 1)),
-                    f"Kubota identity, {KUBOTA_WIDTH_PAIRS} width pairs")
-        return self._memo("kubota_v1", build)
+    # V_j of the (n-1)-dimensional shadows, j = n-1-p.  Averaging Kubota's
+    # formula over the direction gives the recursion
+    #     E_xi V_j(P_xi K) = (omega_{n-1}/omega_n) W_{p+1}(K),  W_{p+1} = V_j,
+    # so every mean is one quermassintegral of K: exact wherever `quermass`
+    # is (zonoids at every p, vertex bodies at p = 1 by ridge angles), else
+    # one draw, a width panel at j = 1 or a 2-frame panel at j = 2.  Zonoid
+    # minima are exact too: V_j of a zonotope shadow is a constant times the
+    # subset-Gram kernel `Zonotope.shadow_subset_volumes`.
 
     def shadow_quermass_mean(self, p: int) -> tuple[Quantity, str]:
         """(mean over directions of V_{n-1-p}(shadow), method note)."""
@@ -459,29 +450,48 @@ class BodyContext:
         j = n - 1 - p
         if not 1 <= j <= n - 2:
             raise ValueError(f"shadow quermass index p={p} out of range")
-        if j == n - 2:
-            est = mc_estimate(self.shadow_surfs() / (n - 1))
-            return Quantity.from_estimate(est), "exact shadow surfaces / (n-1)"
-        if j == 1:
-            return self._kubota_v1_mean()
-        if j == 2:
-            vols, _ = self.frame_stats(2)
-            est = mc_estimate(vols)
-            factor = omega(n - 1) / omega(2)
-            return (Quantity.from_estimate(est).scaled(factor),
-                    "tower collapse to a 2-frame panel")
-        raise ValueError(f"no route for shadow quermass j={j} at n={n}")
+
+        def build():
+            if self.is_zonoid or p == 1:
+                return (self.quermass(p + 1).scaled(omega(n - 1) / omega(n)),
+                        f"Kubota recursion, exact W_{p + 1}(K)")
+            if j == 1:
+                dirs = sphere_points(n, KUBOTA_WIDTH_PAIRS,
+                                     self.rng("kubota-v1").generator())
+                est = mc_estimate(self.body.width_batch(dirs) / 2.0)
+                return (Quantity.from_estimate(est).scaled(omega(n - 1)),
+                        f"Kubota recursion, {KUBOTA_WIDTH_PAIRS} width pairs")
+            if j == 2:
+                est = mc_estimate(self.frame_stats(2)[0])
+                factor = omega(n - 1) / omega(2)
+                return (Quantity.from_estimate(est).scaled(factor),
+                        "Kubota recursion, 2-frame panel")
+            raise ValueError(f"no route for shadow quermass j={j} at n={n}")
+        return self._memo(("shadow_quermass_mean", p), build)
 
     def min_shadow_quermass(self, p: int) -> tuple[float, str]:
-        """min over directions of V_{n-1-p}(shadow), with a method note."""
+        """min over directions of V_{n-1-p}(shadow), with a method note.
+
+        Exact at j = n-2 and for zonoids; vertex bodies screen and polish
+        a fixed-draw objective (widths or 2-frame areas inside xi-perp).
+        """
         n = self.n
         j = n - 1 - p
         if j == n - 2:
             return self.min_shadow_surface() / (n - 1), "exact shadow surfaces"
+        if self.is_zonoid:
+            const = 2.0 ** j * omega(n - 1 - j) / math.comb(n - 1, j)
+
+            def objective(dirs: np.ndarray) -> np.ndarray:
+                return const * self.body.shadow_subset_volumes(dirs, j)
+
+            _, value = minimize_on_sphere(
+                objective, n, seed=self.rng("min-quermass", p), vectorized=True)
+            return value, f"sphere minimum of the exact subset-Gram V_{j}"
 
         heavy = self.n_vertices() > HEAVY_VERTEX_LIMIT
+        gen = self.rng("min-quermass", p).generator()
         if j == 1:
-            gen = self.rng("min-quermass", p).generator()
             half = 500 if heavy else 800
             block = gen.standard_normal((half, self.n))
 
@@ -500,19 +510,6 @@ class BodyContext:
                                          screen=256 if heavy else 1024)
             return value, "screened MC width objective (fixed inner draw)"
         if j == 2:
-            gen = self.rng("min-quermass", p).generator()
-            if self.is_zonoid:
-                # exact per direction from subset determinants; no hulls
-
-                def objective(dirs: np.ndarray) -> np.ndarray:
-                    dirs = np.atleast_2d(dirs)
-                    return np.array([
-                        project_body(self.body, _orthobasis(xi))
-                        .quermassintegral_exact(n - 3) for xi in dirs])
-
-                value = _screened_sphere_min(objective, self.n, gen,
-                                             screen=256)
-                return value, "screened exact subset-determinant evaluation"
             # V_2 of a hyperplane shadow by in-plane averaging of 2-frame
             # shadow areas, with the frame draw fixed across candidate
             # directions so the search surface is smooth.
@@ -598,18 +595,6 @@ class BodyContext:
                 continue
             out.append(kind)
         return out
-
-
-def _orthobasis(xi: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of the hyperplane orthogonal to unit xi."""
-    n = xi.size
-    idx = int(np.argmax(np.abs(xi)))
-    cols = [i for i in range(n) if i != idx]
-    basis = np.zeros((n - 1, n))
-    basis[np.arange(n - 1), cols] = 1.0
-    basis -= np.outer(basis @ xi, xi)
-    q, _ = np.linalg.qr(basis.T)
-    return q.T
 
 
 def _gs_pair_frames(pairs: np.ndarray, xi: np.ndarray | None = None) -> np.ndarray:
@@ -939,11 +924,10 @@ def _check_t_quer_3(ctx: BodyContext):
         expo = (n - 1.0 - p) / (n - p)
         rhs = ctx.quermass(p).powered(expo).scaled(omega(n - 1) / omega(n) ** expo)
         subs.append(SubCase(f"p={p}", mean, rhs, "ge", tol=ctx.cfg.tol))
-        if p == n - 2:
-            # the mean is (omega_{n-1}/omega_n) V_1(K) by Kubota, so this
-            # sub-case divided by omega_{n-1} reads Q_1(K) >= Q_2(K)
-            method += "; Aleksandrov inequality Q_1(K) >= Q_2(K)"
-        methods[f"p={p}"] = method
+        # the mean is (omega_{n-1}/omega_n) V_{n-1-p}(K) by Kubota, so this
+        # sub-case divided by omega_{n-1} reads Q_{n-1-p}(K) >= Q_{n-p}(K)
+        methods[f"p={p}"] = (f"{method}; Aleksandrov inequality "
+                             f"Q_{n - 1 - p}(K) >= Q_{n - p}(K)")
     return subs, {"methods": methods}
 
 

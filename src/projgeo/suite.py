@@ -40,12 +40,14 @@ CSV_HEADER = ["id", "body", "n", "lhs", "lhs_err", "rhs", "rhs_err",
 # How shadow quermassintegrals in the report were estimated (kept in the
 # report so a reader can judge the error bars without consulting the source).
 SHADOW_QUERMASS_NOTE = (
-    "The mean over directions xi of V_1(P_xi K) comes from Kubota's "
-    "identity (omega_{n-1}/omega_n) V_1(K): exact for zonoids, and for "
-    f"vertex bodies one antithetic panel of {KUBOTA_WIDTH_PAIRS} width "
-    "pairs. The mean of V_2 of hyperplane shadows (n = 5) averages a "
-    "2-frame panel; V_j of a single vertex shadow (minima, FGM) is a "
-    "Monte Carlo average inside its subspace."
+    "The mean over directions xi of V_j(P_xi K) is (omega_{n-1}/omega_n) "
+    "V_j(K) by Kubota's recursion: exact for zonoids and, at j = n-2, for "
+    f"vertex bodies; otherwise one antithetic panel of {KUBOTA_WIDTH_PAIRS} "
+    "width pairs (j = 1) or one 2-frame panel (j = 2). The minimum over xi "
+    "is exact at j = n-2 and for zonoids (subset-Gram determinants); for "
+    "vertex bodies at j < n-2 it minimizes a fixed-draw Monte Carlo "
+    "objective. V_j of a single vertex shadow (FGM) is a Monte Carlo "
+    "average inside its subspace."
 )
 
 

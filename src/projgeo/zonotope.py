@@ -11,8 +11,9 @@ generators:
   * hyperplane shadows: with c_J the generalized cross product of the rows
     of G_J (|J| = n-1),
         |P_{ξ⊥}Z|  = 2^{n-1} Σ_J |⟨c_J, ξ⟩|
-        S(P_{ξ⊥}Z) = 2^{n-1} Σ_{|J|=n-2} vol_{n-2}(P_{ξ⊥} G_J),
-    the latter via the rank-one Gram update det(A_J)(1 - b_Jᵀ A_J^{-1} b_J).
+        V_j(P_{ξ⊥}Z) = 2^j ω_{n-1-j} / C(n-1,j) · Σ_{|J|=j} vol_j(P_{ξ⊥} G_J),
+    the latter via the rank-one Gram update det(A_J)(1 - b_Jᵀ A_J^{-1} b_J);
+    j = n-2 gives S(P_{ξ⊥}Z) = 2^{n-1} Σ_{|J|=n-2} vol_{n-2}(P_{ξ⊥} G_J).
 
 Subset enumerations are budgeted; the polytope conversion keeps the stricter
 m <= 12 generator cap from its contract.
@@ -86,7 +87,7 @@ class Zonotope:
             raise ValueError("center dimension mismatch")
         self.dim: int = n
         self._atoms: np.ndarray | None = None
-        self._grams: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._grams: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- canonicalization ----------------------------------------------------
 
@@ -184,26 +185,33 @@ class Zonotope:
         atoms = self.cross_atoms()
         return 2.0 ** (self.dim - 1) * np.abs(d @ atoms.T).sum(axis=1)
 
-    def shadow_surfaces(self, directions: np.ndarray) -> np.ndarray:
-        """S(P_{ξ⊥}Z) for each unit row ξ (exact rank-one Gram update).
+    def shadow_subset_volumes(self, directions: np.ndarray, j: int) -> np.ndarray:
+        """Σ_{|J|=j} vol_j(P_{ξ⊥} para G_J) for each unit row ξ (exact).
 
-        The (n-2)-subset stack, its Gram determinants and inverses do not
-        depend on the directions; they are built once per zonotope.
+        Projecting out ξ is a rank-one Gram update: the Gram A_J - b_J b_Jᵀ
+        with b_J = G_J ξ has determinant det(A_J)(1 - b_Jᵀ A_J^{-1} b_J).
+        The j-subset stack, its Gram determinants and inverses do not
+        depend on the directions; they are built once per zonotope and j.
         """
         m, n = self.generators.shape
-        if n < 3:
-            raise ValueError("shadow surfaces need ambient dimension >= 3")
-        if self._grams is None:
-            _check_budget(m, n - 2, "zonotope shadow surfaces")
-            sub = self.generators[_subsets(m, n - 2)]     # (C, n-2, n)
+        if not 1 <= j <= n - 1:
+            raise ValueError("shadow subsets need 1 <= j <= n-1")
+        if j not in self._grams:
+            _check_budget(m, j, "zonotope shadow subsets")
+            sub = self.generators[_subsets(m, j)]         # (C, j, n)
             gram = np.einsum("cik,cjk->cij", sub, sub)
-            self._grams = sub, np.linalg.det(gram), np.linalg.inv(gram)
-        sub, det_a, inv_a = self._grams
+            self._grams[j] = sub, np.linalg.det(gram), np.linalg.inv(gram)
+        sub, det_a, inv_a = self._grams[j]
         d = np.atleast_2d(np.asarray(directions, dtype=float))
-        b = np.einsum("cik,bk->bci", sub, d)              # (B, C, n-2)
+        b = np.einsum("cik,bk->bci", sub, d)              # (B, C, j)
         quad = np.einsum("bci,cij,bcj->bc", b, inv_a, b)
         vols = np.sqrt(np.maximum(det_a[None, :] * (1.0 - quad), 0.0))
-        return 2.0 ** (n - 1) * vols.sum(axis=1)
+        return vols.sum(axis=1)
+
+    def shadow_surfaces(self, directions: np.ndarray) -> np.ndarray:
+        """S(P_{ξ⊥}Z) for each unit row ξ (exact; needs n >= 3)."""
+        n = self.dim
+        return 2.0 ** (n - 1) * self.shadow_subset_volumes(directions, n - 2)
 
     # -- lower-dimensional shadows --------------------------------------------
 

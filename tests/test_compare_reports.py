@@ -137,3 +137,24 @@ def test_summary_counts_rises_and_drops(tmp_path):
     assert code == 0
     assert ("lhs/rhs values: 2 rose, 2 dropped; largest rise +2e-09 "
             "(GHP cube n=3 [worst] lhs)") in out
+
+
+def test_binding_case_switch_is_not_a_value_change(tmp_path):
+    a = _report()
+    a["results"][0]["detail"]["binding_case"] = "p=1"
+    b = _report()
+    quer = b["results"][0]
+    quer["detail"]["cases"][1]["lhs"] = _side(1.5 * (1 - 1e-4), 0.02)
+    # the cell row now repeats p=2, which differs from p=1 by a third
+    quer["lhs"], quer["rhs"] = quer["detail"]["cases"][1]["lhs"], _side(2.0)
+    quer["detail"]["binding_case"] = "p=2"
+    code, out = _run(tmp_path, a, b)
+    assert code == 0
+    assert "binding-case switches: 1" in out
+    assert "  T-QUER-2 cube n=3: p=1 -> p=2" in out
+    assert "T-QUER-2 cube n=3: largest relative lhs/rhs value change 0.0001" \
+           in out
+    assert ("largest relative lhs/rhs value change: 0.0001 (T-QUER-2 cube "
+            "n=3 [p=2] lhs)") in out
+    code, out = _run(tmp_path, _report(), _report())
+    assert "binding-case switches: 0" in out

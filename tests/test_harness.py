@@ -14,7 +14,7 @@ from projgeo.checks import (CHECK_IDS, CHECK_MAP, BodyContext, Quantity,
                             SubCase, SuiteConfig, run_check)
 from projgeo.positions import minimal_surface_quotient
 from projgeo.quermass import omega
-from projgeo.sampling import Estimate
+from projgeo.sampling import Estimate, mc_estimate
 from projgeo.suite import SEARCH_IDS, extremizer_search, run_suite
 from projgeo.svgplot import render
 from projgeo.zonotope import Zonotope
@@ -185,6 +185,32 @@ def test_kubota_shadow_mean_on_cube():
     assert not mean.exact
     assert 0.0 < mean.stderr <= 0.0031
     assert abs(mean.value - 64.0 / 9.0) <= 3.0 * mean.stderr
+
+
+@pytest.mark.parametrize("n, exact", [(3, 1.5 * math.pi), (4, 32.0 / 3.0)])
+def test_exact_p1_shadow_mean_on_cube(n, exact):
+    # (omega_{n-1}/omega_n) V_{n-2}(cube) by ridge angles, against the
+    # independent panel of exact shadow surfaces S/(n-1)
+    ctx = BodyContext(bodies.cube(n), CFG)
+    mean, method = ctx.shadow_quermass_mean(1)
+    assert mean.exact and mean.stderr == 0.0
+    assert mean.value == pytest.approx(exact, rel=1e-12)
+    assert method == "Kubota recursion, exact W_2(K)"
+    panel = mc_estimate(ctx.shadow_surfs() / (n - 1))
+    assert abs(panel.value - mean.value) <= 4.0 * panel.stderr
+
+
+def test_zonotope_over_the_conversion_cap_runs_its_generator_checks():
+    # 13 generators: no vertex polytope, so only the checks that need an
+    # inradius or a position solve on vertices may error
+    report = run_suite([bodies.random_zonotope(3, 13, 1)])
+    status = {r["id"]: r["status"] for r in report["results"]}
+    errors = {"S-INRADIUS", "T-HYPER-4", "T-HYPER-6", "T-QUER-4",
+              "T-HIGHER-7"}
+    assert {i for i, s in status.items() if s == "error"} == errors
+    assert {i for i, s in status.items() if s == "skipped"} == {"MINPROJ",
+                                                                "BALL-EQ"}
+    assert report["summary"]["counts"]["pass"] == 20
 
 
 def test_shadow_quermass_checks_pass_at_n4():

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projgeo import bodies
+from projgeo import bodies, checks
+from projgeo.bodyops import project_body
+from projgeo.checks import CHECK_MAP, BodyContext, SuiteConfig, run_check
 from projgeo.sampling import RngSeed, sphere_points
-from projgeo.zonotope import Zonotope, projection_body, zonotope_to_polytope
+from projgeo.zonotope import (Zonotope, omega, projection_body,
+                              zonotope_to_polytope)
 
 
 def _zcube(n=3):
@@ -126,3 +129,60 @@ def test_cached_shadow_surfaces_are_bit_identical(n):
         got = z.shadow_surfaces(dirs)
         assert np.array_equal(got, _shadow_surfaces_uncached(z, dirs))
         assert np.array_equal(got, Zonotope(z.generators).shadow_surfaces(dirs))
+
+
+# ---------------------------------------------------------------------------
+# shadow quermassintegrals from the subset-Gram kernel
+
+
+def _shadow_quermass(z, xi, j):
+    """V_j(P_{xi-perp} Z) from the kernel and its constant."""
+    n = z.dim
+    const = 2.0 ** j * omega(n - 1 - j) / math.comb(n - 1, j)
+    return const * z.shadow_subset_volumes(xi[None], j)[0]
+
+
+def _perp_basis(xi):
+    """An orthonormal basis of xi-perp as rows."""
+    q, _ = np.linalg.qr(np.column_stack([xi, np.eye(xi.size)]))
+    return q[:, 1:xi.size].T
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_shadow_subset_kernel_matches_the_projected_zonotope(n):
+    z = Zonotope(RngSeed(30 + n).generator().standard_normal((7, n)))
+    for xi in sphere_points(n, 4, RngSeed(40 + n).generator()):
+        shadow = project_body(z, _perp_basis(xi))
+        for j in range(1, n - 1):
+            assert _shadow_quermass(z, xi, j) == pytest.approx(
+                shadow.quermassintegral_exact(n - 1 - j), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_shadow_v1_of_a_segment(n):
+    # P_{xi-perp}[-g, g] is a segment of length 2 sqrt(|g|^2 - <g,xi>^2),
+    # and V_1 of a segment in R^{n-1} is its length times omega_{n-2}/(n-1)
+    g = RngSeed(50 + n).generator().standard_normal(n)
+    xi = sphere_points(n, 1, RngSeed(60 + n).generator())[0]
+    expected = (2.0 * omega(n - 2) / (n - 1)
+                * math.sqrt(g @ g - (g @ xi) ** 2))
+    assert _shadow_quermass(Zonotope(g[None]), xi, 1) == pytest.approx(
+        expected, rel=1e-12)
+
+
+def test_zonoid_shadow_quermass_minima_are_exact(monkeypatch):
+    calls = []
+    real = checks._screened_sphere_min
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "_screened_sphere_min", counting)
+    ctx = BodyContext(bodies.random_zonotope(4, 7, 1), SuiteConfig())
+    cell = run_check(CHECK_MAP["T-QUER-1"], ctx)
+    assert cell.status == "pass"
+    assert calls == []
+    assert cell.detail["methods"] == {
+        "p=1": "exact shadow surfaces",
+        "p=2": "sphere minimum of the exact subset-Gram V_1"}
