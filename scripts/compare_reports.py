@@ -19,7 +19,8 @@ Prints:
     largest signed rise, so a gate that minima may only drop reads in one
     line;
   * every sub-case whose lhs or rhs stderr widened by more than 1e-12
-    relative (a stderr that was 0 and is not any more counts as widened).
+    relative (a stderr that was 0 and is not any more counts as widened);
+  * every sub-case side whose `exact` flag flipped, in each direction.
 
 Exits 1 when any verdict changed, 0 otherwise.
 """
@@ -85,6 +86,7 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
     changed_cells = []
     switches = []
     widened = []
+    flips = {True: [], False: []}  # keyed by the new exact flag
     worst = (0.0, "none")
     rose, dropped = 0, 0
     top_rise = (0.0, "none")
@@ -113,6 +115,8 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
                 if _widened(sa[side]["stderr"], sb[side]["stderr"]):
                     widened.append(f"{label} {side}: stderr "
                                    f"{sa[side]['stderr']!r} -> {sb[side]['stderr']!r}")
+                if sa[side].get("exact") != sb[side].get("exact"):
+                    flips[bool(sb[side].get("exact"))].append(f"{label} {side}")
         cell_worst_se = 0.0
         lines = []
         for suffix, sa, sb in sides:
@@ -156,6 +160,8 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
           f"{rise}", file=out)
     section(f"sub-cases with stderr widened by more than {STDERR_WIDEN_REL:g} "
             "relative", widened)
+    section("sub-case sides that became exact", flips[True])
+    section("sub-case sides that stopped being exact", flips[False])
     verdict_changed = bool(status_changes or sub_changes)
     print("verdicts: " + ("CHANGED" if verdict_changed else "unchanged"),
           file=out)

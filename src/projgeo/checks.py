@@ -257,7 +257,14 @@ class BodyContext:
         return self._memo("measure", self.body.surface_measure)
 
     def inradius(self) -> float:
-        return self._memo("inradius", lambda: inradius(self.to_poly())[0])
+        def build():
+            if self.is_zonoid:
+                # a centered body's inscribed ball is centered: half the
+                # least width, attained at a facet normal
+                return float(self.body.width_batch(self.measure().normals).min()
+                             / 2.0)
+            return inradius(self.to_poly())[0]
+        return self._memo("inradius", build)
 
     def n_vertices(self) -> int:
         return self.to_poly().n_vertices
@@ -276,22 +283,15 @@ class BodyContext:
             "partial", lambda: positions.minimal_surface_quotient(self.body))
 
     # -- shared panels --------------------------------------------------------
-
-    def _sphere_panel_size(self) -> int:
-        ridges = 0 if self.is_zonoid else self.ridge_count()
-        if ridges > 20_000:
-            size = 4096
-        elif ridges > 8_000:
-            size = 8000
-        else:
-            size = min(self.cfg.samples, SPHERE_PANEL_MAX)
-        if self.position is not None:
-            size = min(size, 6000 if ridges <= 20_000 else 2048)
-        return size
+    #
+    # Only root contexts draw sphere panels (CK-IDENT, ZON-VOL and the
+    # facet snap's starts); positioned contexts read `quermass` alone.
 
     def sphere_panel(self) -> np.ndarray:
         def build():
-            count = self._sphere_panel_size()
+            ridges = 0 if self.is_zonoid else self.ridge_count()
+            count = (4096 if ridges > 20_000 else 8000 if ridges > 8_000
+                     else min(self.cfg.samples, SPHERE_PANEL_MAX))
             return sphere_points(self.n, count, self.rng("sphere-panel").generator())
         return self._memo("sphere_panel", build)
 
@@ -302,24 +302,6 @@ class BodyContext:
     def shadow_surfs(self) -> np.ndarray:
         return self._memo("shadow_surfs",
                           lambda: self.body.shadow_surfaces(self.sphere_panel()))
-
-    def width_panel(self) -> np.ndarray:
-        def build():
-            half = min(self.cfg.samples, SPHERE_PANEL_MAX) // 2
-            pts = sphere_points(self.n, half, self.rng("width-panel").generator())
-            return np.vstack([pts, -pts])
-        return self._memo("width_panel", build)
-
-    def widths(self) -> np.ndarray:
-        def build():
-            pts = self.width_panel()
-            half = pts.shape[0] // 2
-            return self.body.width_batch(pts[:half])
-        return self._memo("widths", build)
-
-    def mean_width(self) -> Quantity:
-        """Paper-convention mean width: the sphere average of the support."""
-        return Quantity.from_estimate(mc_estimate(self.widths() / 2.0))
 
     def _frame_panel_size(self) -> int:
         if self.is_zonoid:
@@ -345,10 +327,29 @@ class BodyContext:
             return vols, surfs
         return self._memo(("frame_stats", k), build)
 
-    # -- derived estimates -----------------------------------------------------
+    # -- means by Kubota's recursion -------------------------------------------
+    #
+    # Every mean over directions or subspaces is one quermassintegral of K:
+    #     E_{F in G(n,k)} W_i(P_F K) = (omega_k/omega_n) W_{n-k+i}(K).
+    # The mean k-frame shadow surface (i = 1) reads W_{n-k+1}, p_k (i = 0)
+    # reads W_{n-k}, and the mean of V_j over hyperplane shadows (k = n-1,
+    # i = p, j = n-1-p) reads W_{p+1} = V_j(K).  `quermass` is exact for
+    # zonoids and, for vertex bodies, at p <= 2 (ridge angles) and p = n;
+    # W_{n-1} is one antithetic width panel, and 3 <= p <= n-2 (V_2 at
+    # n = 5) a frame draw.  A mean whose W_p would be such a frame draw keeps
+    # the frame panel of its own k instead, which gives the narrower stderr.
+    # CK-IDENT checks these identities, so it keeps its Monte Carlo sides.
 
     def quermass(self, p: int) -> Quantity:
+        """W_p(K) = V_{n-p}(K), the one source of every mean (see above)."""
+        n = self.n
+
         def build():
+            if p == n - 1 and p > 2 and not self.is_zonoid:
+                dirs = sphere_points(n, KUBOTA_WIDTH_PAIRS,
+                                     self.rng("kubota-v1").generator())
+                est = mc_estimate(self.body.width_batch(dirs) / 2.0)
+                return Quantity.from_estimate(est).scaled(omega(n))
             heavy = (not self.is_zonoid
                      and self.n_vertices() > HEAVY_VERTEX_LIMIT)
             samples = 1200 if heavy else None
@@ -357,11 +358,35 @@ class BodyContext:
             return Quantity.from_estimate(est)
         return self._memo(("quermass", p), build)
 
-    def mean_shadow_surface(self) -> Quantity:
-        return Quantity.from_estimate(mc_estimate(self.shadow_surfs()))
+    def _frame_drawn(self, p: int) -> bool:
+        """Whether `quermass(p)` is a Monte Carlo draw over frames."""
+        return not self.is_zonoid and 3 <= p <= self.n - 2
 
-    def mean_shadow_volume(self) -> Quantity:
-        return Quantity.from_estimate(mc_estimate(self.shadow_vols()))
+    def mean_shadow_surface(self) -> Quantity:
+        """E_xi S(P_xi K) = (n-1)(omega_{n-1}/omega_n) W_2(K), exact."""
+        return self.mean_frame_surface(self.n - 1)
+
+    def mean_frame_surface(self, k: int) -> Quantity:
+        """E_F S(P_F K) over k-subspaces F = k (omega_k/omega_n) W_{n-k+1}(K)."""
+        n = self.n
+        if self._frame_drawn(n - k + 1):
+            return Quantity.from_estimate(mc_estimate(self.frame_stats(k)[1]))
+        return self.quermass(n - k + 1).scaled(k * omega(k) / omega(n))
+
+    def shadow_quermass_mean(self, p: int) -> tuple[Quantity, str]:
+        """(mean over directions of V_{n-1-p}(shadow), method note)."""
+        n = self.n
+        j = n - 1 - p
+        if not 1 <= j <= n - 2:
+            raise ValueError(f"shadow quermass index p={p} out of range")
+        if self._frame_drawn(p + 1):
+            est = mc_estimate(self.frame_stats(j)[0])
+            return (Quantity.from_estimate(est).scaled(omega(n - 1) / omega(j)),
+                    f"Kubota recursion, {j}-frame panel")
+        mean = self.quermass(p + 1).scaled(omega(n - 1) / omega(n))
+        if mean.exact:
+            return mean, f"Kubota recursion, exact W_{p + 1}(K)"
+        return mean, f"Kubota recursion, {KUBOTA_WIDTH_PAIRS} width pairs"
 
     def min_shadow_surface(self) -> float:
         def build():
@@ -433,41 +458,11 @@ class BodyContext:
         return self._memo("projection_body",
                           lambda: projection_body(self.body))
 
-    # -- shadow quermassintegrals ----------------------------------------------
+    # -- shadow quermassintegral minima ----------------------------------------
     #
-    # V_j of the (n-1)-dimensional shadows, j = n-1-p.  Averaging Kubota's
-    # formula over the direction gives the recursion
-    #     E_xi V_j(P_xi K) = (omega_{n-1}/omega_n) W_{p+1}(K),  W_{p+1} = V_j,
-    # so every mean is one quermassintegral of K: exact wherever `quermass`
-    # is (zonoids at every p, vertex bodies at p = 1 by ridge angles), else
-    # one draw, a width panel at j = 1 or a 2-frame panel at j = 2.  Zonoid
-    # minima are exact too: V_j of a zonotope shadow is a constant times the
-    # subset-Gram kernel `Zonotope.shadow_subset_volumes`.
-
-    def shadow_quermass_mean(self, p: int) -> tuple[Quantity, str]:
-        """(mean over directions of V_{n-1-p}(shadow), method note)."""
-        n = self.n
-        j = n - 1 - p
-        if not 1 <= j <= n - 2:
-            raise ValueError(f"shadow quermass index p={p} out of range")
-
-        def build():
-            if self.is_zonoid or p == 1:
-                return (self.quermass(p + 1).scaled(omega(n - 1) / omega(n)),
-                        f"Kubota recursion, exact W_{p + 1}(K)")
-            if j == 1:
-                dirs = sphere_points(n, KUBOTA_WIDTH_PAIRS,
-                                     self.rng("kubota-v1").generator())
-                est = mc_estimate(self.body.width_batch(dirs) / 2.0)
-                return (Quantity.from_estimate(est).scaled(omega(n - 1)),
-                        f"Kubota recursion, {KUBOTA_WIDTH_PAIRS} width pairs")
-            if j == 2:
-                est = mc_estimate(self.frame_stats(2)[0])
-                factor = omega(n - 1) / omega(2)
-                return (Quantity.from_estimate(est).scaled(factor),
-                        "Kubota recursion, 2-frame panel")
-            raise ValueError(f"no route for shadow quermass j={j} at n={n}")
-        return self._memo(("shadow_quermass_mean", p), build)
+    # V_j of the (n-1)-dimensional shadows, j = n-1-p.  Zonoid minima are
+    # exact: V_j of a zonotope shadow is a constant times the subset-Gram
+    # kernel `Zonotope.shadow_subset_volumes`.
 
     def min_shadow_quermass(self, p: int) -> tuple[float, str]:
         """min over directions of V_{n-1-p}(shadow), with a method note.
@@ -536,7 +531,8 @@ class BodyContext:
 
     def positioned(self, kind: str) -> "BodyContext":
         def build():
-            result, extras = self._solve_position(kind)
+            result, _ = positions.solve(kind, self.body,
+                                        self.rng("min-width-position"))
             cert = _POSITION_CERT[kind]
             if cert is not None and result.residual > cert:
                 raise PositionCertificateError(
@@ -550,7 +546,6 @@ class BodyContext:
             ctx = BodyContext(self.spec, self.cfg, body=child_body,
                               position=kind, residual=result.residual,
                               parent=self)
-            ctx._cache["extras"] = extras
             ctx._cache["position_record"] = {
                 "transform": np.asarray(result.transform, dtype=float).tolist(),
                 "scale": float(result.scale),
@@ -565,27 +560,6 @@ class BodyContext:
     def position_record(self) -> dict:
         """Solver provenance for a positioned context (empty at the root)."""
         return self._cache.get("position_record", {})
-
-    def _solve_position(self, kind: str):
-        if kind == "min-surface":
-            result, quotient = positions.minimal_surface_position(self.body)
-            return result, {"surface_quotient": quotient}
-        if kind == "isotropic":
-            result, lk = positions.isotropic_position(self.to_poly())
-            return result, {"isotropic_constant": lk}
-        if kind == "john":
-            result, ball = positions.john_position(self.to_poly())
-            return result, {"john_radii": ball.radii().tolist()}
-        if kind == "lowner":
-            if not origin_symmetric(self.body):
-                raise SkipCheck("Loewner position used only for symmetric bodies")
-            result, ball = positions.lowner_position(self.to_poly())
-            return result, {"lowner_radii": ball.radii().tolist()}
-        if kind == "min-width":
-            result = positions.min_mean_width_position(
-                self.body, seed=self.rng("min-width-position"))
-            return result, {}
-        raise ValueError(f"unknown position {kind!r}")
 
     def position_list(self, kinds: tuple[str, ...]) -> list[str]:
         """The subset of ``kinds`` applicable to this body."""
@@ -853,15 +827,13 @@ def _check_minproj(ctx: BodyContext):
 
 def _check_alek(ctx: BodyContext):
     n = ctx.n
-    width = ctx.mean_width()
-    q_values: dict[int, Quantity] = {1: width}
-    for k in range(2, n):
-        vk = ctx.quermass(n - k)
-        q_values[k] = vk.scaled(1.0 / omega(n)).powered(1.0 / k)
-    # Q_1 equals the mean width identically, and both sides here come from
-    # the same direction panel, so the difference is exactly zero with zero
-    # variance; resolve it deterministically.
-    pinned = Quantity(width.value, 0.0, width.n_samples)
+    q_values = {k: ctx.quermass(n - k).scaled(1.0 / omega(n)).powered(1.0 / k)
+                for k in range(1, n)}
+    # Q_1 = W_{n-1}/omega_n is the mean width by definition, so the first
+    # sub-case compares one quantity with itself: the difference is exactly
+    # zero with zero variance; resolve it deterministically.
+    width = q_values[1]
+    pinned = Quantity(width.value, 0.0, width.n_samples, width.exact)
     subs = [SubCase("mean width vs first normalized shadow mean",
                     pinned, pinned, "ge", tol=0.0)]
     for k in range(1, n - 1):
@@ -1066,37 +1038,12 @@ def _check_t_higher_5(ctx: BodyContext):
     vol, surf = ctx.volume(), ctx.surface()
     subs = []
     for k in range(1, n):
-        if k == 1:
-            lhs = Quantity.of(vol ** ((n - 1.0) / n) * 2.0)
-            pk = Quantity.from_estimate(
-                mc_estimate(ctx.widths())).scaled(vol ** (-1.0 / n))
-        elif k == n - 1:
-            half = ctx.shadow_surfs().size // 2
-            lhs = Quantity.from_estimate(
-                mc_estimate(ctx.shadow_surfs()[:half])).scaled(vol ** (1.0 / n))
-            pk = Quantity.from_estimate(
-                mc_estimate(ctx.shadow_vols()[half:])).scaled(
-                    vol ** (-(n - 1.0) / n))
-        else:
-            vols, surfs = ctx.frame_stats(k)
-            half = surfs.size // 2
-            lhs = Quantity.from_estimate(
-                mc_estimate(surfs[:half])).scaled(vol ** ((n - k) / n))
-            pk = Quantity.from_estimate(
-                mc_estimate(vols[half:])).scaled(vol ** (-k / n))
+        lhs = ctx.mean_frame_surface(k).scaled(vol ** ((n - k) / n))
+        # p_k = E_F |P_F K| / |K|^{k/n} = (omega_k/omega_n) W_{n-k}(K) / |K|^{k/n}
+        pk = ctx.quermass(n - k).scaled(omega(k) / omega(n) * vol ** (-k / n))
         rhs = pk.scaled(k * (n - k + 1.0) / n * surf)
         subs.append(SubCase(f"k={k}", lhs, rhs, "le", tol=ctx.cfg.tol))
-    return subs, {"panel_split": "surface mean and p_k use disjoint halves"}
-
-
-def _mean_frame_surface(ctx: BodyContext, k: int) -> Quantity:
-    n = ctx.n
-    if k == 1:
-        return Quantity.of(2.0)
-    if k == n - 1:
-        return Quantity.from_estimate(mc_estimate(ctx.shadow_surfs()))
-    _, surfs = ctx.frame_stats(k)
-    return Quantity.from_estimate(mc_estimate(surfs))
+    return subs, {}
 
 
 def _check_t_higher_6(ctx: BodyContext):
@@ -1104,7 +1051,7 @@ def _check_t_higher_6(ctx: BodyContext):
     surf = ctx.surface()
     subs = []
     for k in range(1, n):
-        lhs = _mean_frame_surface(ctx, k)
+        lhs = ctx.mean_frame_surface(k)
         const = k * omega(k) / (n * omega(n)) ** ((k - 1.0) / (n - 1))
         rhs = Quantity.of(const * surf ** ((k - 1.0) / (n - 1)))
         subs.append(SubCase(f"k={k}", lhs, rhs, "ge", tol=ctx.cfg.tol))
@@ -1119,7 +1066,7 @@ def _check_t_higher_7(ctx: BodyContext):
         vol, surf = child.volume(), child.surface()
         c0 = surf / (n * vol ** ((n - 1.0) / n))
         for k in range(1, n):
-            lhs = _mean_frame_surface(child, k).scaled(vol ** ((n - k) / n))
+            lhs = child.mean_frame_surface(k).scaled(vol ** ((n - k) / n))
             const = (k * omega(k) / ((n * omega(n)) ** ((k - 1.0) / (n - 1))
                                      * (c0 * n) ** ((n - k) / (n - 1.0))))
             rhs = Quantity.of(const * surf)
@@ -1149,15 +1096,19 @@ def _check_zon_vol_id(ctx: BodyContext):
 
 
 def _check_ck_ident(ctx: BodyContext):
+    # These identities are the recursion every mean reads from `quermass`,
+    # so both sides stay Monte Carlo panels of the body itself.
     n = ctx.n
     surf = Quantity.of(ctx.surface())
-    mean_shadow = ctx.mean_shadow_volume()
+    mean_shadow = Quantity.from_estimate(mc_estimate(ctx.shadow_vols()))
     kubota = mean_shadow.scaled(n * omega(n) / omega(n - 1))
     subs = [SubCase("surface from mean shadow volume", kubota, surf, "eq",
                     tol=0.0, sigmas=4.0)]
-    mean_surface = ctx.mean_shadow_surface()
+    mean_surface = Quantity.from_estimate(mc_estimate(ctx.shadow_surfs()))
     if n == 3:
-        lower = Quantity.from_estimate(mc_estimate(ctx.widths()))
+        half = min(ctx.cfg.samples, SPHERE_PANEL_MAX) // 2
+        dirs = sphere_points(n, half, ctx.rng("width-panel").generator())
+        lower = Quantity.from_estimate(mc_estimate(ctx.body.width_batch(dirs)))
     else:
         vols, _ = ctx.frame_stats(n - 2)
         lower = Quantity.from_estimate(mc_estimate(vols))

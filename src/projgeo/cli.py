@@ -132,24 +132,8 @@ def _cmd_compute(args) -> int:
 def _cmd_position(args) -> int:
     spec = _load_body(args.body, args.dim)
     body = spec.build()
-    extras: dict = {}
-    if args.kind == "min-surface":
-        result, quotient = positions.minimal_surface_position(body)
-        extras["surface-quotient"] = quotient
-    elif args.kind == "isotropic":
-        result, lk = positions.isotropic_position(to_polytope(body))
-        extras["isotropic-constant"] = lk
-    elif args.kind == "john":
-        result, ball = positions.john_position(to_polytope(body))
-        extras["ellipsoid-radii"] = ball.radii().tolist()
-    elif args.kind == "lowner":
-        result, ball = positions.lowner_position(to_polytope(body))
-        extras["ellipsoid-radii"] = ball.radii().tolist()
-    elif args.kind == "min-width":
-        result = positions.min_mean_width_position(
-            body, seed=RngSeed(args.seed).derive("position", spec.name))
-    else:
-        raise ValueError(f"unknown position kind {args.kind!r}")
+    result, extras = positions.solve(
+        args.kind, body, RngSeed(args.seed).derive("position", spec.name))
 
     print(f"body: {spec.name} (n={body.dim})")
     print(f"kind: {args.kind}")

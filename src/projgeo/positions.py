@@ -406,6 +406,34 @@ def min_mean_width_position(body: Body, samples: int = 2000, max_iter: int = 300
 
 
 # ---------------------------------------------------------------------------
+# dispatch
+
+
+def solve(kind: str, body: Body,
+          seed: RngSeed = RngSeed()) -> tuple[PositionResult, dict]:
+    """The named position of ``body`` and the solver's by-products.
+
+    ``kind`` is one of min-surface, isotropic, john, lowner and min-width;
+    ``seed`` drives the min-width sample set only.  The solvers are looked
+    up as module globals at call time, so wrappers installed on this
+    module see every call.
+    """
+    if kind == "min-surface":
+        result, quotient = minimal_surface_position(body)
+        return result, {"surface-quotient": quotient}
+    if kind == "isotropic":
+        result, constant = isotropic_position(to_polytope(body))
+        return result, {"isotropic-constant": constant}
+    if kind in ("john", "lowner"):
+        solver = john_position if kind == "john" else lowner_position
+        result, ellipsoid = solver(to_polytope(body))
+        return result, {"ellipsoid-radii": ellipsoid.radii().tolist()}
+    if kind == "min-width":
+        return min_mean_width_position(body, seed=seed), {}
+    raise ValueError(f"unknown position kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
 # volume ratios
 
 

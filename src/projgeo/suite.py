@@ -40,14 +40,18 @@ CSV_HEADER = ["id", "body", "n", "lhs", "lhs_err", "rhs", "rhs_err",
 # How shadow quermassintegrals in the report were estimated (kept in the
 # report so a reader can judge the error bars without consulting the source).
 SHADOW_QUERMASS_NOTE = (
-    "The mean over directions xi of V_j(P_xi K) is (omega_{n-1}/omega_n) "
-    "V_j(K) by Kubota's recursion: exact for zonoids and, at j = n-2, for "
-    f"vertex bodies; otherwise one antithetic panel of {KUBOTA_WIDTH_PAIRS} "
-    "width pairs (j = 1) or one 2-frame panel (j = 2). The minimum over xi "
-    "is exact at j = n-2 and for zonoids (subset-Gram determinants); for "
-    "vertex bodies at j < n-2 it minimizes a fixed-draw Monte Carlo "
-    "objective. V_j of a single vertex shadow (FGM) is a Monte Carlo "
-    "average inside its subspace."
+    "Every mean over directions or subspaces is one quermassintegral of K by "
+    "Kubota's recursion E_{F in G(n,k)} W_i(P_F K) = (omega_k/omega_n) "
+    "W_{n-k+i}(K): the mean V_j of hyperplane shadows, the mean shadow "
+    "surface k (omega_k/omega_n) W_{n-k+1}(K) and p_k. W_p(K) is exact for "
+    "zonoids and, for vertex bodies, at p <= 2; W_{n-1} of a vertex body is "
+    f"one antithetic panel of {KUBOTA_WIDTH_PAIRS} width pairs, and a mean "
+    "whose W_p would be a frame draw (V_2 at n = 5) keeps the frame panel of "
+    "its own dimension. CK-IDENT checks the identities themselves against "
+    "Monte Carlo panels. The minimum over xi is exact at j = n-2 and for "
+    "zonoids (subset-Gram determinants); for vertex bodies at j < n-2 it "
+    "minimizes a fixed-draw Monte Carlo objective. V_j of a single vertex "
+    "shadow (FGM) is a Monte Carlo average inside its subspace."
 )
 
 

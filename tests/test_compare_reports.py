@@ -158,3 +158,22 @@ def test_binding_case_switch_is_not_a_value_change(tmp_path):
             "n=3 [p=2] lhs)") in out
     code, out = _run(tmp_path, _report(), _report())
     assert "binding-case switches: 0" in out
+
+
+def test_exact_flag_flips_are_listed_in_each_direction(tmp_path):
+    code, out = _run(tmp_path, _report(), _report())
+    assert "sub-case sides that became exact: 0" in out
+    assert "sub-case sides that stopped being exact: 0" in out
+    b = _report()
+    quer = b["results"][0]["detail"]["cases"]
+    quer[0]["lhs"] = _side(1.0)                   # the Monte Carlo side turns exact
+    quer[1]["lhs"] = _side(1.5)
+    b["results"][1]["detail"]["cases"][0]["rhs"] = _side(4.0, 0.01)
+    code, out = _run(tmp_path, _report(), b)
+    assert code == 0
+    lines = out.splitlines()
+    became = lines.index("sub-case sides that became exact: 2")
+    assert lines[became + 1:became + 3] == ["  T-QUER-2 cube n=3 [p=1] lhs",
+                                            "  T-QUER-2 cube n=3 [p=2] lhs"]
+    stopped = lines.index("sub-case sides that stopped being exact: 1")
+    assert lines[stopped + 1] == "  GHP cube n=3 [worst] rhs"

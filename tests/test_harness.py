@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from projgeo import bodies, checks
 from projgeo.bodyops import transform_body
-from projgeo.checks import (CHECK_IDS, CHECK_MAP, BodyContext, Quantity,
-                            SubCase, SuiteConfig, run_check)
+from projgeo.checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext,
+                            Quantity, SubCase, SuiteConfig, run_check)
+from projgeo.polytope import inradius
 from projgeo.positions import minimal_surface_quotient
 from projgeo.quermass import omega
 from projgeo.sampling import Estimate, mc_estimate
 from projgeo.suite import SEARCH_IDS, extremizer_search, run_suite
 from projgeo.svgplot import render
-from projgeo.zonotope import Zonotope
+from projgeo.zonotope import Zonotope, zonotope_to_polytope
 
 CFG = SuiteConfig(samples=20_000, tol=0.05, seed=0)
 
@@ -190,27 +191,40 @@ def test_kubota_shadow_mean_on_cube():
 @pytest.mark.parametrize("n, exact", [(3, 1.5 * math.pi), (4, 32.0 / 3.0)])
 def test_exact_p1_shadow_mean_on_cube(n, exact):
     # (omega_{n-1}/omega_n) V_{n-2}(cube) by ridge angles, against the
-    # independent panel of exact shadow surfaces S/(n-1)
+    # independent panel of exact shadow surfaces S/(n-1); the mean shadow
+    # surface (3 pi at n = 3, 32 at n = 4) is the same W_2 read n-1 times
     ctx = BodyContext(bodies.cube(n), CFG)
     mean, method = ctx.shadow_quermass_mean(1)
     assert mean.exact and mean.stderr == 0.0
     assert mean.value == pytest.approx(exact, rel=1e-12)
     assert method == "Kubota recursion, exact W_2(K)"
+    surface = ctx.mean_shadow_surface()
+    assert surface.exact and surface.stderr == 0.0
+    assert surface.value == pytest.approx((n - 1) * exact, rel=1e-12)
     panel = mc_estimate(ctx.shadow_surfs() / (n - 1))
     assert abs(panel.value - mean.value) <= 4.0 * panel.stderr
 
 
 def test_zonotope_over_the_conversion_cap_runs_its_generator_checks():
-    # 13 generators: no vertex polytope, so only the checks that need an
-    # inradius or a position solve on vertices may error
+    # 13 generators: no vertex polytope, so only the checks that need a
+    # position solve on vertices may error
     report = run_suite([bodies.random_zonotope(3, 13, 1)])
     status = {r["id"]: r["status"] for r in report["results"]}
-    errors = {"S-INRADIUS", "T-HYPER-4", "T-HYPER-6", "T-QUER-4",
-              "T-HIGHER-7"}
+    errors = {"T-HYPER-4", "T-HYPER-6", "T-QUER-4", "T-HIGHER-7"}
     assert {i for i, s in status.items() if s == "error"} == errors
     assert {i for i, s in status.items() if s == "skipped"} == {"MINPROJ",
                                                                 "BALL-EQ"}
-    assert report["summary"]["counts"]["pass"] == 20
+    assert report["summary"]["counts"]["pass"] == 21
+
+
+@pytest.mark.parametrize("n, m", [(3, 6), (4, 7), (5, 8)])
+def test_zonotope_inradius_is_its_least_facet_half_width(n, m):
+    # against the Chebyshev-center LP on the vertex polytope, off-center
+    gens = bodies.random_zonotope(n, m, 2).build().generators
+    ctx = BodyContext(bodies.from_generators(gens, np.linspace(-1.0, 2.0, n)),
+                      CFG)
+    exact, _ = inradius(zonotope_to_polytope(ctx.body))
+    assert ctx.inradius() == pytest.approx(exact, rel=1e-12)
 
 
 def test_shadow_quermass_checks_pass_at_n4():
@@ -221,6 +235,37 @@ def test_shadow_quermass_checks_pass_at_n4():
     aleksandrov = [r["detail"]["methods"]["p=2"] for r in report["results"]
                    if r["id"] == "T-QUER-3"]
     assert all("Q_1(K) >= Q_2(K)" in m for m in aleksandrov)
+
+
+# ---------------------------------------------------------------------------
+# every mean is Kubota's recursion on BodyContext.quermass
+
+
+@pytest.mark.parametrize("n, m, k", [(4, 7, 2), (5, 8, 2), (5, 8, 3)])
+def test_mean_frame_surface_is_exact_for_zonotopes(n, m, k):
+    # k (omega_k/omega_n) W_{n-k+1}(Z), against the k-frame panel of exact
+    # shadow surfaces
+    ctx = BodyContext(bodies.random_zonotope(n, m, 1), CFG)
+    mean = ctx.mean_frame_surface(k)
+    assert mean.exact and mean.stderr == 0.0
+    panel = mc_estimate(ctx.frame_stats(k)[1])
+    assert abs(panel.value - mean.value) <= 4.0 * panel.stderr
+
+
+@pytest.mark.parametrize("n, name", [(3, "ball-approx(500)"),
+                                     (4, "random-hull(12,1)"),
+                                     (4, "random-zonotope(7,1)")])
+def test_positioned_contexts_draw_no_panels(n, name):
+    ctx = BodyContext(bodies.from_name(name, n), CFG)
+    for spec in CHECKS:
+        assert run_check(spec, ctx).status in ("pass", "skipped")
+    children = [child for key, child in ctx._cache.items()
+                if isinstance(key, tuple) and key[0] == "positioned"]
+    assert len(children) == len(ctx.position_list(checks._LOWER_POSITIONS))
+    for child in children:
+        panels = [key for key in child._cache if key == "sphere_panel"
+                  or (isinstance(key, tuple) and key[0] == "frames")]
+        assert panels == [], child.key
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from projgeo import bodies
 from projgeo.bodyops import transform_body
 from projgeo.polytope import circumradius
+from projgeo import positions
 from projgeo.positions import (Ellipsoid, isotropic_position, john_position,
                                lowner_position, min_mean_width_position,
                                minimal_surface_position,
@@ -166,3 +167,30 @@ def test_position_results_report_unimodular_transforms():
                    lowner_position(q3)[0]):
         assert abs(np.linalg.det(result.transform)) == pytest.approx(
             1.0, rel=1e-8)
+
+
+def test_solve_dispatches_through_the_module_solvers(monkeypatch):
+    # one entry point for the CLI and the check contexts; a wrapper set on
+    # the module (as the benchmark tracer installs) sees every solve
+    z3 = bodies.random_zonotope(3, 6, 1).build()
+    called = []
+    for name in ("minimal_surface_position", "isotropic_position",
+                 "john_position", "lowner_position",
+                 "min_mean_width_position"):
+        def traced(*args, _real=getattr(positions, name), _name=name, **kw):
+            called.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(positions, name, traced)
+    extras = {kind: positions.solve(kind, z3, RngSeed(3))[1]
+              for kind in ("min-surface", "isotropic", "john", "lowner",
+                           "min-width")}
+    assert called == ["minimal_surface_position", "isotropic_position",
+                      "john_position", "lowner_position",
+                      "min_mean_width_position"]
+    assert set(extras["min-surface"]) == {"surface-quotient"}
+    assert set(extras["isotropic"]) == {"isotropic-constant"}
+    assert len(extras["john"]["ellipsoid-radii"]) == 3
+    assert len(extras["lowner"]["ellipsoid-radii"]) == 3
+    assert extras["min-width"] == {}
+    with pytest.raises(ValueError, match="unknown position kind"):
+        positions.solve("banana", z3)
