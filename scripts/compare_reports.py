@@ -3,7 +3,8 @@
 
     python3 scripts/compare_reports.py A.json B.json
 
-Cells are matched by (id, body, n) and sub-cases by position and label.
+Cells are matched by (id, body, n) and sub-cases by label, in order among
+equal labels, so a sub-case added or dropped leaves the others matched.
 Prints:
 
   * every cell and sub-case whose status changed (a cell present in only
@@ -38,11 +39,15 @@ def _cells(report: dict) -> dict:
 
 
 def _cases(cell: dict) -> dict:
-    """Sub-cases keyed by (position, label); the cell itself if it has none."""
+    """Sub-cases keyed by (label, occurrence of that label), in report order;
+    the cell itself if it has none."""
     cases = cell.get("detail", {}).get("cases")
     if not cases:
-        return {(0, ""): cell}
-    return {(i, c["label"]): c for i, c in enumerate(cases)}
+        return {("", 0): cell}
+    keyed = {}
+    for c in cases:
+        keyed[(c["label"], sum(k[0] == c["label"] for k in keyed))] = c
+    return keyed
 
 
 def _rel_change(a: float, b: float) -> float:
@@ -101,9 +106,9 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
         cell_worst = 0.0
         sides = []
         subs_a, subs_b = _cases(ca), _cases(cb)
-        for sk in sorted(subs_a.keys() | subs_b.keys()):
+        for sk in [*subs_a, *(k for k in subs_b if k not in subs_a)]:
             sa, sb = subs_a.get(sk), subs_b.get(sk)
-            suffix = f" [{sk[1]}]" if sk[1] else ""
+            suffix = f" [{sk[0]}]" if sk[0] else ""
             label = _name(key) + suffix
             if sa is None or sb is None or sa["status"] != sb["status"]:
                 before = "(absent)" if sa is None else sa["status"]

@@ -829,20 +829,17 @@ def _check_alek(ctx: BodyContext):
     n = ctx.n
     q_values = {k: ctx.quermass(n - k).scaled(1.0 / omega(n)).powered(1.0 / k)
                 for k in range(1, n)}
-    # Q_1 = W_{n-1}/omega_n is the mean width by definition, so the first
-    # sub-case compares one quantity with itself: the difference is exactly
-    # zero with zero variance; resolve it deterministically.
-    width = q_values[1]
-    pinned = Quantity(width.value, 0.0, width.n_samples, width.exact)
-    subs = [SubCase("mean width vs first normalized shadow mean",
-                    pinned, pinned, "ge", tol=0.0)]
+    # Q_1 = W_{n-1}/omega_n is the mean width by definition, so it is
+    # reported as such and not compared with itself; CK-IDENT checks the
+    # identity on an independent Monte Carlo route.
+    subs = []
     for k in range(1, n - 1):
         subs.append(SubCase(f"Q_{k} >= Q_{k + 1}", q_values[k],
                             q_values[k + 1], "ge", tol=0.0))
     subs.append(SubCase(f"Q_{n - 1} >= vrad", q_values[n - 1],
                         Quantity.of(vrad(ctx.body)), "ge", tol=0.0))
     detail = {"chain": {f"Q_{k}": q.value for k, q in sorted(q_values.items())},
-              "vrad": vrad(ctx.body), "mean_width": width.value}
+              "vrad": vrad(ctx.body), "mean_width": q_values[1].value}
     return subs, detail
 
 

@@ -164,24 +164,30 @@ class Polytope:
         b_s = -hull.equations[:, n]
         tri_vol = _simplex_volumes(self.vertices[simplices])
 
-        # Merge coplanar neighboring simplices into facets.
-        uf = _UnionFind(len(simplices))
+        # Merge coplanar neighboring simplices into facets: test every
+        # (simplex, neighbor) pair at once, union the few that pass, and
+        # label the facets in order of first appearance.
+        nsimp = len(simplices)
+        pair_s = np.repeat(np.arange(nsimp), n)
+        pair_t = np.asarray(hull.neighbors, dtype=int).ravel()
+        up = pair_t > pair_s
+        pair_s, pair_t = pair_s[up], pair_t[up]
         off_tol = _MERGE_OFFSET_TOL * max(self.scale, 1.0)
-        for s, nbrs in enumerate(hull.neighbors):
-            us = u_s[s]
-            bs = b_s[s]
-            for t in nbrs:
-                t = int(t)
-                if t <= s:
-                    continue
-                if (us @ u_s[t] > 1.0 - _MERGE_ANGLE_TOL
-                        and abs(bs - b_s[t]) <= off_tol):
-                    uf.union(s, t)
-        roots: dict[int, int] = {}
-        gid = np.empty(len(simplices), dtype=int)
-        for s in range(len(simplices)):
-            gid[s] = roots.setdefault(uf.find(s), len(roots))
-        nfacets = len(roots)
+        coplanar = ((u_s[pair_s] * u_s[pair_t]).sum(axis=1)
+                    > 1.0 - _MERGE_ANGLE_TOL) & (
+                        np.abs(b_s[pair_s] - b_s[pair_t]) <= off_tol)
+        uf = _UnionFind(nsimp)
+        for s, t in zip(pair_s[coplanar].tolist(), pair_t[coplanar].tolist()):
+            uf.union(s, t)
+        roots = np.array(uf.parent)
+        while not np.array_equal(roots, roots[roots]):
+            roots = roots[roots]
+        _, first, inverse = np.unique(roots, return_index=True,
+                                      return_inverse=True)
+        rank = np.empty(first.size, dtype=int)
+        rank[np.argsort(first)] = np.arange(first.size)
+        gid = rank[inverse]
+        nfacets = first.size
 
         normals = np.zeros((nfacets, n))
         np.add.at(normals, gid, u_s * tri_vol[:, None])
@@ -209,7 +215,8 @@ class Polytope:
         self._tri_simplices = simplices
         self._tri_volumes = tri_vol
         self._tri_facet = gid
-        self._hull_neighbors = np.asarray(hull.neighbors, dtype=int)
+        # Neighbor pairs s < t, s ascending and then by neighbor column.
+        self._neighbor_pairs = (pair_s, pair_t)
         self._ridges: _RidgeData | None = None
         self._volume: float | None = None
 
@@ -253,29 +260,33 @@ class Polytope:
         return self._ridges
 
     def _build_ridges(self) -> _RidgeData:
-        simplices = self._tri_simplices
         gid = self._tri_facet
         n = self.dim
-        sorted_simpl = np.sort(simplices, axis=1)
-        pieces: dict[tuple[int, int], list[np.ndarray]] = {}
-        for s, nbrs in enumerate(self._hull_neighbors):
-            ga = gid[s]
-            row = sorted_simpl[s]
-            for t in nbrs:
-                t = int(t)
-                if t <= s:
-                    continue
-                gb = gid[t]
-                if ga == gb:
-                    continue
-                shared = row[np.isin(row, sorted_simpl[t], assume_unique=True)]
-                if shared.size < n - 1:
-                    continue  # precision sliver: measure-zero ridge piece
-                key = (min(ga, gb), max(ga, gb))
-                pieces.setdefault(key, []).append(shared[: n - 1])
-        keys = sorted(pieces)
-        ua = self.facet_normals[[k[0] for k in keys]]
-        ub = self.facet_normals[[k[1] for k in keys]]
+        sorted_simpl = np.sort(self._tri_simplices, axis=1)
+        # Every neighbor pair of different facets, with its shared vertices
+        # in sorted order.
+        pair_s, pair_t = self._neighbor_pairs
+        keep = gid[pair_s] != gid[pair_t]
+        pair_s, pair_t = pair_s[keep], pair_t[keep]
+        rows = sorted_simpl[pair_s]
+        in_t = (rows[:, :, None] == sorted_simpl[pair_t][:, None, :]).any(axis=2)
+        # A precision sliver shares fewer than n-1 vertices: a measure-zero
+        # ridge piece.
+        full = in_t.sum(axis=1) >= n - 1
+        rows, in_t = rows[full], in_t[full]
+        first_shared = np.argsort(~in_t, axis=1, kind="stable")[:, : n - 1]
+        shared = np.take_along_axis(rows, first_shared, axis=1)
+        ga, gb = gid[pair_s[full]], gid[pair_t[full]]
+        lo, hi = np.minimum(ga, gb), np.maximum(ga, gb)
+        # A stable sort keeps each ridge's pieces in the pair order above, so
+        # np.add.at below sums every ridge's volume in a fixed order.
+        order = np.lexsort((hi, lo))
+        lo, hi, idx = lo[order], hi[order], shared[order]
+        new_key = np.ones(lo.size, dtype=bool)
+        new_key[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        key_of = np.cumsum(new_key) - 1
+        ua = self.facet_normals[lo[new_key]]
+        ub = self.facet_normals[hi[new_key]]
         cos = np.clip(np.einsum("rk,rk->r", ua, ub), -1.0, 1.0)
         ortho = ub - cos[:, None] * ua
         nrm = np.linalg.norm(ortho, axis=1, keepdims=True)
@@ -285,17 +296,13 @@ class Polytope:
         # Measure every ridge piece as |det([edges; u_a; ortho_b])|/(n-2)!,
         # the (n-2)-volume of its projection onto the ridge's affine plane —
         # stable for the sliver pieces that qhull triangulations produce.
-        key_of = np.array(
-            [i for i, k in enumerate(keys) for _ in pieces[k]], dtype=int
-        )
-        idx = np.array([arr for k in keys for arr in pieces[k]], dtype=int)
         pts = self.vertices[idx]
         edges = pts[:, 1:, :] - pts[:, :1, :]
         stacked = np.concatenate(
             [edges, ua[key_of][:, None, :], ortho[key_of][:, None, :]], axis=1
         )
         piece_vol = np.abs(np.linalg.det(stacked)) / math.factorial(n - 2)
-        vols = np.zeros(len(keys))
+        vols = np.zeros(ua.shape[0])
         np.add.at(vols, key_of, piece_vol)
         return _RidgeData(vols, ua, ub, ortho, angles)
 

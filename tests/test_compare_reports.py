@@ -100,6 +100,16 @@ def test_missing_cell_is_a_verdict_change(tmp_path):
     assert "GHP cube n=3: pass -> (absent)" in out
 
 
+def test_dropped_sub_case_leaves_the_others_matched(tmp_path):
+    b = _report()
+    del b["results"][0]["detail"]["cases"][0]
+    code, out = _run(tmp_path, _report(), b)
+    assert code == 1
+    assert "sub-case status changes: 1" in out
+    assert "T-QUER-2 cube n=3 [p=1]: pass -> (absent)" in out
+    assert "[p=2] lhs" not in out
+
+
 def test_rise_prints_positive_signed_change(tmp_path):
     b = _report()
     b["results"][1]["detail"]["cases"][0]["lhs"] = _side(1.9 * (1 + 2e-9))

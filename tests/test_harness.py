@@ -164,7 +164,7 @@ def test_monotone_shadow_sequence_on_cube():
     cell = _cell("ALEK", bodies.cube(3))
     assert cell.status == "pass"
     labels = [c["label"] for c in cell.detail["cases"]]
-    assert len(labels) == 3
+    assert labels == ["Q_1 >= Q_2", "Q_2 >= vrad"]
 
 
 # ---------------------------------------------------------------------------
