@@ -97,13 +97,50 @@ def _simplex_volumes(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(det, 0.0)) / math.factorial(j)
 
 
+def _block_rows(columns: int) -> int:
+    step = ROW_BLOCK_ENTRIES // max(columns, 1) // ROW_TILE * ROW_TILE
+    return max(step, ROW_TILE)
+
+
 def row_blocks(rows: int, columns: int):
     """Slices that cover range(rows) in tile-aligned blocks of about
     ROW_BLOCK_ENTRIES entries (never fewer than ROW_TILE rows)."""
-    step = ROW_BLOCK_ENTRIES // max(columns, 1) // ROW_TILE * ROW_TILE
-    step = max(step, ROW_TILE)
+    step = _block_rows(columns)
     for lo in range(0, rows, step):
         yield slice(lo, lo + step)
+
+
+def by_row_blocks(kernel, d: np.ndarray, columns: int) -> np.ndarray:
+    """kernel(d) for a (B, n) batch whose kernel temporaries are (rows,
+    columns), evaluated block by block (see row_blocks); a batch that fits
+    in one block is one call."""
+    if d.shape[0] <= _block_rows(columns):
+        return kernel(d)
+    out = np.empty(d.shape[0])
+    for blk in row_blocks(d.shape[0], columns):
+        out[blk] = kernel(d[blk])
+    return out
+
+
+def _silhouette(xi: np.ndarray, rd: _RidgeData) -> np.ndarray:
+    """Σ_ridges vol(r)·w·‖P_{span(u_a,u_b)}ξ‖ for each row ξ of ``xi``, with
+    w = 1 where ⟨u_a,ξ⟩⟨u_b,ξ⟩ < 0 and w = 1/2 where exactly one of the two
+    inner products is 0.  The three products with ξ stay separate GEMMs: one
+    stacked GEMM rounds differently."""
+    da = xi @ rd.normal_a.T
+    db = xi @ rd.normal_b.T
+    prod = da * db
+    # A boundary entry (da or db exactly 0) has prod == 0, so a batch whose
+    # prod has no zero has none.
+    edge = None if prod.all() else (da == 0.0) ^ (db == 0.0)
+    span = np.square(da, out=da)
+    ob = xi @ rd.ortho_b.T
+    span += np.square(ob, out=ob)
+    np.sqrt(span, out=span)
+    sel = np.where(prod < 0.0, span, 0.0)
+    if edge is not None:
+        sel[edge] = 0.5 * span[edge]
+    return sel @ rd.volumes
 
 
 class _UnionFind:
@@ -191,7 +228,16 @@ class Polytope:
 
         normals = np.zeros((nfacets, n))
         np.add.at(normals, gid, u_s * tri_vol[:, None])
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        nrm = np.linalg.norm(normals, axis=1)
+        # A sliver facet whose simplices all have Gram volume 0 has a zero
+        # area-weighted sum; its normal is the mean of qhull's unit normals.
+        flat = nrm == 0.0
+        if flat.any():
+            unit_sum = np.zeros((nfacets, n))
+            np.add.at(unit_sum, gid, u_s)
+            normals[flat] = unit_sum[flat]
+            nrm[flat] = np.linalg.norm(unit_sum[flat], axis=1)
+        normals /= nrm[:, None]
         # Offsets as exact support values in the merged normal directions.
         offsets = (self.vertices @ normals.T).max(axis=0)
         # Re-measure the triangulation as determinants with the merged unit
@@ -318,11 +364,12 @@ class Polytope:
 
     def width_batch(self, directions: np.ndarray) -> np.ndarray:
         d = np.atleast_2d(np.asarray(directions, dtype=float))
-        out = np.empty(d.shape[0])
-        for blk in row_blocks(d.shape[0], self.n_vertices):
-            prods = d[blk] @ self.vertices.T
-            out[blk] = prods.max(axis=1) - prods.min(axis=1)
-        return out
+
+        def widths(xi):
+            prods = xi @ self.vertices.T
+            return prods.max(axis=1) - prods.min(axis=1)
+
+        return by_row_blocks(widths, d, self.n_vertices)
 
     def gauge(self, theta) -> float:
         """Minkowski functional ‖θ‖_K = max_i ⟨u_i, θ⟩ / b_i (origin interior)."""
@@ -336,27 +383,17 @@ class Polytope:
     def shadow_volumes(self, directions: np.ndarray) -> np.ndarray:
         """|P_{ξ⊥}K| for each unit row ξ, by the Cauchy projection formula."""
         d = np.atleast_2d(np.asarray(directions, dtype=float))
-        out = np.empty(d.shape[0])
-        for blk in row_blocks(d.shape[0], self.n_facets):
-            out[blk] = 0.5 * (np.abs(d[blk] @ self.facet_normals.T)
-                              @ self.facet_areas)
-        return out
+        return by_row_blocks(
+            lambda xi: 0.5 * (np.abs(xi @ self.facet_normals.T)
+                              @ self.facet_areas),
+            d, self.n_facets)
 
     def shadow_surfaces(self, directions: np.ndarray) -> np.ndarray:
         """S(P_{ξ⊥}K) for each unit row ξ, by the ridge silhouette formula."""
         rd = self.ridges()
         d = np.atleast_2d(np.asarray(directions, dtype=float))
-        out = np.empty(d.shape[0])
-        for blk in row_blocks(d.shape[0], rd.volumes.size):
-            xi = d[blk]
-            da = xi @ rd.normal_a.T
-            db = xi @ rd.normal_b.T
-            prod = da * db
-            w = np.where(prod < 0.0, 1.0,
-                         np.where((da == 0.0) ^ (db == 0.0), 0.5, 0.0))
-            span = np.sqrt(da ** 2 + (xi @ rd.ortho_b.T) ** 2)
-            out[blk] = (w * span) @ rd.volumes
-        return out
+        return by_row_blocks(lambda xi: _silhouette(xi, rd), d,
+                              rd.volumes.size)
 
     # -- misc exact quantities ----------------------------------------------
 

@@ -381,10 +381,10 @@ def min_mean_width_position(body: Body, samples: int = 2000, max_iter: int = 300
             eigval, eigvec = np.linalg.eigh(step * direction)
             mover = (eigvec * np.exp(eigval)) @ eigvec.T
             cand = mover @ transform
-            cand_value = width_stats(cand)[0]
-            if cand_value < value - 1e-12 * abs(value):
+            cand_stats = width_stats(cand)
+            if cand_stats[0] < value - 1e-12 * abs(value):
                 transform = cand
-                value, dirs, h_plus, h_minus = width_stats(transform)
+                value, dirs, h_plus, h_minus = cand_stats
                 history.append(value)
                 step = min(step * 1.5, 1.0)
                 accepted = True

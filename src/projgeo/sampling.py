@@ -127,11 +127,19 @@ def mc_estimate(values) -> Estimate:
 # by a shrinking pattern search (handles kinks, where gradient steps stall at
 # ~sqrt(fd_step) accuracy).  The returned value is the minimum over every
 # point evaluated anywhere in the procedure.
+#
+# With cheap objectives the loop's own numpy calls dominate, so each step is
+# a handful of whole-array operations: the descent keeps arrays of the live
+# rows only (compacted on the iterations where a row retires), and the
+# polish polls a prebuilt signed frame and draws its random frames in
+# chunks.  The objective sees the same batches, bit for bit, as with
+# per-row bookkeeping; tests/test_sampling.py keeps that reference.
 # ---------------------------------------------------------------------------
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(x, axis=-1, keepdims=True)
+    # The 2-norm formula np.linalg.norm runs, without its dispatch.
+    nrm = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
     nrm[nrm < 1e-300] = 1.0
     return x / nrm
 
@@ -150,10 +158,10 @@ class _BestTracker:
             raise ObjectiveError(
                 f"objective returned shape {v.shape}, expected ({x.shape[0]},)"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             i = int(np.flatnonzero(~np.isfinite(v))[0])
             raise ObjectiveError(f"objective is not finite at {x[i]!r}")
-        i = int(np.argmin(v))
+        i = v.argmin()
         if v[i] < self.best_v:
             self.best_v = float(v[i])
             self.best_x = x[i].copy()
@@ -164,27 +172,29 @@ def _descend(fb: _BestTracker, x0: np.ndarray, retract, max_iter: int = 400,
              fd_step: float = 1e-6, step_min: float = 1e-10) -> None:
     """Batched descent of the live restarts; results accumulate inside ``fb``.
 
-    A retired restart (step below ``step_min``) is never evaluated again."""
+    A retired restart (step below ``step_min``) is dropped from the rows and
+    never evaluated again."""
     x = retract(x0.copy())
     fx = fb(x)
     d = x.shape[1]
     t = np.full(x.shape[0], 0.25)
     steps = fd_step * np.eye(d)[:, None, :]
     for _ in range(max_iter):
-        live = np.flatnonzero(t >= step_min)
-        if live.size == 0:
-            break
-        xl, fl, tl = x[live], fx[live], t[live]
+        live = t >= step_min
+        if not live.all():
+            if not live.any():
+                break
+            x, fx, t = x[live], fx[live], t[live]
         # FD gradient of f∘retract: the d perturbed copies x + fd_step·e_j,
         # stacked coordinate-major into one (d·m, d) batch and one call.
-        fd = fb(retract((xl[None] + steps).reshape(-1, d))).reshape(d, -1)
-        grad = ((fd - fl) / fd_step).T
-        prop = retract(xl - tl[:, None] * grad)
+        fd = fb(retract((x[None] + steps).reshape(-1, d))).reshape(d, -1)
+        grad = ((fd - fx) / fd_step).T
+        prop = retract(x - t[:, None] * grad)
         fp = fb(prop)
-        ok = fp <= fl - 1e-4 * tl * np.einsum("ij,ij->i", grad, grad)
-        x[live[ok]] = prop[ok]
-        fx[live[ok]] = fp[ok]
-        t[live] = np.where(ok, np.minimum(tl * 1.25, 1.0), tl * 0.5)
+        ok = fp <= fx - 1e-4 * t * np.einsum("ij,ij->i", grad, grad)
+        x = np.where(ok[:, None], prop, x)
+        fx = np.where(ok, fp, fx)
+        t = np.where(ok, np.minimum(t * 1.25, 1.0), t * 0.5)
 
 
 def _pattern_polish(fb: _BestTracker, retract, d: int,
@@ -199,23 +209,32 @@ def _pattern_polish(fb: _BestTracker, retract, d: int,
     shrinks, because piecewise-linear objectives have conical minima whose
     descent cone can elude any fixed probe set.  The relative improvement
     cutoff keeps kinked minima from creeping downward forever.
+
+    A frame B is kept as the signed stack [B; -B], so a poll is one
+    retract(x + scale·signed).  The frames are drawn and orthonormalized in
+    chunks of as many as a polish that never improves redraws; a chunk of
+    (d, d) draws and a batched QR give the frames of one draw at a time.
     """
+    chunk = stall_redraws * math.ceil(math.log2(start_scale / end_scale))
+    eye = np.eye(d)
+    signed = np.concatenate([eye, -eye])
+    frames, drawn = np.empty((0, 2 * d, d)), 0
     scale = start_scale
-    basis = np.eye(d)
     redraws = 0
     polls = 0
     while scale >= end_scale and polls < 500 * d:
-        x = fb.best_x
-        cands = retract(np.concatenate([x + scale * basis,
-                                        x - scale * basis]))
         before = fb.best_v
-        fb(cands)
+        fb(retract(fb.best_x + scale * signed))
         polls += 1
         if fb.best_v < before - 1e-13 * abs(before) - 1e-300:
             redraws = 0
             scale = min(scale * 2.0, start_scale)
         elif redraws < stall_redraws:
-            basis, _ = np.linalg.qr(gen.standard_normal((d, d)))
+            if drawn == len(frames):
+                q, _ = np.linalg.qr(gen.standard_normal((chunk, d, d)))
+                frames, drawn = np.concatenate([q, -q], axis=1), 0
+            signed = frames[drawn]
+            drawn += 1
             redraws += 1
         else:
             redraws = 0

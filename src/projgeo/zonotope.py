@@ -27,7 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polytope import BudgetError, Polytope, SurfaceAreaMeasure, row_blocks
+from .polytope import (BudgetError, Polytope, SurfaceAreaMeasure,
+                       by_row_blocks)
 
 __all__ = [
     "Zonotope",
@@ -125,10 +126,9 @@ class Zonotope:
 
     def width_batch(self, directions: np.ndarray) -> np.ndarray:
         d = np.atleast_2d(np.asarray(directions, dtype=float))
-        out = np.empty(d.shape[0])
-        for blk in row_blocks(d.shape[0], self.n_generators):
-            out[blk] = 2.0 * np.abs(d[blk] @ self.generators.T).sum(axis=1)
-        return out
+        return by_row_blocks(
+            lambda xi: 2.0 * np.abs(xi @ self.generators.T).sum(axis=1),
+            d, self.n_generators)
 
     # -- exact volumes --------------------------------------------------------
 

@@ -19,7 +19,7 @@ from projgeo.bodyops import project_body, transform_body
 from projgeo.polytope import (_MERGE_ANGLE_TOL, _MERGE_OFFSET_TOL,
                               DegenerateInputError, Polytope, _simplex_volumes,
                               _UnionFind, circumradius, convex_hull,
-                              from_halfspaces, inradius, polar)
+                              from_halfspaces, inradius, polar, row_blocks)
 from projgeo.sampling import RngSeed, sphere_points
 
 
@@ -318,3 +318,72 @@ def test_ridges_are_built_once_per_polytope(monkeypatch):
     body.shadow_surfaces(dirs[:5])
     body.mean_width_exact_2codim()
     assert calls == [body]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("seed", range(6))
+def test_jittered_cube_has_finite_facets_and_cube_shadows(n, seed):
+    # At n >= 4 the jittered hull keeps sliver facets along the cube's
+    # ridges, some made only of simplices of Gram volume 0.
+    points = _cube_points(n) + 1e-13 * _random_points(n, 2 ** n, seed)
+    if (n, seed) == (5, 3):
+        with pytest.raises(DegenerateInputError):   # a qhull wide merge
+            Polytope(points)
+        return
+    body = Polytope(points)
+    assert np.isfinite(body.facet_normals).all()
+    assert np.isfinite(body.facet_areas).all()
+    assert body.surface_area() == pytest.approx(2 * n * 2.0 ** (n - 1),
+                                                rel=1e-11)
+    assert body.volume() == pytest.approx(2.0 ** n, rel=1e-11)
+    dirs = sphere_points(n, 50, RngSeed(seed).generator())
+    volumes = 2.0 ** (n - 1) * np.abs(dirs).sum(axis=1)
+    surfaces = 2.0 ** (n - 1) * sum(np.hypot(dirs[:, i], dirs[:, j])
+                                    for i, j in itertools.combinations(
+                                        range(n), 2))
+    assert np.allclose(body.shadow_volumes(dirs), volumes, rtol=1e-11, atol=0)
+    assert np.allclose(body.shadow_surfaces(dirs), surfaces, rtol=1e-11,
+                       atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the silhouette kernel against its weighted form
+
+
+def _silhouette_reference(body, dirs):
+    """S(P_{ξ⊥}K) as (w·span) @ volumes with w in {0, 1/2, 1}, per block."""
+    rd = body.ridges()
+    out = np.empty(len(dirs))
+    for blk in row_blocks(len(dirs), rd.volumes.size):
+        xi = dirs[blk]
+        da = xi @ rd.normal_a.T
+        db = xi @ rd.normal_b.T
+        w = np.where(da * db < 0.0, 1.0,
+                     np.where((da == 0.0) ^ (db == 0.0), 0.5, 0.0))
+        span = np.sqrt(da ** 2 + (xi @ rd.ortho_b.T) ** 2)
+        out[blk] = (w * span) @ rd.volumes
+    return out
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param(_cube_points(3), id="cube-3"),
+    pytest.param(_cube_points(4), id="cube-4"),
+    pytest.param(bodies.ball_approx(3, 500).build().vertices,
+                 id="ball-approx-500-3")])
+def test_silhouette_kernel_matches_weighted_form_bit_for_bit(points):
+    body = Polytope(points)
+    n = body.dim
+    rd = body.ridges()
+    block = next(row_blocks(10 ** 9, rd.volumes.size)).stop
+    for rows in (1, 30, block, 2 * block + 5):
+        dirs = sphere_points(n, rows, np.random.default_rng(rows))
+        # coordinate zeros put ξ exactly orthogonal to cube facet normals
+        dirs[::3, 0] = 0.0
+        dirs[1::4, 1] = 0.0
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        assert np.array_equal(body.shadow_surfaces(dirs),
+                              _silhouette_reference(body, dirs)), rows
+    if body.n_facets == 2 * n:
+        # the boundary weight 1/2 was exercised
+        da, db = dirs @ rd.normal_a.T, dirs @ rd.normal_b.T
+        assert ((da == 0.0) ^ (db == 0.0)).any()

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projgeo.sampling import (RngSeed, _BestTracker, _descend,
-                              _normalize_rows, grassmann_frames, mc_estimate,
-                              minimize_on_grassmannian, minimize_on_sphere,
-                              sphere_points)
+from projgeo.sampling import (ObjectiveError, RngSeed, _BestTracker,
+                              _descend, _normalize_rows, grassmann_frames,
+                              mc_estimate, minimize_on_grassmannian,
+                              minimize_on_sphere, sphere_points)
 
 
 def test_rng_seed_reproducible():
@@ -229,3 +229,210 @@ def test_live_row_descent_is_no_worse_than_full_batch_on_a_kink():
     _descend(live, starts, _normalize_rows)
     _descend_full_batch(full, starts, _normalize_rows)
     assert live.best_v <= full.best_v
+
+
+# ---------------------------------------------------------------------------
+# the minimizer against its per-row bookkeeping, bit for bit
+
+
+def _normalize_rows_ref(x):
+    nrm = np.linalg.norm(x, axis=-1, keepdims=True)
+    nrm[nrm < 1e-300] = 1.0
+    return x / nrm
+
+
+class _BestTrackerRef:
+    def __init__(self, fbatch):
+        self._f = fbatch
+        self.best_x = None
+        self.best_v = np.inf
+
+    def __call__(self, x):
+        v = np.asarray(self._f(x), dtype=float)
+        assert v.shape == (x.shape[0],) and np.all(np.isfinite(v))
+        i = int(np.argmin(v))
+        if v[i] < self.best_v:
+            self.best_v = float(v[i])
+            self.best_x = x[i].copy()
+        return v
+
+
+def _descend_ref(fb, x0, retract, max_iter=400, fd_step=1e-6,
+                 step_min=1e-10):
+    """Reference: gathers the live rows and scatters them back each step."""
+    x = retract(x0.copy())
+    fx = fb(x)
+    d = x.shape[1]
+    t = np.full(x.shape[0], 0.25)
+    steps = fd_step * np.eye(d)[:, None, :]
+    for _ in range(max_iter):
+        live = np.flatnonzero(t >= step_min)
+        if live.size == 0:
+            break
+        xl, fl, tl = x[live], fx[live], t[live]
+        fd = fb(retract((xl[None] + steps).reshape(-1, d))).reshape(d, -1)
+        grad = ((fd - fl) / fd_step).T
+        prop = retract(xl - tl[:, None] * grad)
+        fp = fb(prop)
+        ok = fp <= fl - 1e-4 * tl * np.einsum("ij,ij->i", grad, grad)
+        x[live[ok]] = prop[ok]
+        fx[live[ok]] = fp[ok]
+        t[live] = np.where(ok, np.minimum(tl * 1.25, 1.0), tl * 0.5)
+
+
+def _pattern_polish_ref(fb, retract, d, gen, start_scale=1e-2,
+                        end_scale=1e-9, stall_redraws=3):
+    """Reference: one (d, d) draw and QR per redraw, x ± scale·basis."""
+    scale = start_scale
+    basis = np.eye(d)
+    redraws = 0
+    polls = 0
+    while scale >= end_scale and polls < 500 * d:
+        x = fb.best_x
+        cands = retract(np.concatenate([x + scale * basis,
+                                        x - scale * basis]))
+        before = fb.best_v
+        fb(cands)
+        polls += 1
+        if fb.best_v < before - 1e-13 * abs(before) - 1e-300:
+            redraws = 0
+            scale = min(scale * 2.0, start_scale)
+        elif redraws < stall_redraws:
+            basis, _ = np.linalg.qr(gen.standard_normal((d, d)))
+            redraws += 1
+        else:
+            redraws = 0
+            scale *= 0.5
+
+
+def _grassmann_retract(k, n):
+    def retract(flat):
+        q, r = np.linalg.qr(np.swapaxes(flat.reshape(-1, k, n), 1, 2))
+        signs = np.sign(np.einsum("bii->bi", r))
+        signs[signs == 0.0] = 1.0
+        return np.swapaxes(q * signs[:, None, :], 1, 2).reshape(-1, k * n)
+    return retract
+
+
+def _minimize_ref(objective, shape, starts, retract, vectorized, seed):
+    if vectorized:
+        def fbatch(flat):
+            return objective(flat.reshape(-1, *shape))
+    else:
+        def fbatch(flat):
+            return np.array([float(objective(row.reshape(shape)))
+                             for row in flat])
+    fb = _BestTrackerRef(fbatch)
+    _descend_ref(fb, starts, retract)
+    _pattern_polish_ref(fb, retract, starts.shape[1],
+                        seed.derive("polish").generator())
+    return fb.best_x.reshape(shape), fb.best_v
+
+
+def _smooth(x):
+    return np.cos(3.0 * x[:, 0]) + (x[:, 1:] ** 2).sum(axis=1)
+
+
+def _kinked(x):
+    return np.cos(3.0 * x[:, 0]) + np.abs(x[:, 1:]).sum(axis=1)
+
+
+def _recorded(f, vectorized):
+    """f on flattened points, in the minimizers' calling convention, and
+    the list every batch it sees is appended to."""
+    batches = []
+
+    def objective(x):
+        flat = np.array(x, copy=True).reshape(len(x) if vectorized else 1,
+                                              -1)
+        batches.append(flat)
+        return f(flat) if vectorized else float(f(flat)[0])
+    return objective, batches
+
+
+@pytest.mark.parametrize("space", [(3,), (4,), (5,), (4, 2), (5, 2), (5, 3)],
+                         ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("f", [_smooth, _kinked], ids=["smooth", "kinked"])
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_minimizer_matches_per_row_reference_bit_for_bit(space, f, vectorized):
+    seed = RngSeed(9)
+    restarts = 6
+    got_f, got = _recorded(f, vectorized)
+    want_f, want = _recorded(f, vectorized)
+    if len(space) == 1:
+        n, = space
+        x, v = minimize_on_sphere(got_f, n, restarts, seed,
+                                  vectorized=vectorized)
+        starts = sphere_points(n, restarts, seed.generator())
+        x_ref, v_ref = _minimize_ref(want_f, (n,), starts, _normalize_rows_ref,
+                                     vectorized, seed)
+    else:
+        n, k = space
+        x, v = minimize_on_grassmannian(got_f, n, k, restarts, seed,
+                                        vectorized=vectorized)
+        starts = grassmann_frames(n, k, restarts, seed.generator())
+        x_ref, v_ref = _minimize_ref(want_f, (k, n),
+                                     starts.reshape(restarts, k * n),
+                                     _grassmann_retract(k, n), vectorized,
+                                     seed)
+    assert len(got) == len(want) > 100
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert v == v_ref
+    assert np.array_equal(x, x_ref)
+
+
+# ---------------------------------------------------------------------------
+# objective errors
+
+
+def _sphere(objective, **kw):
+    return minimize_on_sphere(objective, 3, seed=RngSeed(1), **kw)
+
+
+def _grassmannian(objective, **kw):
+    return minimize_on_grassmannian(objective, 4, 2, seed=RngSeed(1), **kw)
+
+
+@pytest.mark.parametrize("minimize", [_sphere, _grassmannian])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_batch_raises_naming_its_first_bad_row(minimize, bad):
+    seen = []
+
+    def objective(x):
+        flat = x.reshape(len(x), -1)
+        seen.append(flat.copy())
+        v = flat[:, 0].copy()
+        v[2] = bad
+        v[4] = np.nan
+        return v
+
+    with pytest.raises(ObjectiveError) as err:
+        minimize(objective, vectorized=True)
+    assert str(err.value) == f"objective is not finite at {seen[0][2]!r}"
+
+
+@pytest.mark.parametrize("minimize", [_sphere, _grassmannian])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_scalar_raises_naming_its_row(minimize, bad):
+    seen = []
+
+    def objective(x):
+        seen.append(x.ravel().copy())
+        return bad if len(seen) == 3 else float(x.ravel()[0])
+
+    with pytest.raises(ObjectiveError) as err:
+        minimize(objective)
+    assert str(err.value) == f"objective is not finite at {seen[2]!r}"
+
+
+@pytest.mark.parametrize("minimize", [_sphere, _grassmannian])
+@pytest.mark.parametrize("shape", [lambda b: (b + 1,), lambda b: (b, 1),
+                                   lambda b: ()], ids=["long", "column",
+                                                       "scalar"])
+def test_wrong_shape_raises(minimize, shape):
+    def objective(x):
+        return np.zeros(shape(len(x)))
+
+    with pytest.raises(ObjectiveError, match="objective returned shape"):
+        minimize(objective, vectorized=True)
