@@ -334,10 +334,11 @@ class BodyContext:
     # The mean k-frame shadow surface (i = 1) reads W_{n-k+1}, p_k (i = 0)
     # reads W_{n-k}, and the mean of V_j over hyperplane shadows (k = n-1,
     # i = p, j = n-1-p) reads W_{p+1} = V_j(K).  `quermass` is exact for
-    # zonoids and, for vertex bodies, at p <= 2 (ridge angles) and p = n;
-    # W_{n-1} is one antithetic width panel, and 3 <= p <= n-2 (V_2 at
-    # n = 5) a frame draw.  A mean whose W_p would be such a frame draw keeps
-    # the frame panel of its own k instead, which gives the narrower stderr.
+    # zonoids and, for vertex bodies, at p <= 3 (ridge angles and the normal
+    # cones of the (n-3)-faces) and p = n; W_{n-1} at n >= 5 is one
+    # antithetic width panel, and 4 <= p <= n-2 (V_2 at n = 6) a frame draw.
+    # A mean whose W_p would be such a frame draw keeps the frame panel of
+    # its own k instead, which gives the narrower stderr.
     # CK-IDENT checks these identities, so it keeps its Monte Carlo sides.
 
     def quermass(self, p: int) -> Quantity:
@@ -345,7 +346,7 @@ class BodyContext:
         n = self.n
 
         def build():
-            if p == n - 1 and p > 2 and not self.is_zonoid:
+            if p == n - 1 and p > 3 and not self.is_zonoid:
                 dirs = sphere_points(n, KUBOTA_WIDTH_PAIRS,
                                      self.rng("kubota-v1").generator())
                 est = mc_estimate(self.body.width_batch(dirs) / 2.0)
@@ -360,7 +361,7 @@ class BodyContext:
 
     def _frame_drawn(self, p: int) -> bool:
         """Whether `quermass(p)` is a Monte Carlo draw over frames."""
-        return not self.is_zonoid and 3 <= p <= self.n - 2
+        return not self.is_zonoid and 4 <= p <= self.n - 2
 
     def mean_shadow_surface(self) -> Quantity:
         """E_xi S(P_xi K) = (n-1)(omega_{n-1}/omega_n) W_2(K), exact."""

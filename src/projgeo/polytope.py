@@ -86,6 +86,8 @@ class _RidgeData:
     normal_b: np.ndarray  # (R, n) second adjacent facet normal
     ortho_b: np.ndarray   # (R, n) normal_b orthonormalized against normal_a
     angles: np.ndarray    # (R,)   exterior dihedral angle in (0, π)
+    piece_vertices: np.ndarray  # (P, n-1) sorted vertex ids of each piece
+    piece_ridge: np.ndarray     # (P,)     ridge of each piece
 
 
 def _simplex_volumes(pts: np.ndarray) -> np.ndarray:
@@ -265,6 +267,7 @@ class Polytope:
         self._neighbor_pairs = (pair_s, pair_t)
         self._ridges: _RidgeData | None = None
         self._volume: float | None = None
+        self._w3: float | None = None
 
     # -- derived data -------------------------------------------------------
 
@@ -350,7 +353,7 @@ class Polytope:
         piece_vol = np.abs(np.linalg.det(stacked)) / math.factorial(n - 2)
         vols = np.zeros(ua.shape[0])
         np.add.at(vols, key_of, piece_vol)
-        return _RidgeData(vols, ua, ub, ortho, angles)
+        return _RidgeData(vols, ua, ub, ortho, angles, idx, key_of)
 
     # -- support / gauge ----------------------------------------------------
 
@@ -402,6 +405,67 @@ class Polytope:
         rd = self.ridges()
         return float((rd.volumes * rd.angles).sum()
                      / (2.0 * math.comb(self.dim, 2)))
+
+    def quermass_exact_3codim(self) -> float:
+        """W_3 = ω_3 V_{n-3}/C(n,3) from the normal cones of the (n-3)-faces.
+
+        The intrinsic volume is V_{n-3}(K) = Σ_F vol(F)·area(N(F))/4π over
+        the (n-3)-faces F, whose normal cones N(F) are 3-dimensional, so
+        W_3 = Σ_F vol(F)·area(N(F)) / (3·C(n,3)).  Built lazily, cached.
+        """
+        if self._w3 is None:
+            self._w3 = self._build_w3()
+        return self._w3
+
+    def _build_w3(self) -> float:
+        rd = self.ridges()
+        n = self.dim
+        # Every (n-2)-vertex sub-simplex of every ridge piece, keyed by its
+        # sorted vertex ids.
+        cols = np.array(list(itertools.combinations(range(n - 1), n - 2)))
+        sub = rd.piece_vertices[:, cols].reshape(-1, n - 2)
+        ridge = np.repeat(rd.piece_ridge, n - 1)
+        key = np.ravel_multi_index(tuple(sub.T), (self.n_vertices,) * (n - 2))
+        order = np.lexsort((ridge, key))
+        sub, ridge, key = sub[order], ridge[order], key[order]
+        # A sub-simplex inside a ridge lies in two of its pieces, one on the
+        # ridge's relative boundary in exactly one.
+        twice = (key[1:] == key[:-1]) & (ridge[1:] == ridge[:-1])
+        once = ~(np.r_[twice, False] | np.r_[False, twice])
+        sub, ridge, key = sub[once], ridge[once], key[once]
+        # The sub-simplices on >= 3 ridges tile the (n-3)-faces; the ridges
+        # of one are the edges of the spherical polygon N(F) ∩ S^{n-1}.
+        start = np.r_[True, key[1:] != key[:-1]]
+        group = np.cumsum(start) - 1
+        face = np.bincount(group)[group] >= 3
+        sub, ridge, start = sub[face], ridge[face], start[face]
+        starts = np.flatnonzero(start)
+        group = np.cumsum(start) - 1
+        ua, ub, ob = rd.normal_a[ridge], rd.normal_b[ridge], rd.ortho_b[ridge]
+        # c, an interior point of the polygon, cones it into triangles
+        # (c, u_a, u_b).  With u_b = cos·u_a + sin·ob, √det Gram(c,u_a,u_b)
+        # = sin·‖r‖, r the part of c off span(u_a, u_b): no cancellation.
+        c = np.add.reduceat(ua + ub, starts, axis=0)
+        c = (c / np.linalg.norm(c, axis=1, keepdims=True))[group]
+        ca = np.einsum("mk,mk->m", c, ua)
+        cb = np.einsum("mk,mk->m", c, ub)
+        r = c - ca[:, None] * ua - np.einsum("mk,mk->m", c, ob)[:, None] * ob
+        rn = np.linalg.norm(r, axis=1)
+        sin = np.einsum("mk,mk->m", ub, ob)
+        cos = np.einsum("mk,mk->m", ua, ub)
+        # Van Oosterom–Strackee solid angle of each triangle.
+        tri = 2.0 * np.arctan2(sin * rn, 1.0 + ca + cos + cb)
+        area = np.add.reduceat(tri, starts)
+        # Measure each face simplex as |det([edges; u_a; ob; r/‖r‖])|/(n-3)!,
+        # the orthonormal frame of (lin F)⊥ taken where ‖r‖ is largest (a
+        # flat cone, r = 0, has area 0 and gets the volume 0).
+        pick = np.lexsort((-rn, group))[starts]
+        pts = self.vertices[sub[pick]]
+        unit_r = r[pick] / np.maximum(rn[pick], 1e-300)[:, None]
+        frame = np.stack([ua[pick], ob[pick], unit_r], axis=1)
+        stacked = np.concatenate([pts[:, 1:, :] - pts[:, :1, :], frame], axis=1)
+        vol = np.abs(np.linalg.det(stacked)) / math.factorial(n - 3)
+        return float(vol @ area / (3.0 * math.comb(n, 3)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Polytope(dim={self.dim}, vertices={self.n_vertices}, "

@@ -3,6 +3,9 @@
 Conventions for a convex body K in R^n:
 
 * ``V_n = |K|``, ``V_{n-1} = S(K)/n``, ``V_0 = omega_n``.
+* ``V_{n-p}`` here is the quermassintegral ``W_p``, the mixed volume of K
+  with p copies of the unit ball; the intrinsic volume of index n-p is
+  ``binom(n, p) * W_p / omega_p``.
 * Kubota: ``V_j(K) = (omega_n/omega_j) * E_{F ~ G(n,j)} |P_F K|`` where the
   expectation is over Haar-random j-dimensional subspaces.
 * ``Q_k(K) = (V_k(K)/omega_n)^{1/k}``; the Aleksandrov inequalities say
@@ -10,8 +13,9 @@ Conventions for a convex body K in R^n:
   (support) mean width.
 
 Exact routes are used whenever the representation allows: every index for
-generator bodies, and j in {0, 1 (n=3), n-2, n-1, n} for vertex bodies.
-The remaining indices fall back to Monte Carlo over random subspaces.
+generator bodies, and W_p at p <= 3 and p = n for vertex bodies (facet
+areas, ridge angles and the normal cones of the (n-3)-faces).  The
+remaining indices fall back to Monte Carlo over random subspaces.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ def quermassintegral(body: Body, p: int, samples: int | None = None,
     V_{n-p} is the mixed volume of K with p copies of the unit ball, so
     p = 0 gives |K|, p = 1 gives S(K)/n, and p = n gives omega_n.  With
     ``method="auto"`` exact routes are used where the representation allows
-    (every p for generator bodies; p in {0, 1, 2, n} for vertex bodies) and
+    (every p for generator bodies; p in {0, 1, 2, 3, n} for vertex bodies) and
     the rest is Monte Carlo Kubota averaging over random (n-p)-subspaces.
     ``method="mc"`` forces the Kubota route for 1 <= p <= n-1, which is
     useful as a cross-check against the exact values.
@@ -89,6 +93,8 @@ def quermassintegral(body: Body, p: int, samples: int | None = None,
             return Estimate(body.surface_area() / n, 0.0, 0)
         if p == 2:
             return Estimate(body.mean_width_exact_2codim(), 0.0, 0)
+        if p == 3:
+            return Estimate(body.quermass_exact_3codim(), 0.0, 0)
     if j == 1:
         mw = mean_width(body, samples or DEFAULT_SPHERE_SAMPLES, seed)
         return Estimate(omega(n) * mw.value, omega(n) * mw.stderr, mw.n_samples)

@@ -19,6 +19,13 @@ def test_compute_exact_quermassintegral(capsys):
     assert capsys.readouterr().out.strip() == "6.28318531"
 
 
+def test_compute_exact_w3_at_n4(capsys):
+    # W_3(Q4) = omega_3 V_1(Q4) / 4 = 8 pi / 3 from the edges' normal cones
+    assert main(["compute", "--body", "cube", "--dim", "4",
+                 "--quantity", "quermass(3)"]) == 0
+    assert capsys.readouterr().out.strip() == "8.37758041"
+
+
 def test_compute_normalized_mean_shadow(capsys):
     # pk(2) of Q3: mean shadow area S/4 = 6 over |Q3|^{2/3} = 4
     assert main(["compute", "--body", "cube", "--dim", "3",

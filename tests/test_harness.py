@@ -182,10 +182,10 @@ def test_kubota_shadow_mean_is_exact_for_zonotopes():
 
 def test_kubota_shadow_mean_on_cube():
     # E_xi V_1(P_xi Q4) = (omega_3/omega_4) V_1(Q4) = (16/(3 pi)) (4 pi/3) = 64/9
-    mean, _ = BodyContext(bodies.cube(4), CFG).shadow_quermass_mean(2)
-    assert not mean.exact
-    assert 0.0 < mean.stderr <= 0.0031
-    assert abs(mean.value - 64.0 / 9.0) <= 3.0 * mean.stderr
+    mean, method = BodyContext(bodies.cube(4), CFG).shadow_quermass_mean(2)
+    assert mean.exact and mean.stderr == 0.0
+    assert mean.value == pytest.approx(64.0 / 9.0, rel=1e-12)
+    assert method == "Kubota recursion, exact W_3(K)"
 
 
 @pytest.mark.parametrize("n, exact", [(3, 1.5 * math.pi), (4, 32.0 / 3.0)])
@@ -266,6 +266,20 @@ def test_positioned_contexts_draw_no_panels(n, name):
         panels = [key for key in child._cache if key == "sphere_panel"
                   or (isinstance(key, tuple) and key[0] == "frames")]
         assert panels == [], child.key
+
+
+def test_positioned_contexts_draw_no_frames_at_n5():
+    # V_2 means at n = 5 read the exact W_3 instead of a frame panel
+    ctx = BodyContext(bodies.random_hull(5, 14, 1), CFG)
+    for check_id in ("T-QUER-4", "T-HIGHER-7"):
+        assert run_check(CHECK_MAP[check_id], ctx).status == "pass"
+    children = [child for key, child in ctx._cache.items()
+                if isinstance(key, tuple) and key[0] == "positioned"]
+    assert children
+    for child in children:
+        frames = [key for key in child._cache
+                  if isinstance(key, tuple) and key[0] == "frames"]
+        assert frames == [], child.key
 
 
 # ---------------------------------------------------------------------------

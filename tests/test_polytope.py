@@ -20,7 +20,9 @@ from projgeo.polytope import (_MERGE_ANGLE_TOL, _MERGE_OFFSET_TOL,
                               DegenerateInputError, Polytope, _simplex_volumes,
                               _UnionFind, circumradius, convex_hull,
                               from_halfspaces, inradius, polar, row_blocks)
+from projgeo.quermass import omega, quermassintegral
 from projgeo.sampling import RngSeed, sphere_points
+from projgeo.zonotope import zonotope_to_polytope
 
 
 def _cube(n=3):
@@ -387,3 +389,76 @@ def test_silhouette_kernel_matches_weighted_form_bit_for_bit(points):
         # the boundary weight 1/2 was exercised
         da, db = dirs @ rd.normal_a.T, dirs @ rd.normal_b.T
         assert ((da == 0.0) ^ (db == 0.0)).any()
+
+
+# ---------------------------------------------------------------------------
+# exact W_3 from the normal cones of the (n-3)-faces
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cube_w3_is_the_closed_form(n):
+    # V_{n-3}(cube) = C(n,3) 2^{n-3}, so W_3 = omega_3 2^{n-3}; at n = 3 the
+    # vertex cones tile the sphere and W_3 = omega_3
+    v = math.comb(n, 3) * 2.0 ** (n - 3)
+    assert _cube(n).quermass_exact_3codim() == pytest.approx(
+        omega(3) * v / math.comb(n, 3), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, m", [(4, 7), (5, 8)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_w3_of_zonotope_hull_matches_generator_formula(n, m, seed):
+    # merged non-simplicial facets against the subset-Gram route
+    zon = bodies.random_zonotope(n, m, seed).build()
+    assert zonotope_to_polytope(zon).quermass_exact_3codim() == pytest.approx(
+        zon.quermassintegral_exact(3), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_w3_is_rotation_invariant(n):
+    body = bodies.random_hull(n, 3 * n, 1).build()
+    q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    rotated = transform_body(body, q)
+    assert rotated.quermass_exact_3codim() == pytest.approx(
+        body.quermass_exact_3codim(), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("seed", range(6))
+def test_jittered_cube_w3_is_the_cube_value(n, seed):
+    # the sliver facets along the cube's ridges add faces with thin cones
+    points = _cube_points(n) + 1e-13 * _random_points(n, 2 ** n, seed)
+    if (n, seed) == (5, 3):
+        with pytest.raises(DegenerateInputError):   # a qhull wide merge
+            Polytope(points)
+        return
+    assert Polytope(points).quermass_exact_3codim() == pytest.approx(
+        omega(3) * 2.0 ** (n - 3), rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("name", ["simplex", "cross", "random-hull(12,1)",
+                                  "random-hull(14,2)"])
+def test_w3_agrees_with_kubota_sampling(n, name):
+    body = bodies.from_name(name, n).build()
+    exact = quermassintegral(body, 3)
+    assert exact.stderr == 0.0
+    assert exact.value == body.quermass_exact_3codim()
+    est = quermassintegral(body, 3, seed=RngSeed(n), method="mc")
+    assert abs(est.value - exact.value) <= 4.0 * est.stderr
+
+
+def test_w3_faces_are_built_lazily_once(monkeypatch):
+    calls = []
+    build = Polytope._build_w3
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(Polytope, "_build_w3", counted)
+    body = bodies.random_hull(4, 12, 1).build()
+    body.shadow_surfaces(sphere_points(4, 5, RngSeed(0).generator()))
+    body.mean_width_exact_2codim()
+    assert calls == []
+    assert body.quermass_exact_3codim() == body.quermass_exact_3codim()
+    assert calls == [body]
