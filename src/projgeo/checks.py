@@ -42,6 +42,7 @@ KUBOTA_WIDTH_PAIRS = 200_000
 HEAVY_VERTEX_LIMIT = 100
 ZONOTOPE_VOLUME_BUDGET = 400_000  # max n-subsets for exact zonotope volume
 ZONOTOPE_SHADOW_BUDGET = 4_000_000  # max (n-1)-subset evaluations for shadows
+SNAP_SEED_ITERS = 50  # descent iterations that seed the Pi K facet walk
 
 
 class SkipCheck(Exception):
@@ -402,19 +403,21 @@ class BodyContext:
     def min_shadow_volume(self) -> float:
         """min over directions of |P_{xi-perp} K|, the inradius of Pi K.
 
-        The sphere descent is followed by a facet snap of Pi K.  The
-        objective h_{Pi K} is piecewise linear and its minimum sits at a
-        facet normal of the zonotope Pi K, a kink where finite-difference
-        steps stall short of the vertex; the snap walks those normals from
-        the descent's best point and from the 8n lowest directions of the
-        sphere panel (`_facet_snap`).  The snap only proposes directions:
-        every value is Cauchy's formula on K, so MINPROJ's inradius of Pi K
-        stays an independent route.
+        A walk over the facet normals of Pi K sets the value
+        (`_facet_snap`).  The objective h_{Pi K} is piecewise linear and its
+        minimum sits at a facet normal of the zonotope Pi K, a kink where
+        finite-difference steps stall short of the vertex.  A sphere descent
+        capped at SNAP_SEED_ITERS iterations, without the polish, only
+        seeds the walk: it starts from the descent's best point and from
+        the 8n lowest directions of the sphere panel.  The walk only
+        proposes directions: every value is Cauchy's formula on K, so
+        MINPROJ's inradius of Pi K stays an independent route.
         """
         def build():
             x, value = minimize_on_sphere(
                 self.body.shadow_volumes, self.n,
-                seed=self.rng("min-shadow-volume"), vectorized=True)
+                seed=self.rng("min-shadow-volume"), vectorized=True,
+                seed_iters=SNAP_SEED_ITERS)
             lowest = np.argsort(self.shadow_vols(), kind="stable")[:8 * self.n]
             starts = np.vstack([x, self.sphere_panel()[lowest]])
             return min(value, self._facet_snap(starts))
@@ -423,11 +426,12 @@ class BodyContext:
     def _facet_snap(self, starts: np.ndarray) -> float:
         """Lowest shadow volume met walking facet normals of Pi K from starts.
 
-        At a direction xi, the 2n+2 generators of Pi K most nearly
-        orthogonal to xi span the facets around xi; the unit normals of
-        their (n-1)-subsets are the candidates, and the walk moves to the
-        lowest while the value drops.  A generator set met before is not
-        expanded again, since its walk is already counted.
+        This walk sets `min_shadow_volume`; its starts only need to land
+        near the right facet.  At a direction xi, the 2n+2 generators of
+        Pi K most nearly orthogonal to xi span the facets around xi; the
+        unit normals of their (n-1)-subsets are the candidates, and the
+        walk moves to the lowest while the value drops.  A generator set
+        met before is not expanded again, since its walk is already counted.
         """
         gens = self.projection_body_merged().generators
         units = gens / np.linalg.norm(gens, axis=1, keepdims=True)
@@ -964,19 +968,33 @@ def _check_fgm(ctx: BodyContext):
     subs = []
     for k in range(1, n):
         frames = grassmann_frames(n, k, 50, ctx.rng("FGM", k).generator())
+        # `exact` maps an index j to the 50 shadows' values at j (as in
+        # `_shadow_quermass_exact`) where no hull is needed.  At k = n-1 a
+        # vertex body's shadows are read from the kernels at each frame's
+        # unit normal xi: Cauchy's formula for the volume, the ridge
+        # silhouette for W_1 = S/k, and omega_k; hulls are built only for
+        # the Monte Carlo indices 1 <= j <= k-2.
+        shadows = None
         if k == 1:
             shadow_vols = ctx.body.width_batch(frames[:, 0, :])
-            shadows = None
+            exact = {1: shadow_vols, 0: np.full(len(frames), omega(1))}
+        elif k == n - 1 and not ctx.is_zonoid:
+            xi = np.linalg.svd(frames)[2][:, -1]
+            shadow_vols = ctx.body.shadow_volumes(xi)
+            exact = {k: shadow_vols, k - 1: ctx.body.shadow_surfaces(xi) / k,
+                     0: np.full(len(frames), omega(k))}
         else:
             shadows = [project_body(ctx.body, f) for f in frames]
             shadow_vols = np.array([s.volume() for s in shadows])
+            exact = {}
         for p in range(0, k + 1):
             j = k - p
+            if j not in exact and shadows is None:
+                shadows = [project_body(ctx.body, f) for f in frames]
             best: Quantity | None = None
             for i in range(frames.shape[0]):
-                if k == 1:
-                    vj = (Quantity.of(shadow_vols[i]) if j == 1
-                          else Quantity.of(omega(1)))
+                if j in exact:
+                    vj = Quantity.of(exact[j][i])
                 else:
                     vj = _shadow_quermass_exact(shadows[i], j)
                     if vj is None:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize, nnls
 
-from .bodyops import (Body, origin_symmetric, support_points, to_polytope,
-                      transform_body)
+from .bodyops import (Body, is_zonotope, origin_symmetric, support_points,
+                      to_polytope, transform_body)
 from .polytope import centroid_and_covariance, inradius
 from .quermass import omega
 from .sampling import RngSeed, sphere_points
@@ -355,20 +355,36 @@ def min_mean_width_position(body: Body, samples: int = 2000, max_iter: int = 300
     pairs = max(8, samples // 2)
     thetas = sphere_points(n, pairs, seed.derive("min-width-panel").generator())
     transform = np.eye(n)
+    verts = None if is_zonotope(body) else body.vertices
 
+    # A vertex body reads h(theta), h(-theta) = -min <theta, v> (negation is
+    # exact) and both support points from one product with its vertices;
+    # `seen` is that product, or the directions for a generator body.
     def width_stats(t_mat: np.ndarray):
         dirs = thetas @ t_mat
-        h_plus = body.support_batch(dirs)
-        h_minus = body.support_batch(-dirs)
+        if verts is None:
+            seen = dirs
+            h_plus = body.support_batch(dirs)
+            h_minus = body.support_batch(-dirs)
+        else:
+            seen = dirs @ verts.T
+            h_plus = seen.max(axis=1)
+            h_minus = -seen.min(axis=1)
         width = 0.5 * (h_plus + h_minus)
-        return float(width.mean()), dirs, h_plus, h_minus
+        return float(width.mean()), seen, h_plus, h_minus
 
-    value, dirs, h_plus, h_minus = width_stats(transform)
+    def support_spread(seen: np.ndarray) -> np.ndarray:
+        """x(theta) - x(-theta) for the support points x of each theta."""
+        if verts is None:
+            return support_points(body, seen) - support_points(body, -seen)
+        return verts[seen.argmax(axis=1)] - verts[seen.argmin(axis=1)]
+
+    value, seen, h_plus, h_minus = width_stats(transform)
     history = [value]
     step = 0.1
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        pts = 0.5 * (support_points(body, dirs) - support_points(body, -dirs))
+        pts = 0.5 * support_spread(seen)
         moment = (transform @ pts.T) @ thetas / pairs
         grad = 0.5 * (moment + moment.T)
         grad -= np.trace(grad) / n * np.eye(n)
@@ -384,7 +400,7 @@ def min_mean_width_position(body: Body, samples: int = 2000, max_iter: int = 300
             cand_stats = width_stats(cand)
             if cand_stats[0] < value - 1e-12 * abs(value):
                 transform = cand
-                value, dirs, h_plus, h_minus = cand_stats
+                value, seen, h_plus, h_minus = cand_stats
                 history.append(value)
                 step = min(step * 1.5, 1.0)
                 accepted = True

@@ -123,17 +123,20 @@ def mc_estimate(values) -> Estimate:
 # Multi-start projected (sub)gradient descent, run on the live restarts at
 # once as array rows: finite-difference gradients of f∘retract and
 # per-restart Armijo step control.  A restart retires when its step drops
-# below 1e-10 and is never evaluated again.  The best point is then polished
-# by a shrinking pattern search (handles kinks, where gradient steps stall at
-# ~sqrt(fd_step) accuracy).  The returned value is the minimum over every
-# point evaluated anywhere in the procedure.
+# below 1e-10 and is never evaluated again; a restart whose step was
+# rejected keeps its gradient, so the FD stencil runs only on the rows that
+# moved.  The best point is then polished by a shrinking pattern search
+# (handles kinks, where gradient steps stall at ~sqrt(fd_step) accuracy).
+# The returned value is the minimum over every point evaluated anywhere in
+# the procedure.
 #
 # With cheap objectives the loop's own numpy calls dominate, so each step is
 # a handful of whole-array operations: the descent keeps arrays of the live
 # rows only (compacted on the iterations where a row retires), and the
 # polish polls a prebuilt signed frame and draws its random frames in
 # chunks.  The objective sees the same batches, bit for bit, as with
-# per-row bookkeeping; tests/test_sampling.py keeps that reference.
+# per-row bookkeeping; tests/test_sampling.py keeps that reference, and a
+# copy of the descent that recomputes every gradient.
 # ---------------------------------------------------------------------------
 
 
@@ -173,11 +176,15 @@ def _descend(fb: _BestTracker, x0: np.ndarray, retract, max_iter: int = 400,
     """Batched descent of the live restarts; results accumulate inside ``fb``.
 
     A retired restart (step below ``step_min``) is dropped from the rows and
-    never evaluated again."""
+    never evaluated again.  A restart whose last step was rejected sits at
+    the same x, so it keeps its gradient: the FD stencil runs only on the
+    rows that moved, and not at all when none did."""
     x = retract(x0.copy())
     fx = fb(x)
     d = x.shape[1]
     t = np.full(x.shape[0], 0.25)
+    grad_t = np.empty((d, x.shape[0]))  # the gradients as columns
+    moved = np.ones(x.shape[0], dtype=bool)
     steps = fd_step * np.eye(d)[:, None, :]
     for _ in range(max_iter):
         live = t >= step_min
@@ -185,16 +192,22 @@ def _descend(fb: _BestTracker, x0: np.ndarray, retract, max_iter: int = 400,
             if not live.any():
                 break
             x, fx, t = x[live], fx[live], t[live]
-        # FD gradient of f∘retract: the d perturbed copies x + fd_step·e_j,
-        # stacked coordinate-major into one (d·m, d) batch and one call.
-        fd = fb(retract((x[None] + steps).reshape(-1, d))).reshape(d, -1)
-        grad = ((fd - fx) / fd_step).T
+            grad_t, moved = grad_t[:, live], moved[live]
+        # FD gradient of f∘retract: the d perturbed copies x + fd_step·e_j
+        # of each moved row, stacked coordinate-major into one (d·m, d)
+        # batch and one call.
+        if moved.any():
+            xm = x[moved]
+            fd = fb(retract((xm[None] + steps).reshape(-1, d))).reshape(d, -1)
+            grad_t[:, moved] = (fd - fx[moved]) / fd_step
+        grad = grad_t.T
         prop = retract(x - t[:, None] * grad)
         fp = fb(prop)
         ok = fp <= fx - 1e-4 * t * np.einsum("ij,ij->i", grad, grad)
         x = np.where(ok[:, None], prop, x)
         fx = np.where(ok, fp, fx)
         t = np.where(ok, np.minimum(t * 1.25, 1.0), t * 0.5)
+        moved = ok
 
 
 def _pattern_polish(fb: _BestTracker, retract, d: int,
@@ -242,12 +255,14 @@ def _pattern_polish(fb: _BestTracker, retract, d: int,
 
 
 def _run_minimizer(objective, shape: tuple[int, ...], starts: np.ndarray,
-                   retract, vectorized: bool, seed: RngSeed):
+                   retract, vectorized: bool, seed: RngSeed,
+                   seed_iters: int | None = None):
     """Descend from the flat ``starts`` rows, then polish the best point.
 
     ``objective`` sees points reshaped to ``shape`` (one at a time, or as a
     (B, *shape) stack when ``vectorized``).  Returns the best point in that
-    shape and its value.
+    shape and its value.  With ``seed_iters`` the descent stops after that
+    many iterations and the polish is skipped.
     """
     if vectorized:
         def fbatch(flat):
@@ -257,6 +272,9 @@ def _run_minimizer(objective, shape: tuple[int, ...], starts: np.ndarray,
             return np.array([float(objective(row.reshape(shape)))
                              for row in flat])
     fb = _BestTracker(fbatch)
+    if seed_iters is not None:
+        _descend(fb, starts, retract, max_iter=seed_iters)
+        return fb.best_x.reshape(shape), fb.best_v
     _descend(fb, starts, retract)
     _pattern_polish(fb, retract, starts.shape[1],
                     seed.derive("polish").generator())
@@ -265,7 +283,8 @@ def _run_minimizer(objective, shape: tuple[int, ...], starts: np.ndarray,
 
 def minimize_on_sphere(objective, n: int, restarts: int | None = None,
                        seed: RngSeed = RngSeed(), *,
-                       vectorized: bool = False) -> tuple[np.ndarray, float]:
+                       vectorized: bool = False,
+                       seed_iters: int | None = None) -> tuple[np.ndarray, float]:
     """Minimize a function on S^{n-1}.
 
     ``objective`` maps a unit vector (an (n,) array) to a finite scalar; pass
@@ -273,6 +292,9 @@ def minimize_on_sphere(objective, n: int, restarts: int | None = None,
     (B,) array (much faster for array-native objectives).  Returns the best
     unit vector found and its value, which is ≤ the objective at every point
     evaluated during the search.
+
+    ``seed_iters`` caps the descent at that many iterations and skips the
+    polish: the result only seeds a caller's own exact search.
     """
     if restarts is None:
         restarts = 8 * n
@@ -280,7 +302,7 @@ def minimize_on_sphere(objective, n: int, restarts: int | None = None,
         raise ValueError("restarts must be >= 1")
     starts = sphere_points(n, restarts, seed.generator())
     return _run_minimizer(objective, (n,), starts, _normalize_rows,
-                          vectorized, seed)
+                          vectorized, seed, seed_iters)
 
 
 def minimize_on_grassmannian(objective, n: int, k: int,

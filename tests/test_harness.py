@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projgeo import bodies, checks
-from projgeo.bodyops import transform_body
+from projgeo.bodyops import project_body, transform_body
 from projgeo.checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext,
                             Quantity, SubCase, SuiteConfig, run_check)
 from projgeo.polytope import inradius
 from projgeo.positions import minimal_surface_quotient
 from projgeo.quermass import omega
-from projgeo.sampling import Estimate, mc_estimate
+from projgeo.sampling import Estimate, grassmann_frames, mc_estimate
 from projgeo.suite import SEARCH_IDS, extremizer_search, run_suite
 from projgeo.svgplot import render
 from projgeo.zonotope import Zonotope, zonotope_to_polytope
@@ -337,6 +337,23 @@ def test_min_shadow_volume_of_cube_is_four():
     assert BodyContext(bodies.cube(3), CFG).min_shadow_volume() == 4.0
 
 
+@pytest.mark.parametrize("spec", [bodies.random_zonotope(5, 8, 4),
+                                  bodies.random_hull(3, 10, 1),
+                                  bodies.ball_approx(4, 500)],
+                         ids=lambda s: f"{s.name}-n{s.dim}")
+def test_capped_descent_seeds_the_walk_to_the_full_descents_value(spec):
+    # the facet walk sets the value: a descent capped at SNAP_SEED_ITERS,
+    # without the polish, ends where the full minimizer plus walk does
+    ctx = BodyContext(spec, CFG)
+    x, value = checks.minimize_on_sphere(
+        ctx.body.shadow_volumes, ctx.n, seed=ctx.rng("min-shadow-volume"),
+        vectorized=True)
+    lowest = np.argsort(ctx.shadow_vols(), kind="stable")[:8 * ctx.n]
+    starts = np.vstack([x, ctx.sphere_panel()[lowest]])
+    full = min(value, ctx._facet_snap(starts))
+    assert ctx.min_shadow_volume() == full
+
+
 def test_unknown_check_cells_report_errors_not_raises():
     # an evaluator crash must surface as status "error" with a traceback
     spec = CHECK_MAP["T-HYPER-1"]
@@ -347,6 +364,55 @@ def test_unknown_check_cells_report_errors_not_raises():
     cell = run_check(broken, BodyContext(bodies.cube(3), CFG))
     assert cell.status == "error"
     assert "boom" in cell.detail["error"]
+
+
+# ---------------------------------------------------------------------------
+# FGM reads the hyperplane shadows of vertex bodies from the exact kernels
+
+
+def _fgm_hyperplane_frames(ctx):
+    n = ctx.n
+    frames = grassmann_frames(n, n - 1, 50, ctx.rng("FGM", n - 1).generator())
+    return frames, np.linalg.svd(frames)[2][:, -1]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("make", [bodies.cube, bodies.simplex,
+                                  lambda n: bodies.random_hull(n, 2 * n + 4, 1),
+                                  lambda n: bodies.random_hull(n, 2 * n + 4, 2)],
+                         ids=["cube", "simplex", "hull-1", "hull-2"])
+def test_hyperplane_shadow_kernels_match_the_projected_hulls(make, n):
+    ctx = BodyContext(make(n), CFG)
+    frames, xi = _fgm_hyperplane_frames(ctx)
+    hulls = [project_body(ctx.body, f) for f in frames]
+    vols = np.array([h.volume() for h in hulls])
+    w1 = np.array([h.surface_area() for h in hulls]) / (n - 1)
+    assert np.allclose(ctx.body.shadow_volumes(xi), vols, rtol=1e-13, atol=0)
+    assert np.allclose(ctx.body.shadow_surfaces(xi) / (n - 1), w1,
+                       rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("spec", [bodies.cube(3), bodies.random_hull(3, 10, 1)],
+                         ids=lambda s: s.name)
+def test_fgm_builds_no_shadow_hull_at_n3(monkeypatch, spec):
+    calls = []
+    real = checks.project_body
+
+    def counting(body, frame):
+        calls.append(frame.shape)
+        return real(body, frame)
+
+    monkeypatch.setattr(checks, "project_body", counting)
+    ctx = BodyContext(spec, CFG)
+    subs, _ = CHECK_MAP["FGM"].fn(ctx)
+    assert calls == []
+    # the k = 2 quotients against the hull route: W_1 = S/2 at p = 1
+    monkeypatch.undo()
+    frames, _ = _fgm_hyperplane_frames(ctx)
+    hulls = [project_body(ctx.body, f) for f in frames]
+    best = max(h.surface_area() / 2.0 / h.volume() for h in hulls)
+    rhs = next(s.rhs.value for s in subs if s.label == "k=2, p=1")
+    assert rhs == pytest.approx(best / math.comb(2, 1), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -107,14 +107,16 @@ def test_minimizer_rejects_bad_restarts():
 
 
 class _Recorder:
-    """A smooth batched objective that keeps a copy of every batch."""
+    """A batched objective (smooth by default) that keeps a copy of every
+    batch."""
 
-    def __init__(self):
+    def __init__(self, f=None):
         self.batches = []
+        self._f = _smooth if f is None else f
 
     def __call__(self, x):
         self.batches.append(x.copy())
-        return np.cos(3.0 * x[:, 0]) + (x[:, 1:] ** 2).sum(axis=1)
+        return self._f(x)
 
 
 def test_descend_makes_one_gradient_call_per_iteration():
@@ -170,11 +172,11 @@ def test_stacked_descent_matches_per_coordinate_reference():
 
 
 def _descend_full_batch(fb, x0, retract, max_iter=400, fd_step=1e-6,
-                        step_min=1e-10, live_counts=None):
+                        step_min=1e-10, row_counts=None):
     """Reference: the descent that evaluates every row, retired or not.
 
-    Appends the number of live rows (t >= step_min) of each iteration to
-    ``live_counts``.
+    Appends (live rows, live rows that moved in the previous iteration) of
+    each iteration to ``row_counts``; every row counts as moved at first.
     """
     x = retract(x0.copy())
     fx = fb(x)
@@ -182,12 +184,13 @@ def _descend_full_batch(fb, x0, retract, max_iter=400, fd_step=1e-6,
     t = np.full(r, 0.25)
     grad = np.empty_like(x)
     coords = np.arange(d)
+    moved = np.ones(r, dtype=bool)
     for _ in range(max_iter):
         live = t >= step_min
         if not live.any():
             break
-        if live_counts is not None:
-            live_counts.append(int(live.sum()))
+        if row_counts is not None:
+            row_counts.append((int(live.sum()), int((live & moved).sum())))
         xp = np.repeat(x[None], d, axis=0)
         xp[coords, :, coords] += fd_step
         fd = fb(retract(xp.reshape(d * r, d))).reshape(d, r)
@@ -200,6 +203,7 @@ def _descend_full_batch(fb, x0, retract, max_iter=400, fd_step=1e-6,
         fx[ok] = fp[ok]
         t[ok] = np.minimum(t[ok] * 1.25, 1.0)
         t[live & ~ok] *= 0.5
+        moved = ok
 
 
 def test_descend_evaluates_only_live_rows():
@@ -208,15 +212,21 @@ def test_descend_evaluates_only_live_rows():
     r, d = starts.shape
     max_iter = 400
     _descend(_BestTracker(rec), starts, _normalize_rows, max_iter=max_iter)
-    live_counts = []
+    counts = []
     _descend_full_batch(_BestTracker(_Recorder()), starts, _normalize_rows,
-                        max_iter=max_iter, live_counts=live_counts)
+                        max_iter=max_iter, row_counts=counts)
+    live_counts = [m for m, _ in counts]
     # the restarts retire at different iterations, all before max_iter
     assert len(set(live_counts)) > 3 and len(live_counts) < max_iter
+    # some iterations move no row, others move only some of the live ones
+    assert any(mv == 0 for _, mv in counts)
+    assert any(0 < mv < m for m, mv in counts)
     sizes = [b.shape[0] for b in rec.batches]
     assert sizes[0] == r
-    # an FD and a proposal batch per iteration with a live row, none after
-    assert sizes[1:] == [s for m in live_counts for s in (d * m, m)]
+    # per iteration with a live row: an FD batch of the live rows that
+    # moved (none when no row moved) and a proposal batch; nothing after
+    assert sizes[1:] == [s for m, mv in counts
+                         for s in ((d * mv, m) if mv else (m,))]
     assert all(b <= a for a, b in zip(live_counts, live_counts[1:]))
 
 
@@ -259,25 +269,31 @@ class _BestTrackerRef:
 
 def _descend_ref(fb, x0, retract, max_iter=400, fd_step=1e-6,
                  step_min=1e-10):
-    """Reference: gathers the live rows and scatters them back each step."""
+    """Reference: gathers the live rows and scatters them back each step;
+    the FD gradient is recomputed only for the rows that moved."""
     x = retract(x0.copy())
     fx = fb(x)
-    d = x.shape[1]
-    t = np.full(x.shape[0], 0.25)
+    r, d = x.shape
+    t = np.full(r, 0.25)
+    grad = np.empty((r, d))
+    moved = np.ones(r, dtype=bool)
     steps = fd_step * np.eye(d)[:, None, :]
     for _ in range(max_iter):
         live = np.flatnonzero(t >= step_min)
         if live.size == 0:
             break
-        xl, fl, tl = x[live], fx[live], t[live]
-        fd = fb(retract((xl[None] + steps).reshape(-1, d))).reshape(d, -1)
-        grad = ((fd - fl) / fd_step).T
-        prop = retract(xl - tl[:, None] * grad)
+        rows = live[moved[live]]
+        if rows.size:
+            fd = fb(retract((x[rows][None] + steps).reshape(-1, d)))
+            grad[rows] = ((fd.reshape(d, -1) - fx[rows]) / fd_step).T
+        xl, fl, tl, gl = x[live], fx[live], t[live], grad[live]
+        prop = retract(xl - tl[:, None] * gl)
         fp = fb(prop)
-        ok = fp <= fl - 1e-4 * tl * np.einsum("ij,ij->i", grad, grad)
+        ok = fp <= fl - 1e-4 * tl * np.einsum("ij,ij->i", gl, gl)
         x[live[ok]] = prop[ok]
         fx[live[ok]] = fp[ok]
         t[live] = np.where(ok, np.minimum(tl * 1.25, 1.0), tl * 0.5)
+        moved[live] = ok
 
 
 def _pattern_polish_ref(fb, retract, d, gen, start_scale=1e-2,
@@ -348,6 +364,73 @@ def _recorded(f, vectorized):
         batches.append(flat)
         return f(flat) if vectorized else float(f(flat)[0])
     return objective, batches
+
+
+def _descend_recompute(fb, x0, retract, max_iter=400, fd_step=1e-6,
+                       step_min=1e-10, steps_log=None):
+    """Reference: the descent that recomputes the FD gradient of every live
+    row, moved or not.  Appends (kept, accepted) of each iteration to
+    ``steps_log``: the mask of the previous rows still live, and the mask
+    of the live rows whose step was accepted."""
+    x = retract(x0.copy())
+    fx = fb(x)
+    d = x.shape[1]
+    t = np.full(x.shape[0], 0.25)
+    steps = fd_step * np.eye(d)[:, None, :]
+    for _ in range(max_iter):
+        live = t >= step_min
+        if not live.all():
+            if not live.any():
+                break
+            x, fx, t = x[live], fx[live], t[live]
+        fd = fb(retract((x[None] + steps).reshape(-1, d))).reshape(d, -1)
+        grad = ((fd - fx) / fd_step).T
+        prop = retract(x - t[:, None] * grad)
+        fp = fb(prop)
+        ok = fp <= fx - 1e-4 * t * np.einsum("ij,ij->i", grad, grad)
+        x = np.where(ok[:, None], prop, x)
+        fx = np.where(ok, fp, fx)
+        t = np.where(ok, np.minimum(t * 1.25, 1.0), t * 0.5)
+        steps_log.append((live, ok))
+
+
+@pytest.mark.parametrize("space", [(4,), (5,), (4, 2)],
+                         ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("f", [_smooth, _kinked], ids=["smooth", "kinked"])
+def test_gradient_reuse_drops_only_redundant_rows(space, f):
+    if len(space) == 1:
+        starts = sphere_points(space[0], 12, RngSeed(10).generator())
+        retract = _normalize_rows
+    else:
+        n, k = space
+        starts = grassmann_frames(n, k, 12, RngSeed(10).generator())
+        starts = starts.reshape(12, k * n)
+        retract = _grassmann_retract(k, n)
+    d = starts.shape[1]
+    got, want, steps_log = _Recorder(f), _Recorder(f), []
+    fb_got, fb_want = _BestTracker(got), _BestTracker(want)
+    _descend(fb_got, starts, retract)
+    _descend_recompute(fb_want, starts, retract, steps_log=steps_log)
+    assert len(want.batches) == 1 + 2 * len(steps_log)
+    assert np.array_equal(got.batches[0], want.batches[0])
+    # walk both batch sequences iteration by iteration: the FD batches lose
+    # exactly the rows that did not move, and the proposals stay the same
+    moved = np.ones(starts.shape[0], dtype=bool)
+    g, reused = 1, 0
+    for i, (live, ok) in enumerate(steps_log):
+        fd_want, prop_want = want.batches[1 + 2 * i], want.batches[2 + 2 * i]
+        moved = moved[live]
+        if moved.any():
+            kept = fd_want.reshape(d, -1, d)[:, moved].reshape(-1, d)
+            assert np.array_equal(got.batches[g], kept)
+            g += 1
+        reused += int((~moved).sum())
+        assert np.array_equal(got.batches[g], prop_want)
+        g += 1
+        moved = ok
+    assert g == len(got.batches) and reused > 0
+    assert fb_got.best_v == fb_want.best_v
+    assert np.array_equal(fb_got.best_x, fb_want.best_x)
 
 
 @pytest.mark.parametrize("space", [(3,), (4,), (5,), (4, 2), (5, 2), (5, 3)],
