@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from . import positions
 from .bodies import BodySpec
@@ -347,16 +346,14 @@ class BodyContext:
         n = self.n
 
         def build():
-            if p == n - 1 and p > 3 and not self.is_zonoid:
-                dirs = sphere_points(n, KUBOTA_WIDTH_PAIRS,
-                                     self.rng("kubota-v1").generator())
-                est = mc_estimate(self.body.width_batch(dirs) / 2.0)
-                return Quantity.from_estimate(est).scaled(omega(n))
-            heavy = (not self.is_zonoid
-                     and self.n_vertices() > HEAVY_VERTEX_LIMIT)
-            samples = 1200 if heavy else None
-            est = quermassintegral(self.body, p, samples=samples,
-                                   seed=self.rng("quermass", p))
+            if p == n - 1:
+                # the mean width, wherever it is not exact
+                samples, seed = 2 * KUBOTA_WIDTH_PAIRS, self.rng("kubota-v1")
+            else:
+                heavy = (not self.is_zonoid
+                         and self.n_vertices() > HEAVY_VERTEX_LIMIT)
+                samples, seed = 1200 if heavy else None, self.rng("quermass", p)
+            est = quermassintegral(self.body, p, samples=samples, seed=seed)
             return Quantity.from_estimate(est)
         return self._memo(("quermass", p), build)
 
@@ -472,8 +469,10 @@ class BodyContext:
     def min_shadow_quermass(self, p: int) -> tuple[float, str]:
         """min over directions of V_{n-1-p}(shadow), with a method note.
 
-        Exact at j = n-2 and for zonoids; vertex bodies screen and polish
-        a fixed-draw objective (widths or 2-frame areas inside xi-perp).
+        Exact at j = n-2 and for zonoids.  Vertex bodies at j in {1, 2}
+        screen and polish a fixed-draw objective: Kubota inside xi-perp,
+        V_j(P_{xi-perp} K) = (omega_{n-1}/omega_j) E|P_G K| over j-frames
+        G of xi-perp (widths at j = 1, 2-frame areas at j = 2).
         """
         n = self.n
         j = n - 1 - p
@@ -488,49 +487,32 @@ class BodyContext:
             _, value = minimize_on_sphere(
                 objective, n, seed=self.rng("min-quermass", p), vectorized=True)
             return value, f"sphere minimum of the exact subset-Gram V_{j}"
+        if j > 2:
+            raise ValueError(f"no route for min shadow quermass j={j} at n={n}")
 
         heavy = self.n_vertices() > HEAVY_VERTEX_LIMIT
         gen = self.rng("min-quermass", p).generator()
+        # A Gaussian block projected into xi-perp stays Gaussian there, so
+        # it spans Haar j-frames of xi-perp; the block is fixed across
+        # candidate directions so the search surface is smooth.
+        count = (500 if heavy else 800) if j == 1 else (96 if heavy else 160)
+        block = gen.standard_normal((count, j, n))
+        factor = omega(n - 1) / omega(j)
+
+        def objective(dirs: np.ndarray) -> np.ndarray:
+            dirs = np.atleast_2d(dirs)
+            along = np.einsum("cjn,bn->bcj", block, dirs)
+            g = block - along[..., None] * dirs[:, None, None, :]
+            return factor * _subframe_volumes(self.body, g).mean(axis=1)
+
         if j == 1:
-            half = 500 if heavy else 800
-            block = gen.standard_normal((half, self.n))
-
-            def objective(dirs: np.ndarray) -> np.ndarray:
-                dirs = np.atleast_2d(dirs)
-                proj = block[None, :, :] - (
-                    np.einsum("ij,bj->bi", block, dirs)[:, :, None]
-                    * dirs[:, None, :])
-                norms = np.linalg.norm(proj, axis=2, keepdims=True)
-                np.maximum(norms, 1e-300, out=norms)
-                flat = (proj / norms).reshape(-1, self.n)
-                widths = self.body.width_batch(flat).reshape(dirs.shape[0], half)
-                return omega(n - 1) * widths.mean(axis=1) / 2.0
-
-            value = _screened_sphere_min(objective, self.n, gen,
+            value = _screened_sphere_min(objective, n, gen,
                                          screen=256 if heavy else 1024)
             return value, "screened MC width objective (fixed inner draw)"
-        if j == 2:
-            # V_2 of a hyperplane shadow by in-plane averaging of 2-frame
-            # shadow areas, with the frame draw fixed across candidate
-            # directions so the search surface is smooth.
-            verts = self.to_poly().vertices
-            count = 96 if heavy else 160
-            pairs = gen.standard_normal((count, 2, n))
-            factor = omega(n - 1) / omega(2)
-
-            def objective(dirs: np.ndarray) -> np.ndarray:
-                dirs = np.atleast_2d(dirs)
-                out = np.empty(dirs.shape[0])
-                for b, xi in enumerate(dirs):
-                    frames2 = _gs_pair_frames(pairs, xi)
-                    out[b] = _hull_areas_2d(verts, frames2).mean()
-                return factor * out
-
-            value = _screened_sphere_min(
-                objective, self.n, gen, screen=128 if heavy else 192,
-                top=1 if heavy else 2, step_min=2e-3)
-            return value, "screened 2-frame area objective (fixed inner draw)"
-        raise ValueError(f"no route for min shadow quermass j={j} at n={n}")
+        value = _screened_sphere_min(
+            objective, n, gen, screen=128 if heavy else 192,
+            top=1 if heavy else 2, step_min=2e-3)
+        return value, "screened 2-frame area objective (fixed inner draw)"
 
     # -- positions ---------------------------------------------------------------
 
@@ -576,26 +558,38 @@ class BodyContext:
         return out
 
 
-def _gs_pair_frames(pairs: np.ndarray, xi: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal 2-frames from Gaussian pairs, inside xi-perp when given.
+def _subframe_volumes(body: Body, g: np.ndarray) -> np.ndarray:
+    """|P_G body| for the j-frames G that Gram-Schmidt makes of the blocks g.
 
-    ``pairs`` has shape (H, 2, n).  Projecting a Gaussian pair onto a
-    hyperplane keeps it Gaussian there, so Gram-Schmidt yields Haar 2-frames
-    of the hyperplane.
+    ``g`` has shape (..., j, n); the result has shape g.shape[:-2].
+    Gaussian blocks drawn inside a k-subspace F give Haar j-frames of F,
+    and P_G P_F K = P_G K for G inside F, so omega_k/omega_j times the
+    mean is Kubota's V_j(P_F K), read on K itself.
     """
-    g = np.array(pairs, dtype=float)
-    if xi is not None:
-        g -= np.einsum("hkn,n->hk", g, xi)[:, :, None] * xi
-    u1 = g[:, 0] / np.linalg.norm(g[:, 0], axis=1, keepdims=True)
-    v2 = g[:, 1] - np.einsum("hn,hn->h", g[:, 1], u1)[:, None] * u1
-    u2 = v2 / np.linalg.norm(v2, axis=1, keepdims=True)
-    return np.stack([u1, u2], axis=1)
+    frames = np.array(g, dtype=float)
+    for r in range(frames.shape[-2]):
+        row = frames[..., r, :]
+        for s in range(r):
+            prev = frames[..., s, :]
+            row -= np.einsum("...n,...n->...", row, prev)[..., None] * prev
+        row /= np.linalg.norm(row, axis=-1, keepdims=True)
+    vols, _ = frame_shadow_panel(body, frames.reshape(-1, *frames.shape[-2:]),
+                                 want_surface=False)
+    return vols.reshape(frames.shape[:-2])
 
 
-def _hull_areas_2d(verts: np.ndarray, frames2: np.ndarray) -> np.ndarray:
-    """Areas of the 2-dimensional shadows verts @ frame.T for each 2-frame."""
-    proj = np.einsum("vn,hkn->hvk", verts, frames2)
-    return np.array([ConvexHull(p).volume for p in proj])
+def _frame_shadows(body: Body, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(volumes, surface areas) of the shadows P_F K over (B, k, n) frames.
+
+    At 2 <= k = n-1 a vertex body reads Cauchy's formula and the ridge
+    silhouette at each frame's unit normal, so no shadow is hulled; every
+    other case is `frame_shadow_panel`.
+    """
+    k, n = frames.shape[1:]
+    if 1 < k == n - 1 and not is_zonotope(body):
+        xi = np.linalg.svd(frames)[2][:, -1]
+        return body.shadow_volumes(xi), body.shadow_surfaces(xi)
+    return frame_shadow_panel(body, frames)
 
 
 def _screened_sphere_min(objective, n: int, gen: np.random.Generator,
@@ -926,83 +920,43 @@ def _check_t_quer_4(ctx: BodyContext):
     return subs, {"positions": reported}
 
 
-def _shadow_quermass_exact(shadow: Body, j: int) -> Quantity | None:
-    """V_j of a k-dimensional shadow body along an exact route, else None.
-
-    Vertex shadows only get the volume and surface routes: projected vertex
-    sets are often non-generic (think cube shadows), and ridge-based
-    formulas are not robust to the sliver facets the hull of such a set
-    produces.  Generator bodies stay exact at every index.
-    """
-    k = shadow.dim
-    if isinstance(shadow, Zonotope):
-        return Quantity.of(shadow.quermassintegral_exact(k - j))
-    if j == k:
-        return Quantity.of(shadow.volume())
-    if j == k - 1:
-        return Quantity.of(shadow.surface_area() / k)
-    if j == 0:
-        return Quantity.of(omega(k))
-    return None
-
-
-def _shadow_quermass_mc(shadow: Body, j: int, gen: np.random.Generator,
-                        inner: int = 600) -> Quantity:
-    """Monte Carlo V_j of a vertex shadow (width and 2-frame area routes)."""
-    k = shadow.dim
-    if j == 1:
-        dirs = sphere_points(k, inner, gen)
-        est = mc_estimate(shadow.width_batch(dirs) / 2.0)
-        return Quantity.from_estimate(est).scaled(omega(k))
-    if j == 2 and k >= 3:
-        pairs = gen.standard_normal((192, 2, k))
-        areas = _hull_areas_2d(shadow.vertices, _gs_pair_frames(pairs))
-        return Quantity.from_estimate(mc_estimate(areas)).scaled(
-            omega(k) / omega(2))
-    raise ValueError(f"no Monte Carlo route for shadow index j={j}")
-
-
 def _check_fgm(ctx: BodyContext):
     n = ctx.n
     vol = ctx.volume()
     subs = []
     for k in range(1, n):
         frames = grassmann_frames(n, k, 50, ctx.rng("FGM", k).generator())
-        # `exact` maps an index j to the 50 shadows' values at j (as in
-        # `_shadow_quermass_exact`) where no hull is needed.  At k = n-1 a
-        # vertex body's shadows are read from the kernels at each frame's
-        # unit normal xi: Cauchy's formula for the volume, the ridge
-        # silhouette for W_1 = S/k, and omega_k; hulls are built only for
-        # the Monte Carlo indices 1 <= j <= k-2.
-        shadows = None
-        if k == 1:
-            shadow_vols = ctx.body.width_batch(frames[:, 0, :])
-            exact = {1: shadow_vols, 0: np.full(len(frames), omega(1))}
-        elif k == n - 1 and not ctx.is_zonoid:
-            xi = np.linalg.svd(frames)[2][:, -1]
-            shadow_vols = ctx.body.shadow_volumes(xi)
-            exact = {k: shadow_vols, k - 1: ctx.body.shadow_surfaces(xi) / k,
-                     0: np.full(len(frames), omega(k))}
-        else:
+        # Zonotope shadows (k >= 2) are zonotopes, exact at every index.
+        # Otherwise the shadows' volumes and surfaces come from
+        # `_frame_shadows`, and V_j at 1 <= j <= k-2 by Kubota inside F
+        # (`_subframe_volumes`), so no shadow body is built.
+        if ctx.is_zonoid and k > 1:
             shadows = [project_body(ctx.body, f) for f in frames]
-            shadow_vols = np.array([s.volume() for s in shadows])
-            exact = {}
+            vols = np.array([s.volume() for s in shadows])
+        else:
+            shadows = None
+            vols, surfs = _frame_shadows(ctx.body, frames)
         for p in range(0, k + 1):
             j = k - p
-            if j not in exact and shadows is None:
-                shadows = [project_body(ctx.body, f) for f in frames]
-            best: Quantity | None = None
-            for i in range(frames.shape[0]):
-                if j in exact:
-                    vj = Quantity.of(exact[j][i])
-                else:
-                    vj = _shadow_quermass_exact(shadows[i], j)
-                    if vj is None:
-                        vj = _shadow_quermass_mc(
-                            shadows[i], j, ctx.rng("FGM", k, p, i).generator())
-                quotient = vj.scaled(1.0 / shadow_vols[i])
-                if best is None or quotient.value > best.value:
-                    best = quotient
+            if shadows is not None:
+                sides = [Quantity.of(s.quermassintegral_exact(p))
+                         for s in shadows]
+            elif j == k:
+                sides = [Quantity.of(v) for v in vols]
+            elif j == 0:
+                sides = [Quantity.of(omega(k))] * len(frames)
+            elif j == k - 1:
+                sides = [Quantity.of(s / k) for s in surfs]
+            else:
+                count = 600 if j == 1 else 192
+                draws = np.stack([
+                    ctx.rng("FGM", k, p, i).generator().standard_normal(
+                        (count, j, k)) for i in range(len(frames))])
+                panel = _subframe_volumes(ctx.body, draws @ frames[:, None])
+                sides = [Quantity.from_estimate(mc_estimate(row)).scaled(
+                    omega(k) / omega(j)) for row in panel]
+            best = max((side.scaled(1.0 / v) for side, v in zip(sides, vols)),
+                       key=lambda q: q.value)
             lhs = ctx.quermass(p).scaled(1.0 / vol)
             rhs = best.scaled(1.0 / math.comb(n - k + p, n - k))
             subs.append(SubCase(f"k={k}, p={p}", lhs, rhs, "ge",
@@ -1016,7 +970,7 @@ def _check_l_higher_1(ctx: BodyContext):
     subs = []
     for k in range(1, n):
         frames = grassmann_frames(n, k, 50, ctx.rng("L-HIGHER-1", k).generator())
-        vols, surfs = frame_shadow_panel(ctx.body, frames)
+        vols, surfs = _frame_shadows(ctx.body, frames)
         quotients = surfs / vols
         worst = float(quotients.max())
         rhs = Quantity.of(n / (k * (n - k + 1.0)) * worst)

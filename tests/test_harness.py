@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from projgeo import bodies, checks
-from projgeo.bodyops import project_body, transform_body
+from projgeo.bodyops import frame_shadow_panel, project_body, transform_body
 from projgeo.checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext,
                             Quantity, SubCase, SuiteConfig, run_check)
 from projgeo.polytope import inradius
 from projgeo.positions import minimal_surface_quotient
 from projgeo.quermass import omega
-from projgeo.sampling import Estimate, grassmann_frames, mc_estimate
+from projgeo.sampling import (Estimate, grassmann_frames, mc_estimate,
+                              sphere_points)
 from projgeo.suite import SEARCH_IDS, extremizer_search, run_suite
 from projgeo.svgplot import render
 from projgeo.zonotope import Zonotope, zonotope_to_polytope
@@ -367,7 +369,7 @@ def test_unknown_check_cells_report_errors_not_raises():
 
 
 # ---------------------------------------------------------------------------
-# FGM reads the hyperplane shadows of vertex bodies from the exact kernels
+# FGM and L-HIGHER-1 read vertex-body shadows from K itself
 
 
 def _fgm_hyperplane_frames(ctx):
@@ -390,11 +392,21 @@ def test_hyperplane_shadow_kernels_match_the_projected_hulls(make, n):
     assert np.allclose(ctx.body.shadow_volumes(xi), vols, rtol=1e-13, atol=0)
     assert np.allclose(ctx.body.shadow_surfaces(xi) / (n - 1), w1,
                        rtol=1e-13, atol=0)
+    # L-HIGHER-1's k = n-1 rhs against the per-frame hulls of
+    # frame_shadow_panel
+    frames = grassmann_frames(n, n - 1, 50,
+                              ctx.rng("L-HIGHER-1", n - 1).generator())
+    hull_vols, hull_surfs = frame_shadow_panel(ctx.body, frames)
+    worst = (hull_surfs / hull_vols).max()
+    subs, _ = CHECK_MAP["L-HIGHER-1"].fn(ctx)
+    rhs = next(s.rhs.value for s in subs if s.label == f"k={n - 1}")
+    assert rhs == pytest.approx(n / (2.0 * (n - 1)) * worst, rel=1e-13)
 
 
-@pytest.mark.parametrize("spec", [bodies.cube(3), bodies.random_hull(3, 10, 1)],
-                         ids=lambda s: s.name)
-def test_fgm_builds_no_shadow_hull_at_n3(monkeypatch, spec):
+@pytest.mark.parametrize("spec", [make(n) for n in (3, 4, 5) for make in (
+    bodies.cube, lambda n: bodies.random_hull(n, 2 * n + 4, 1))],
+                         ids=lambda s: f"{s.name}-n{s.dim}")
+def test_fgm_builds_no_shadow_hull_for_vertex_bodies(monkeypatch, spec):
     calls = []
     real = checks.project_body
 
@@ -406,13 +418,62 @@ def test_fgm_builds_no_shadow_hull_at_n3(monkeypatch, spec):
     ctx = BodyContext(spec, CFG)
     subs, _ = CHECK_MAP["FGM"].fn(ctx)
     assert calls == []
-    # the k = 2 quotients against the hull route: W_1 = S/2 at p = 1
+    # the k = n-1 quotients against the hull route: W_1 = S/k at p = 1
     monkeypatch.undo()
+    k = ctx.n - 1
     frames, _ = _fgm_hyperplane_frames(ctx)
     hulls = [project_body(ctx.body, f) for f in frames]
-    best = max(h.surface_area() / 2.0 / h.volume() for h in hulls)
-    rhs = next(s.rhs.value for s in subs if s.label == "k=2, p=1")
+    best = max(h.surface_area() / k / h.volume() for h in hulls)
+    rhs = next(s.rhs.value for s in subs if s.label == f"k={k}, p=1")
     assert rhs == pytest.approx(best / math.comb(2, 1), rel=1e-13)
+
+
+def _fgm_shadow_hull_rhs(ctx, k, p):
+    """FGM's (k, p) rhs along the shadow-hull route, from the same draws.
+
+    Each shadow P_F K is hulled in frame coordinates; V_1 is read from its
+    own widths and V_2 from the areas of its own 2-dimensional shadows.
+    """
+    n, j = ctx.n, k - p
+    frames = grassmann_frames(n, k, 50, ctx.rng("FGM", k).generator())
+    best = None
+    for i, frame in enumerate(frames):
+        shadow = project_body(ctx.body, frame)
+        gen = ctx.rng("FGM", k, p, i).generator()
+        if j == 1:
+            dirs = sphere_points(k, 600, gen)
+            values = omega(k) * shadow.width_batch(dirs) / 2.0
+        else:
+            assert j == 2
+            g = gen.standard_normal((192, 2, k))
+            u1 = g[:, 0] / np.linalg.norm(g[:, 0], axis=1, keepdims=True)
+            v2 = g[:, 1] - np.einsum("hn,hn->h", g[:, 1], u1)[:, None] * u1
+            u2 = v2 / np.linalg.norm(v2, axis=1, keepdims=True)
+            areas = [ConvexHull(shadow.vertices @ np.stack([a, b]).T).volume
+                     for a, b in zip(u1, u2)]
+            values = omega(k) / omega(2) * np.array(areas)
+        est = mc_estimate(values / shadow.volume())
+        if best is None or est.value > best.value:
+            best = est
+    scale = 1.0 / math.comb(n - k + p, n - k)
+    return best.value * scale, best.stderr * scale
+
+
+@pytest.mark.parametrize("n, k, p", [(4, 3, 2), (5, 4, 2)])
+def test_fgm_monte_carlo_sides_match_the_shadow_hull_route(n, k, p):
+    ctx = BodyContext(bodies.random_hull(n, 2 * n + 4, 1), CFG)
+    subs, _ = CHECK_MAP["FGM"].fn(ctx)
+    rhs = next(s.rhs for s in subs if s.label == f"k={k}, p={p}")
+    value, stderr = _fgm_shadow_hull_rhs(ctx, k, p)
+    assert not rhs.exact
+    assert rhs.value == pytest.approx(value, rel=1e-12)
+    assert rhs.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+def test_fgm_passes_on_a_vertex_body_at_n6():
+    # V_3 of a 4- or 5-dimensional shadow is Kubota inside the shadow's span
+    cell = run_check(CHECK_MAP["FGM"], BodyContext(bodies.simplex(6), CFG))
+    assert cell.status == "pass", cell.detail.get("error")
 
 
 # ---------------------------------------------------------------------------
