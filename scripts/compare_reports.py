@@ -21,7 +21,9 @@ Prints:
     line;
   * every sub-case whose lhs or rhs stderr widened by more than 1e-12
     relative (a stderr that was 0 and is not any more counts as widened);
-  * every sub-case side whose `exact` flag flipped, in each direction.
+  * every sub-case side whose `exact` flag flipped, in each direction;
+  * every top-level key other than `results` (such as `note`, `config`
+    and `summary`) whose value differs or that only one report has.
 
 Exits 1 when any verdict changed, 0 otherwise.
 """
@@ -167,6 +169,9 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
             "relative", widened)
     section("sub-case sides that became exact", flips[True])
     section("sub-case sides that stopped being exact", flips[False])
+    section("top-level keys other than results that differ",
+            sorted(k for k in a.keys() | b.keys()
+                   if k != "results" and a.get(k) != b.get(k)))
     verdict_changed = bool(status_changes or sub_changes)
     print("verdicts: " + ("CHANGED" if verdict_changed else "unchanged"),
           file=out)

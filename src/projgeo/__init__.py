@@ -12,7 +12,7 @@ from .bodies import (BodySpec, ball_approx, corpus, cross_polytope, cube,
                      random_zonotope, read_body, simplex, write_body)
 from .bodyops import project_body, to_polytope, transform_body
 from .checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext, CheckResult,
-                     CheckSpec, Quantity, SuiteConfig, run_check)
+                     CheckSpec, SuiteConfig, run_check)
 from .polytope import Polytope, convex_hull, from_halfspaces, polar
 from .positions import (PositionResult, isotropic_position, john_position,
                         lowner_position, min_mean_width_position,
@@ -33,7 +33,7 @@ __all__ = [
     "random_zonotope", "read_body", "simplex", "write_body",
     "project_body", "to_polytope", "transform_body",
     "CHECK_IDS", "CHECK_MAP", "CHECKS", "BodyContext", "CheckResult",
-    "CheckSpec", "Quantity", "SuiteConfig", "run_check",
+    "CheckSpec", "SuiteConfig", "run_check",
     "Polytope", "convex_hull", "from_halfspaces", "polar",
     "PositionResult", "isotropic_position", "john_position",
     "lowner_position", "min_mean_width_position",

@@ -25,7 +25,7 @@ import numpy as np
 from . import positions
 from .bodies import BodySpec
 from .bodyops import (Body, frame_shadow_panel, is_zonotope, origin_symmetric,
-                      project_body, to_polytope, transform_body)
+                      project_body, to_polytope)
 from .polytope import Polytope, inradius
 from .quermass import b_constant, omega, quermassintegral, vrad
 from .sampling import (Estimate, RngSeed, grassmann_frames, mc_estimate,
@@ -56,48 +56,13 @@ class PositionCertificateError(RuntimeError):
 # result plumbing
 
 
-@dataclass(frozen=True)
-class Quantity:
-    """One side of a check: a value with optional sampling error."""
-
-    value: float
-    stderr: float = 0.0
-    n_samples: int = 0
-    exact: bool = False
-
-    @staticmethod
-    def of(value: float) -> "Quantity":
-        return Quantity(float(value), 0.0, 0, exact=True)
-
-    @staticmethod
-    def from_estimate(est: Estimate) -> "Quantity":
-        return Quantity(float(est.value), float(est.stderr), int(est.n_samples),
-                        exact=(est.stderr == 0.0 and est.n_samples == 0))
-
-    def scaled(self, factor: float) -> "Quantity":
-        f = float(factor)
-        return Quantity(self.value * f, abs(f) * self.stderr, self.n_samples,
-                        self.exact)
-
-    def powered(self, expo: float) -> "Quantity":
-        value = self.value ** expo
-        stderr = 0.0
-        if self.stderr and self.value > 0.0:
-            stderr = abs(expo) * value * self.stderr / self.value
-        return Quantity(value, stderr, self.n_samples, self.exact)
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "stderr": self.stderr,
-                "n_samples": self.n_samples, "exact": self.exact}
-
-
 @dataclass
 class SubCase:
     """One inequality instance inside a check (a single p, k, position, ...)."""
 
     label: str
-    lhs: Quantity
-    rhs: Quantity
+    lhs: Estimate
+    rhs: Estimate
     direction: str  # "le" | "ge" | "eq"
     tol: float
     sigmas: float = 3.0
@@ -150,7 +115,6 @@ class CheckSpec:
     id: str
     claim: str
     body_classes: tuple  # ("any",) | ("zonoid",) | ("ball-approx",)
-    parameters: dict
     fn: Callable
 
     def admissible(self, ctx: "BodyContext") -> bool:
@@ -168,8 +132,8 @@ class CheckResult:
     id: str
     body: str
     n: int
-    lhs: Quantity
-    rhs: Quantity
+    lhs: Estimate
+    rhs: Estimate
     ratio: float
     status: str
     detail: dict
@@ -341,7 +305,7 @@ class BodyContext:
     # its own k instead, which gives the narrower stderr.
     # CK-IDENT checks these identities, so it keeps its Monte Carlo sides.
 
-    def quermass(self, p: int) -> Quantity:
+    def quermass(self, p: int) -> Estimate:
         """W_p(K) = V_{n-p}(K), the one source of every mean (see above)."""
         n = self.n
 
@@ -353,26 +317,25 @@ class BodyContext:
                 heavy = (not self.is_zonoid
                          and self.n_vertices() > HEAVY_VERTEX_LIMIT)
                 samples, seed = 1200 if heavy else None, self.rng("quermass", p)
-            est = quermassintegral(self.body, p, samples=samples, seed=seed)
-            return Quantity.from_estimate(est)
+            return quermassintegral(self.body, p, samples=samples, seed=seed)
         return self._memo(("quermass", p), build)
 
     def _frame_drawn(self, p: int) -> bool:
         """Whether `quermass(p)` is a Monte Carlo draw over frames."""
         return not self.is_zonoid and 4 <= p <= self.n - 2
 
-    def mean_shadow_surface(self) -> Quantity:
+    def mean_shadow_surface(self) -> Estimate:
         """E_xi S(P_xi K) = (n-1)(omega_{n-1}/omega_n) W_2(K), exact."""
         return self.mean_frame_surface(self.n - 1)
 
-    def mean_frame_surface(self, k: int) -> Quantity:
+    def mean_frame_surface(self, k: int) -> Estimate:
         """E_F S(P_F K) over k-subspaces F = k (omega_k/omega_n) W_{n-k+1}(K)."""
         n = self.n
         if self._frame_drawn(n - k + 1):
-            return Quantity.from_estimate(mc_estimate(self.frame_stats(k)[1]))
+            return mc_estimate(self.frame_stats(k)[1])
         return self.quermass(n - k + 1).scaled(k * omega(k) / omega(n))
 
-    def shadow_quermass_mean(self, p: int) -> tuple[Quantity, str]:
+    def shadow_quermass_mean(self, p: int) -> tuple[Estimate, str]:
         """(mean over directions of V_{n-1-p}(shadow), method note)."""
         n = self.n
         j = n - 1 - p
@@ -380,7 +343,7 @@ class BodyContext:
             raise ValueError(f"shadow quermass index p={p} out of range")
         if self._frame_drawn(p + 1):
             est = mc_estimate(self.frame_stats(j)[0])
-            return (Quantity.from_estimate(est).scaled(omega(n - 1) / omega(j)),
+            return (est.scaled(omega(n - 1) / omega(j)),
                     f"Kubota recursion, {j}-frame panel")
         mean = self.quermass(p + 1).scaled(omega(n - 1) / omega(n))
         if mean.exact:
@@ -533,14 +496,7 @@ class BodyContext:
             ctx = BodyContext(self.spec, self.cfg, body=child_body,
                               position=kind, residual=result.residual,
                               parent=self)
-            ctx._cache["position_record"] = {
-                "transform": np.asarray(result.transform, dtype=float).tolist(),
-                "scale": float(result.scale),
-                "shift": np.asarray(result.shift, dtype=float).tolist(),
-                "residual": float(result.residual),
-                "objective": float(result.objective),
-                "iterations": int(result.iterations),
-            }
+            ctx._cache["position_record"] = result.to_dict()
             return ctx
         return self._memo(("positioned", kind), build)
 
@@ -641,9 +597,9 @@ def _check_ghp(ctx: BodyContext):
     dirs = sphere_points(ctx.n, 100, ctx.rng("GHP").generator())
     quotients = ctx.body.shadow_surfaces(dirs) / ctx.body.shadow_volumes(dirs)
     worst = int(np.argmax(quotients))
-    lhs = Quantity.of(quotients[worst])
+    lhs = Estimate.of(quotients[worst])
     n = ctx.n
-    rhs = Quantity.of(2.0 * (n - 1) / n * ctx.surface() / ctx.volume())
+    rhs = Estimate.of(2.0 * (n - 1) / n * ctx.surface() / ctx.volume())
     sub = SubCase("worst of 100 directions", lhs, rhs, "le", tol=0.0)
     detail = {"quotient_min": float(quotients.min()),
               "quotient_max": float(quotients.max()),
@@ -653,9 +609,9 @@ def _check_ghp(ctx: BodyContext):
 
 def _check_t_hyper_1(ctx: BodyContext):
     n = ctx.n
-    lhs = Quantity.of(ctx.volume() ** (1.0 / n) * ctx.min_shadow_surface())
+    lhs = Estimate.of(ctx.volume() ** (1.0 / n) * ctx.min_shadow_surface())
     factor = 2.0 * _b(n) * ctx.partial() / (n * omega(n) ** (1.0 / n))
-    rhs = Quantity.of(factor * ctx.surface())
+    rhs = Estimate.of(factor * ctx.surface())
     detail = {"min_surface_quotient": ctx.partial(), "constant_factor": factor}
     return [SubCase("min shadow surface", lhs, rhs, "le", tol=0.0)], detail
 
@@ -665,10 +621,10 @@ def _check_t_lower_min(ctx: BodyContext):
     child = ctx.positioned("min-surface")
     vol, surf = child.volume(), child.surface()
     quotient = surf / vol ** ((n - 1.0) / n)
-    lhs = Quantity.of(vol ** (1.0 / n) * child.min_shadow_surface())
+    lhs = Estimate.of(vol ** (1.0 / n) * child.min_shadow_surface())
     const = ((n - 1) * omega(n) ** (1.0 / (n - 1))
              / (4.0 * n ** ((n - 2.0) / (n - 1)) * quotient ** (1.0 / (n - 1))))
-    rhs = Quantity.of(const * surf)
+    rhs = Estimate.of(const * surf)
     sub = SubCase("at the minimal-surface fixed point", lhs, rhs, "ge", tol=0.0)
     detail = {"surface_quotient": quotient,
               "position": child.position_record()}
@@ -677,11 +633,11 @@ def _check_t_lower_min(ctx: BodyContext):
 
 def _check_t_hyper_2(ctx: BodyContext):
     n = ctx.n
-    lhs = Quantity.of(ctx.volume() ** (1.0 / n) * ctx.min_shadow_surface())
+    lhs = Estimate.of(ctx.volume() ** (1.0 / n) * ctx.min_shadow_surface())
     surf = ctx.surface()
     subs = [
-        SubCase("sharp form", lhs, Quantity.of(_b(n) * surf), "le", tol=0.0),
-        SubCase("doubled form", lhs, Quantity.of(2.0 * _b(n) * surf), "le",
+        SubCase("sharp form", lhs, Estimate.of(_b(n) * surf), "le", tol=0.0),
+        SubCase("doubled form", lhs, Estimate.of(2.0 * _b(n) * surf), "le",
                 tol=0.0),
     ]
     detail = {"equality_gap": 1.0 - lhs.value / (_b(n) * surf)}
@@ -692,7 +648,7 @@ def _check_t_hyper_3(ctx: BodyContext):
     n = ctx.n
     lhs = ctx.mean_shadow_surface().scaled(ctx.volume())
     const = 2.0 * _b(n) / (n * omega(n) ** (1.0 / n))
-    rhs = Quantity.of(const * ctx.surface() ** 2)
+    rhs = Estimate.of(const * ctx.surface() ** 2)
     return [SubCase("mean shadow surface", lhs, rhs, "le", tol=ctx.cfg.tol)], {}
 
 
@@ -709,7 +665,7 @@ def _check_t_hyper_4(ctx: BodyContext):
         c0 = surf / (n * vol ** ((n - 1.0) / n))
         lhs = child.mean_shadow_surface().scaled(vol ** (1.0 / n))
         const = 2.0 * _b(n) / (n * omega(n) ** (1.0 / n)) * c0 * n
-        rhs = Quantity.of(const * surf)
+        rhs = Estimate.of(const * surf)
         subs.append(SubCase(kind, lhs, rhs, "le", tol=ctx.cfg.tol))
         reported[kind] = {"c2": lhs.value / (math.sqrt(n) * surf),
                           "surface_constant_c0": c0,
@@ -721,7 +677,7 @@ def _check_t_hyper_5(ctx: BodyContext):
     n = ctx.n
     lhs = ctx.mean_shadow_surface()
     const = (n - 1) * omega(n - 1) / (n * omega(n)) ** ((n - 2.0) / (n - 1))
-    rhs = Quantity.of(const * ctx.surface() ** ((n - 2.0) / (n - 1)))
+    rhs = Estimate.of(const * ctx.surface() ** ((n - 2.0) / (n - 1)))
     return [SubCase("mean shadow surface", lhs, rhs, "ge", tol=ctx.cfg.tol)], {}
 
 
@@ -734,7 +690,7 @@ def _check_t_hyper_6(ctx: BodyContext):
         vol, surf = child.volume(), child.surface()
         cw = surf ** (1.0 / (n - 1)) / vol ** (1.0 / n)
         lhs = child.mean_shadow_surface().scaled(vol ** (1.0 / n))
-        rhs = Quantity.of(const * surf / cw)
+        rhs = Estimate.of(const * surf / cw)
         subs.append(SubCase(kind, lhs, rhs, "ge", tol=ctx.cfg.tol))
         reported[kind] = {"c5": lhs.value / surf,
                           "width_condition_constant": cw,
@@ -744,8 +700,8 @@ def _check_t_hyper_6(ctx: BodyContext):
 
 def _check_l_zon_1(ctx: BodyContext):
     n = ctx.n
-    lhs = Quantity.of(ctx.min_shadow_volume())
-    rhs = Quantity.of(n * _b(n) / (n - 1) * ctx.volume() ** ((n - 1.0) / n))
+    lhs = Estimate.of(ctx.min_shadow_volume())
+    rhs = Estimate.of(n * _b(n) / (n - 1) * ctx.volume() ** ((n - 1.0) / n))
     return [SubCase("min shadow volume", lhs, rhs, "le", tol=0.0)], {}
 
 
@@ -763,8 +719,8 @@ def _check_t_zon_2(ctx: BodyContext):
                 body.frame_shadow_volumes, n, k,
                 seed=ctx.rng("min-frame-volume", k), vectorized=True)
             methods[f"k={k}"] = f"Grassmann minimizer, d = {k * n}"
-        lhs = Quantity.of(value)
-        rhs = Quantity.of(n * _b(n) ** (n - k) / k * ctx.volume() ** (k / n))
+        lhs = Estimate.of(value)
+        rhs = Estimate.of(n * _b(n) ** (n - k) / k * ctx.volume() ** (k / n))
         subs.append(SubCase(f"k={k}", lhs, rhs, "le", tol=0.0))
     return subs, {"methods": methods}
 
@@ -772,33 +728,32 @@ def _check_t_zon_2(ctx: BodyContext):
 def _check_zon_vol(ctx: BodyContext):
     n = ctx.n
     vol = ctx.volume()
-    unit = transform_body(ctx.body, np.eye(n), scale=vol ** (-1.0 / n))
-    zone = projection_body(unit)
+    zone = ctx.projection_body_merged()
     part = ctx.partial()
     subs = []
     m = zone.n_generators
     if math.comb(m, n) <= ZONOTOPE_VOLUME_BUDGET:
-        pivol = Quantity.of(zone.volume())
+        # the volume-one copy: |Pi(tK)| = t^{n(n-1)} |Pi K| with t^n = 1/|K|
+        pivol = Estimate.of(zone.volume() * vol ** (1 - n))
         subs.append(SubCase("projection body volume, lower",
-                            Quantity.of((part / n) ** n), pivol, "le",
+                            Estimate.of((part / n) ** n), pivol, "le",
                             tol=ctx.cfg.tol))
         upper = omega(n) * (omega(n - 1) * part / (n * omega(n))) ** n
         subs.append(SubCase("projection body volume, upper",
-                            pivol, Quantity.of(upper), "le", tol=ctx.cfg.tol))
+                            pivol, Estimate.of(upper), "le", tol=ctx.cfg.tol))
         budget_note = None
     else:
         budget_note = (f"projection body has {m} generators; exact volume "
                        f"skipped (budget {ZONOTOPE_VOLUME_BUDGET} subsets)")
     # polar volume |Pi* K| = omega_n E[h^{-n}] over the shared panel
     shadows = ctx.shadow_vols() * vol ** (-(n - 1.0) / n)
-    polar_est = mc_estimate(omega(n) * shadows ** (-float(n)))
-    polar = Quantity.from_estimate(polar_est)
+    polar = mc_estimate(omega(n) * shadows ** (-float(n)))
     lower = omega(n) * (n * omega(n) / (omega(n - 1) * part)) ** n
     upper = 4.0 ** n * n ** n / (math.factorial(n) * part ** n)
     subs.append(SubCase("polar projection body volume, lower",
-                        Quantity.of(lower), polar, "le", tol=ctx.cfg.tol))
+                        Estimate.of(lower), polar, "le", tol=ctx.cfg.tol))
     subs.append(SubCase("polar projection body volume, upper",
-                        polar, Quantity.of(upper), "le", tol=ctx.cfg.tol))
+                        polar, Estimate.of(upper), "le", tol=ctx.cfg.tol))
     detail = {"min_surface_quotient": part, "generators": m}
     if budget_note:
         detail["note"] = budget_note
@@ -807,18 +762,17 @@ def _check_zon_vol(ctx: BodyContext):
 
 def _check_minproj(ctx: BodyContext):
     n = ctx.n
-    min_shadow = ctx.min_shadow_volume()
-    reported_c = min_shadow / (math.sqrt(n) * ctx.volume() ** ((n - 1.0) / n))
-    detail = {"sqrt_n_constant": reported_c}
     zone = ctx.projection_body_merged()
     if zone.n_generators > 12:
         raise SkipCheck(
             f"projection body has {zone.n_generators} generators after "
-            "merging; the exact inradius route is reserved for <= 12 "
-            f"(reported constant {reported_c:.6g})")
+            "merging; the exact inradius route is reserved for <= 12")
+    min_shadow = ctx.min_shadow_volume()
+    reported_c = min_shadow / (math.sqrt(n) * ctx.volume() ** ((n - 1.0) / n))
+    detail = {"sqrt_n_constant": reported_c}
     r_exact, _ = inradius(zonotope_to_polytope(zone))
     sub = SubCase("sphere minimum vs projection body inradius",
-                  Quantity.of(min_shadow), Quantity.of(r_exact), "eq",
+                  Estimate.of(min_shadow), Estimate.of(r_exact), "eq",
                   tol=1e-6, sigmas=0.0)
     detail["projection_body_inradius"] = r_exact
     return [sub], detail
@@ -836,15 +790,15 @@ def _check_alek(ctx: BodyContext):
         subs.append(SubCase(f"Q_{k} >= Q_{k + 1}", q_values[k],
                             q_values[k + 1], "ge", tol=0.0))
     subs.append(SubCase(f"Q_{n - 1} >= vrad", q_values[n - 1],
-                        Quantity.of(vrad(ctx.body)), "ge", tol=0.0))
+                        Estimate.of(vrad(ctx.body)), "ge", tol=0.0))
     detail = {"chain": {f"Q_{k}": q.value for k, q in sorted(q_values.items())},
               "vrad": vrad(ctx.body), "mean_width": q_values[1].value}
     return subs, detail
 
 
 def _check_s_inradius(ctx: BodyContext):
-    lhs = Quantity.of(ctx.surface())
-    rhs = Quantity.of(ctx.n * ctx.volume() / ctx.inradius())
+    lhs = Estimate.of(ctx.surface())
+    rhs = Estimate.of(ctx.n * ctx.volume() / ctx.inradius())
     return [SubCase("surface vs volume over inradius", lhs, rhs, "le",
                     tol=0.0)], {}
 
@@ -856,7 +810,7 @@ def _check_t_quer_1(ctx: BodyContext):
     subs, methods = [], {}
     for p in range(1, n - 1):
         min_val, method = ctx.min_shadow_quermass(p)
-        lhs = Quantity.of(vol ** (1.0 / n) * min_val)
+        lhs = Estimate.of(vol ** (1.0 / n) * min_val)
         vnp = ctx.quermass(p)
         const = (p + 1) * omega(n - 1) * part / (n * omega(n))
         subs.append(SubCase(f"p={p}", lhs, vnp.scaled(const), "le",
@@ -939,22 +893,22 @@ def _check_fgm(ctx: BodyContext):
         for p in range(0, k + 1):
             j = k - p
             if shadows is not None:
-                sides = [Quantity.of(s.quermassintegral_exact(p))
+                sides = [Estimate.of(s.quermassintegral_exact(p))
                          for s in shadows]
             elif j == k:
-                sides = [Quantity.of(v) for v in vols]
+                sides = [Estimate.of(v) for v in vols]
             elif j == 0:
-                sides = [Quantity.of(omega(k))] * len(frames)
+                sides = [Estimate.of(omega(k))] * len(frames)
             elif j == k - 1:
-                sides = [Quantity.of(s / k) for s in surfs]
+                sides = [Estimate.of(s / k) for s in surfs]
             else:
                 count = 600 if j == 1 else 192
                 draws = np.stack([
                     ctx.rng("FGM", k, p, i).generator().standard_normal(
                         (count, j, k)) for i in range(len(frames))])
                 panel = _subframe_volumes(ctx.body, draws @ frames[:, None])
-                sides = [Quantity.from_estimate(mc_estimate(row)).scaled(
-                    omega(k) / omega(j)) for row in panel]
+                sides = [mc_estimate(row).scaled(omega(k) / omega(j))
+                         for row in panel]
             best = max((side.scaled(1.0 / v) for side, v in zip(sides, vols)),
                        key=lambda q: q.value)
             lhs = ctx.quermass(p).scaled(1.0 / vol)
@@ -966,14 +920,14 @@ def _check_fgm(ctx: BodyContext):
 
 def _check_l_higher_1(ctx: BodyContext):
     n = ctx.n
-    lhs = Quantity.of(ctx.surface() / ctx.volume())
+    lhs = Estimate.of(ctx.surface() / ctx.volume())
     subs = []
     for k in range(1, n):
         frames = grassmann_frames(n, k, 50, ctx.rng("L-HIGHER-1", k).generator())
         vols, surfs = _frame_shadows(ctx.body, frames)
         quotients = surfs / vols
         worst = float(quotients.max())
-        rhs = Quantity.of(n / (k * (n - k + 1.0)) * worst)
+        rhs = Estimate.of(n / (k * (n - k + 1.0)) * worst)
         subs.append(SubCase(f"k={k}", lhs, rhs, "ge", tol=0.0))
     return subs, {"frames_per_subspace_dim": 50}
 
@@ -997,8 +951,8 @@ def _check_t_higher_2(ctx: BodyContext):
                 body.frame_shadow_surfaces, n, k,
                 seed=ctx.rng("min-frame-surface", k), vectorized=True)
             methods[f"k={k}"] = f"Grassmann minimizer, d = {k * n}"
-        lhs = Quantity.of(vol ** ((n - k) / n) * value)
-        rhs = Quantity.of((n - k + 1.0) * _b(n) ** (n - k) * surf)
+        lhs = Estimate.of(vol ** ((n - k) / n) * value)
+        rhs = Estimate.of((n - k + 1.0) * _b(n) ** (n - k) * surf)
         subs.append(SubCase(f"k={k}", lhs, rhs, "le", tol=0.0))
     return subs, {"methods": methods}
 
@@ -1023,7 +977,7 @@ def _check_t_higher_6(ctx: BodyContext):
     for k in range(1, n):
         lhs = ctx.mean_frame_surface(k)
         const = k * omega(k) / (n * omega(n)) ** ((k - 1.0) / (n - 1))
-        rhs = Quantity.of(const * surf ** ((k - 1.0) / (n - 1)))
+        rhs = Estimate.of(const * surf ** ((k - 1.0) / (n - 1)))
         subs.append(SubCase(f"k={k}", lhs, rhs, "ge", tol=ctx.cfg.tol))
     return subs, {}
 
@@ -1039,7 +993,7 @@ def _check_t_higher_7(ctx: BodyContext):
             lhs = child.mean_frame_surface(k).scaled(vol ** ((n - k) / n))
             const = (k * omega(k) / ((n * omega(n)) ** ((k - 1.0) / (n - 1))
                                      * (c0 * n) ** ((n - k) / (n - 1.0))))
-            rhs = Quantity.of(const * surf)
+            rhs = Estimate.of(const * surf)
             subs.append(SubCase(f"{kind}, k={k}", lhs, rhs, "ge",
                                 tol=ctx.cfg.tol))
         reported[kind] = {"surface_constant_c0": c0,
@@ -1060,8 +1014,8 @@ def _check_zon_vol_id(ctx: BodyContext):
                         f"{m}-generator projection body over budget")
     exact = zone.volume()
     recomposed = float(meas.weights @ zone.shadow_volumes(meas.normals)) / n
-    sub = SubCase("zonoid volume recomposition", Quantity.of(recomposed),
-                  Quantity.of(exact), "eq", tol=1e-8, sigmas=0.0)
+    sub = SubCase("zonoid volume recomposition", Estimate.of(recomposed),
+                  Estimate.of(exact), "eq", tol=1e-8, sigmas=0.0)
     return [sub], {"generators": m, "facets": int(meas.normals.shape[0])}
 
 
@@ -1069,19 +1023,20 @@ def _check_ck_ident(ctx: BodyContext):
     # These identities are the recursion every mean reads from `quermass`,
     # so both sides stay Monte Carlo panels of the body itself.
     n = ctx.n
-    surf = Quantity.of(ctx.surface())
-    mean_shadow = Quantity.from_estimate(mc_estimate(ctx.shadow_vols()))
+    surf = Estimate.of(ctx.surface())
+    mean_shadow = mc_estimate(ctx.shadow_vols())
     kubota = mean_shadow.scaled(n * omega(n) / omega(n - 1))
     subs = [SubCase("surface from mean shadow volume", kubota, surf, "eq",
                     tol=0.0, sigmas=4.0)]
-    mean_surface = Quantity.from_estimate(mc_estimate(ctx.shadow_surfs()))
+    mean_surface = mc_estimate(ctx.shadow_surfs())
     if n == 3:
         half = min(ctx.cfg.samples, SPHERE_PANEL_MAX) // 2
         dirs = sphere_points(n, half, ctx.rng("width-panel").generator())
-        lower = Quantity.from_estimate(mc_estimate(ctx.body.width_batch(dirs)))
+        lower = mc_estimate(ctx.body.width_batch(dirs))
     else:
-        vols, _ = ctx.frame_stats(n - 2)
-        lower = Quantity.from_estimate(mc_estimate(vols))
+        vols, _ = frame_shadow_panel(ctx.body, ctx.frame_panel(n - 2),
+                                     want_surface=False)
+        lower = mc_estimate(vols)
     fubini = lower.scaled((n - 1.0) * omega(n - 1) / omega(n - 2))
     subs.append(SubCase("mean shadow surface from codimension-2 shadows",
                         mean_surface, fubini, "eq", tol=0.0, sigmas=4.0))
@@ -1090,8 +1045,8 @@ def _check_ck_ident(ctx: BodyContext):
 
 def _check_ball_eq(ctx: BodyContext):
     n = ctx.n
-    lhs = Quantity.of(ctx.volume() ** (1.0 / n) * ctx.min_shadow_surface())
-    rhs = Quantity.of(_b(n) * ctx.surface())
+    lhs = Estimate.of(ctx.volume() ** (1.0 / n) * ctx.min_shadow_surface())
+    rhs = Estimate.of(_b(n) * ctx.surface())
     sub = SubCase("sharp zonoid bound at a ball approximant", lhs, rhs, "le",
                   tol=ctx.cfg.tol)
     detail = {"equality_gap": 1.0 - lhs.value / rhs.value}
@@ -1102,16 +1057,16 @@ def _check_ball_eq(ctx: BodyContext):
 # catalog
 
 
-def _spec(id: str, claim: str, fn, body_classes=("any",), **parameters):
+def _spec(id: str, claim: str, fn, body_classes=("any",)):
     return CheckSpec(id=id, claim=claim, body_classes=tuple(body_classes),
-                     parameters=parameters, fn=fn)
+                     fn=fn)
 
 
 CHECKS: list[CheckSpec] = [
     _spec("GHP",
           "shadow surface/volume quotient <= 2(n-1)/n times the body's "
           "quotient, at 100 random directions",
-          _check_ghp, directions=100),
+          _check_ghp),
     _spec("T-HYPER-1",
           "|K|^{1/n} min shadow surface <= (2 b_n d_K / (n w_n^{1/n})) S(K)",
           _check_t_hyper_1),
@@ -1129,7 +1084,7 @@ CHECKS: list[CheckSpec] = [
     _spec("T-HYPER-4",
           "positioned bodies: |K|^{1/n} mean shadow surface <= c2 sqrt(n) "
           "S(K), with c2 reported per position",
-          _check_t_hyper_4, positions=list(_UPPER_POSITIONS)),
+          _check_t_hyper_4),
     _spec("T-HYPER-5",
           "mean shadow surface >= ((n-1) w_{n-1} / (n w_n)^{(n-2)/(n-1)}) "
           "S(K)^{(n-2)/(n-1)}",
@@ -1137,7 +1092,7 @@ CHECKS: list[CheckSpec] = [
     _spec("T-HYPER-6",
           "positioned bodies: |K|^{1/n} mean shadow surface >= c5 S(K), "
           "with c5 and the width-condition constant reported",
-          _check_t_hyper_6, positions=list(_LOWER_POSITIONS)),
+          _check_t_hyper_6),
     _spec("L-ZON-1",
           "zonoids: min shadow volume <= (n b_n / (n-1)) |Z|^{(n-1)/n}",
           _check_l_zon_1, body_classes=("zonoid",)),
@@ -1175,15 +1130,15 @@ CHECKS: list[CheckSpec] = [
     _spec("T-QUER-4",
           "positioned bodies: mean shadow quermassintegral lower bound with "
           "the measured inradius constant c0",
-          _check_t_quer_4, positions=list(_UPPER_POSITIONS)),
+          _check_t_quer_4),
     _spec("FGM",
           "V_{n-p}(K)/|K| >= (1/C(n-k+p, n-k)) V_{k-p}(shadow)/|shadow| at "
           "50 random k-frames, 0 <= p <= k",
-          _check_fgm, frames=50),
+          _check_fgm),
     _spec("L-HIGHER-1",
           "S(K)/|K| >= (n/(k(n-k+1))) S(shadow)/|shadow| at 50 random "
           "k-frames",
-          _check_l_higher_1, frames=50),
+          _check_l_higher_1),
     _spec("T-HIGHER-2",
           "zonoids: |Z|^{(n-k)/n} min k-frame shadow surface <= "
           "(n-k+1) b_n^{n-k} S(Z)",
@@ -1199,7 +1154,7 @@ CHECKS: list[CheckSpec] = [
     _spec("T-HIGHER-7",
           "positioned bodies: mean k-frame shadow surface lower bound with "
           "the measured surface constant c0",
-          _check_t_higher_7, positions=list(_UPPER_POSITIONS)),
+          _check_t_higher_7),
     _spec("ZON-VOL-ID",
           "the projection body volume equals its facet-shadow recomposition "
           "(1/n) sum a_i |shadow_i|",
@@ -1234,7 +1189,7 @@ def _aggregate(subs: list[SubCase]) -> str:
 
 def run_check(spec: CheckSpec, ctx: BodyContext) -> CheckResult:
     """Evaluate one catalog check on one body."""
-    blank = Quantity.of(float("nan"))
+    blank = Estimate.of(float("nan"))
     if not spec.admissible(ctx):
         return CheckResult(spec.id, ctx.spec.name, ctx.n, blank, blank,
                            float("nan"), "skipped",

@@ -26,7 +26,7 @@ from .bodies import BodySpec
 from .bodyops import to_polytope
 from .checks import CHECK_IDS
 from .polytope import circumradius, inradius
-from .sampling import RngSeed
+from .sampling import Estimate, RngSeed
 from .zonotope import Zonotope
 
 
@@ -88,44 +88,40 @@ def _cmd_compute(args) -> int:
     head, arg = match.group("head"), match.group("arg")
     seed = RngSeed(args.seed).derive("compute", spec.name, args.quantity)
 
-    value, stderr = None, 0.0
     if head == "volume":
-        value = body.volume()
+        est = Estimate.of(body.volume())
     elif head == "surface":
-        value = body.surface_area()
+        est = Estimate.of(body.surface_area())
     elif head == "inradius":
-        value = inradius(to_polytope(body))[0]
+        est = Estimate.of(inradius(to_polytope(body))[0])
     elif head == "circumradius":
-        value = circumradius(to_polytope(body))
+        est = Estimate.of(circumradius(to_polytope(body)))
     elif head == "mean-width":
         est = quermass.mean_width(body, args.samples, seed)
-        value, stderr = est.value, est.stderr
     elif head == "vrad":
-        value = quermass.vrad(body)
+        est = Estimate.of(quermass.vrad(body))
     elif head == "partial":
-        value = positions.minimal_surface_quotient(body)
+        est = Estimate.of(positions.minimal_surface_quotient(body))
     elif head == "quermass":
         if arg is None:
             raise ValueError("quermass needs a codimension, e.g. quermass(2)")
         est = quermass.quermassintegral(body, int(arg), args.samples, seed)
-        value, stderr = est.value, est.stderr
     elif head == "pk":
         if arg is None:
             raise ValueError("pk needs a shadow dimension, e.g. pk(2)")
         k = int(arg)
         if not 1 <= k <= n:
             raise ValueError(f"pk index must lie in 1..{n}")
-        est = quermass.quermassintegral(body, n - k, args.samples, seed)
-        factor = (quermass.omega(k) / quermass.omega(n)
-                  / body.volume() ** (k / float(n)))
-        value, stderr = factor * est.value, factor * est.stderr
+        est = quermass.quermassintegral(body, n - k, args.samples, seed).scaled(
+            quermass.omega(k) / quermass.omega(n)
+            / body.volume() ** (k / float(n)))
     else:
         raise ValueError(f"unknown quantity {args.quantity!r}")
 
-    if stderr > 0:
-        print(f"{_g(value)} ± {_g(stderr)}")
+    if est.stderr > 0:
+        print(f"{_g(est.value)} ± {_g(est.stderr)}")
     else:
-        print(_g(value))
+        print(_g(est.value))
     return 0
 
 
@@ -150,18 +146,9 @@ def _cmd_position(args) -> int:
     for row in np.atleast_2d(result.transform):
         print("  " + " ".join(_g(v) for v in row))
     if args.out:
-        record = {
-            "body": spec.to_dict(),
-            "kind": args.kind,
-            "transform": np.asarray(result.transform).tolist(),
-            "scale": float(result.scale),
-            "shift": np.asarray(result.shift).tolist(),
-            "residual": float(result.residual),
-            "objective": float(result.objective),
-            "iterations": int(result.iterations),
-            "converged": bool(result.converged),
-            "extras": extras,
-        }
+        record = {"body": spec.to_dict(), "kind": args.kind,
+                  **result.to_dict(), "converged": bool(result.converged),
+                  "extras": extras}
         Path(args.out).write_text(
             json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"position written to {args.out}")

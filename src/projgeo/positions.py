@@ -68,6 +68,15 @@ class PositionResult:
     def apply(self, body: Body) -> Body:
         return transform_body(body, self.transform, self.shift, self.scale)
 
+    def to_dict(self) -> dict:
+        """The map and its solver record, as JSON-ready values."""
+        return {"transform": np.asarray(self.transform, dtype=float).tolist(),
+                "scale": float(self.scale),
+                "shift": np.asarray(self.shift, dtype=float).tolist(),
+                "residual": float(self.residual),
+                "objective": float(self.objective),
+                "iterations": int(self.iterations)}
+
 
 def _unimodular(matrix: np.ndarray) -> np.ndarray:
     det = abs(float(np.linalg.det(matrix)))

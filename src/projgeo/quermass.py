@@ -58,10 +58,7 @@ def polar_vrad(body: Body, samples: int = DEFAULT_SPHERE_SAMPLES,
     h = body.support_batch(dirs)
     if np.any(h <= 0):
         raise ValueError("polar volume needs the origin strictly inside the body")
-    est = mc_estimate(h ** (-float(n)))
-    value = est.value ** (1.0 / n)
-    stderr = est.stderr * value / (n * est.value) if est.value > 0 else 0.0
-    return Estimate(value, stderr, est.n_samples)
+    return mc_estimate(h ** (-float(n))).powered(1.0 / n)
 
 
 def quermassintegral(body: Body, p: int, samples: int | None = None,
@@ -83,27 +80,25 @@ def quermassintegral(body: Body, p: int, samples: int | None = None,
         raise ValueError(f"unknown method {method!r}")
     j = n - p  # dimension of the averaged shadows
     if p == 0:
-        return Estimate(body.volume(), 0.0, 0)
+        return Estimate.of(body.volume())
     if j == 0:
-        return Estimate(omega(n), 0.0, 0)
+        return Estimate.of(omega(n))
     if method == "auto":
         if isinstance(body, Zonotope):
-            return Estimate(body.quermassintegral_exact(p), 0.0, 0)
+            return Estimate.of(body.quermassintegral_exact(p))
         if p == 1:
-            return Estimate(body.surface_area() / n, 0.0, 0)
+            return Estimate.of(body.surface_area() / n)
         if p == 2:
-            return Estimate(body.mean_width_exact_2codim(), 0.0, 0)
+            return Estimate.of(body.mean_width_exact_2codim())
         if p == 3:
-            return Estimate(body.quermass_exact_3codim(), 0.0, 0)
+            return Estimate.of(body.quermass_exact_3codim())
     if j == 1:
         mw = mean_width(body, samples or DEFAULT_SPHERE_SAMPLES, seed)
-        return Estimate(omega(n) * mw.value, omega(n) * mw.stderr, mw.n_samples)
+        return mw.scaled(omega(n))
     count = samples or DEFAULT_FRAME_SAMPLES
     frames = grassmann_frames(n, j, count, seed.generator())
     vols, _ = frame_shadow_panel(body, frames, want_surface=False)
-    est = mc_estimate(vols)
-    factor = omega(n) / omega(j)
-    return Estimate(factor * est.value, factor * est.stderr, est.n_samples)
+    return mc_estimate(vols).scaled(omega(n) / omega(j))
 
 
 def q_k(body: Body, k: int, samples: int | None = None,
@@ -113,7 +108,5 @@ def q_k(body: Body, k: int, samples: int | None = None,
     if not 1 <= k <= n:
         raise ValueError(f"index {k} out of range for dimension {n}")
     vk = quermassintegral(body, n - k, samples, seed)
-    value = (vk.value / omega(n)) ** (1.0 / k)
-    stderr = vk.stderr * value / (k * vk.value) if vk.value > 0 else 0.0
-    return Estimate(value, stderr, vk.n_samples)
+    return vk.scaled(1.0 / omega(n)).powered(1.0 / k)
 

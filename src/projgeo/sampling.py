@@ -66,11 +66,34 @@ class RngSeed:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo estimate with its standard error."""
+    """A measured value: exact, or a Monte Carlo mean with its standard error."""
 
     value: float
-    stderr: float
-    n_samples: int
+    stderr: float = 0.0
+    n_samples: int = 0
+
+    @staticmethod
+    def of(value: float) -> "Estimate":
+        return Estimate(float(value))
+
+    @property
+    def exact(self) -> bool:
+        return self.stderr == 0.0 and self.n_samples == 0
+
+    def scaled(self, factor: float) -> "Estimate":
+        f = float(factor)
+        return Estimate(self.value * f, abs(f) * self.stderr, self.n_samples)
+
+    def powered(self, expo: float) -> "Estimate":
+        value = self.value ** expo
+        stderr = 0.0
+        if self.stderr and self.value > 0.0:
+            stderr = abs(expo) * value * self.stderr / self.value
+        return Estimate(value, stderr, self.n_samples)
+
+    def to_dict(self) -> dict:
+        return {"value": self.value, "stderr": self.stderr,
+                "n_samples": self.n_samples, "exact": self.exact}
 
     def __float__(self) -> float:
         return self.value

@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from projgeo import bodies
+from projgeo.checks import BodyContext, SuiteConfig
 from projgeo.cli import main
 
 
@@ -87,6 +90,21 @@ def test_position_writes_record(tmp_path, capsys):
     assert record["kind"] == "isotropic"
     assert record["converged"] is True
     assert abs(record["extras"]["isotropic-constant"] - 12.0 ** -0.5) < 1e-9
+
+
+def test_position_record_matches_the_positioned_context(tmp_path, capsys):
+    # `position --out` and the positioned checks share one record; the CLI
+    # adds the body, kind, converged flag and extras
+    out_file = tmp_path / "pos.json"
+    assert main(["position", "--body", "cube", "--dim", "3",
+                 "--kind", "isotropic", "--out", str(out_file)]) == 0
+    record = json.loads(out_file.read_text())
+    child = BodyContext(bodies.cube(3), SuiteConfig()).positioned("isotropic")
+    shared = child.position_record()
+    assert sorted(shared) == ["iterations", "objective", "residual", "scale",
+                              "shift", "transform"]
+    assert set(record) == {*shared, "body", "kind", "converged", "extras"}
+    assert np.allclose(record["transform"], shared["transform"])
 
 
 def test_verify_exit_zero_and_byte_identical_reruns(tmp_path, capsys):

@@ -187,3 +187,18 @@ def test_exact_flag_flips_are_listed_in_each_direction(tmp_path):
                                             "  T-QUER-2 cube n=3 [p=2] lhs"]
     stopped = lines.index("sub-case sides that stopped being exact: 1")
     assert lines[stopped + 1] == "  GHP cube n=3 [worst] rhs"
+
+
+def test_top_level_key_changes_are_listed_without_changing_the_exit(tmp_path):
+    a = {**_report(), "note": "old", "config": {"n": 3},
+         "summary": {"cells": 3}}
+    code, out = _run(tmp_path, a, a)
+    assert "top-level keys other than results that differ: 0" in out
+    b = {**a, "note": "new", "summary": {"cells": 4}, "extra": 1}
+    code, out = _run(tmp_path, a, b)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("top-level keys other than results that differ: 3")
+    assert lines[at + 1:at + 4] == ["  extra", "  note", "  summary"]
+    assert "changed cells: 0" in out
+    assert "verdicts: unchanged" in out

@@ -12,7 +12,7 @@ from scipy.spatial import ConvexHull
 from projgeo import bodies, checks
 from projgeo.bodyops import frame_shadow_panel, project_body, transform_body
 from projgeo.checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext,
-                            Quantity, SubCase, SuiteConfig, run_check)
+                            SubCase, SuiteConfig, run_check)
 from projgeo.polytope import inradius
 from projgeo.positions import minimal_surface_quotient
 from projgeo.quermass import omega
@@ -33,25 +33,29 @@ def _cell(check_id: str, spec) -> "CheckResult":
 # quantities
 
 
-def test_quantity_of_is_exact():
-    q = Quantity.of(3.5)
+def test_estimate_of_is_exact():
+    q = Estimate.of(3.5)
     assert q.value == 3.5 and q.stderr == 0.0 and q.exact
 
 
-def test_quantity_from_estimate():
-    q = Quantity.from_estimate(Estimate(2.0, 0.1, 400))
+def test_estimate_exact_flag_is_derived():
+    q = Estimate(2.0, 0.1, 400)
     assert (q.value, q.stderr, q.n_samples, q.exact) == (2.0, 0.1, 400, False)
-    exact = Quantity.from_estimate(Estimate(2.0, 0.0, 0))
-    assert exact.exact
+    assert Estimate(2.0, 0.0, 0).exact
+    # a sampled mean with zero spread is still a sample
+    assert not Estimate(2.0, 0.0, 1).exact
+    assert Estimate(2.0, 0.1, 400).scaled(0.0).exact is False
+    assert Estimate(2.0, 0.1, 400).to_dict() == {
+        "value": 2.0, "stderr": 0.1, "n_samples": 400, "exact": False}
 
 
-def test_quantity_scaling_propagates_error():
-    q = Quantity(4.0, 0.5, 100).scaled(-2.0)
+def test_estimate_scaling_propagates_error():
+    q = Estimate(4.0, 0.5, 100).scaled(-2.0)
     assert q.value == -8.0 and q.stderr == 1.0
 
 
-def test_quantity_power_propagates_relative_error():
-    q = Quantity(4.0, 0.4, 100).powered(0.5)
+def test_estimate_power_propagates_relative_error():
+    q = Estimate(4.0, 0.4, 100).powered(0.5)
     assert q.value == pytest.approx(2.0)
     # d(v^a)/v = a v^{a-1}: stderr = |a| v^a (err/v)
     assert q.stderr == pytest.approx(0.5 * 2.0 * 0.4 / 4.0)
@@ -68,43 +72,43 @@ def _resolved(lhs, rhs, direction, tol=0.0, sigmas=3.0):
 
 
 def test_exact_le_comparison_is_two_valued():
-    assert _resolved(Quantity.of(1.0), Quantity.of(2.0), "le").status == "pass"
-    assert _resolved(Quantity.of(2.0), Quantity.of(1.0), "le").status == "fail"
+    assert _resolved(Estimate.of(1.0), Estimate.of(2.0), "le").status == "pass"
+    assert _resolved(Estimate.of(2.0), Estimate.of(1.0), "le").status == "fail"
     # roundoff-level violations do not fail exact comparisons
-    assert _resolved(Quantity.of(1.0 + 1e-14), Quantity.of(1.0),
+    assert _resolved(Estimate.of(1.0 + 1e-14), Estimate.of(1.0),
                      "le").status == "pass"
 
 
 def test_tolerance_shifts_the_exact_threshold():
-    assert _resolved(Quantity.of(1.04), Quantity.of(1.0), "le",
+    assert _resolved(Estimate.of(1.04), Estimate.of(1.0), "le",
                      tol=0.05).status == "pass"
-    assert _resolved(Quantity.of(1.06), Quantity.of(1.0), "le",
+    assert _resolved(Estimate.of(1.06), Estimate.of(1.0), "le",
                      tol=0.05).status == "fail"
-    assert _resolved(Quantity.of(0.96), Quantity.of(1.0), "ge",
+    assert _resolved(Estimate.of(0.96), Estimate.of(1.0), "ge",
                      tol=0.05).status == "pass"
-    assert _resolved(Quantity.of(0.94), Quantity.of(1.0), "ge",
+    assert _resolved(Estimate.of(0.94), Estimate.of(1.0), "ge",
                      tol=0.05).status == "fail"
 
 
 def test_noisy_comparison_is_three_valued():
-    noisy = Quantity(1.0, 0.1, 100)
-    assert _resolved(noisy, Quantity.of(2.0), "le").status == "pass"
-    assert _resolved(noisy, Quantity.of(1.05), "le").status == "inconclusive"
-    assert _resolved(noisy, Quantity.of(0.5), "le").status == "fail"
+    noisy = Estimate(1.0, 0.1, 100)
+    assert _resolved(noisy, Estimate.of(2.0), "le").status == "pass"
+    assert _resolved(noisy, Estimate.of(1.05), "le").status == "inconclusive"
+    assert _resolved(noisy, Estimate.of(0.5), "le").status == "fail"
 
 
 def test_equality_uses_combined_error():
-    a = Quantity(1.0, 0.02, 100)
-    b = Quantity(1.05, 0.02, 100)
+    a = Estimate(1.0, 0.02, 100)
+    b = Estimate(1.05, 0.02, 100)
     assert _resolved(a, b, "eq").status == "pass"  # 3 sigma of hypot
-    assert _resolved(a, Quantity.of(1.2), "eq").status == "fail"
-    assert _resolved(Quantity.of(1.0), Quantity.of(1.0005), "eq",
+    assert _resolved(a, Estimate.of(1.2), "eq").status == "fail"
+    assert _resolved(Estimate.of(1.0), Estimate.of(1.0005), "eq",
                      tol=1e-3).status == "pass"
 
 
 def test_unknown_direction_raises():
     with pytest.raises(ValueError, match="unknown direction"):
-        _resolved(Quantity.of(1.0), Quantity.of(1.0), "lt")
+        _resolved(Estimate.of(1.0), Estimate.of(1.0), "lt")
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +365,66 @@ def test_unknown_check_cells_report_errors_not_raises():
     spec = CHECK_MAP["T-HYPER-1"]
     broken = type(spec)(id=spec.id, claim=spec.claim,
                         body_classes=spec.body_classes,
-                        parameters=spec.parameters,
                         fn=lambda ctx: (_ for _ in ()).throw(RuntimeError("boom")))
     cell = run_check(broken, BodyContext(bodies.cube(3), CFG))
     assert cell.status == "error"
     assert "boom" in cell.detail["error"]
+
+
+def _counting(monkeypatch, owner, name):
+    """Record the calls of ``owner.name`` (a method) in the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_minproj_budget_skip_solves_no_minimum(monkeypatch):
+    # the generator count of Pi K decides the skip before the sphere
+    # minimum and its facet walk are paid for
+    calls = _counting(monkeypatch, BodyContext, "min_shadow_volume")
+    cell = _cell("MINPROJ", bodies.random_hull(3, 10, 3))
+    assert cell.status == "skipped"
+    assert cell.detail["reason"].startswith("projection body has ")
+    assert cell.detail["reason"].endswith("reserved for <= 12")
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", [make(n) for n in (3, 4) for make in (
+    bodies.cube, bodies.simplex, lambda n: bodies.random_hull(n, 2 * n + 4, 1),
+    lambda n: bodies.random_zonotope(n, n + 2, 1))],
+                         ids=lambda s: f"{s.name}-n{s.dim}")
+def test_zon_vol_scales_the_projection_body_memo(monkeypatch, spec):
+    calls = []
+    real = checks.projection_body
+    monkeypatch.setattr(checks, "projection_body",
+                        lambda body: calls.append(1) or real(body))
+    ctx = BodyContext(spec, CFG)
+    subs, detail = CHECK_MAP["ZON-VOL"].fn(ctx)
+    for check_id in ("MINPROJ", "ZON-VOL-ID"):
+        run_check(CHECK_MAP[check_id], ctx)
+    assert len(calls) == 1  # Pi K is built once per context
+    # against Pi of the volume-one copy, hulled on its own
+    n = ctx.n
+    unit = transform_body(ctx.body, np.eye(n), scale=ctx.volume() ** (-1.0 / n))
+    other = real(unit)
+    assert detail["generators"] == other.n_generators
+    pivol = next(s.rhs for s in subs
+                 if s.label == "projection body volume, lower")
+    assert pivol.exact
+    assert pivol.value == pytest.approx(other.volume(), rel=1e-12, abs=0)
+
+
+def test_ck_ident_computes_no_discarded_shadow_surface(monkeypatch):
+    calls = _counting(monkeypatch, Zonotope, "frame_shadow_surfaces")
+    cell = _cell("CK-IDENT", bodies.random_zonotope(4, 7, 1))
+    assert cell.status == "pass"
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
