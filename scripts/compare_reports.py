@@ -7,6 +7,8 @@ Cells are matched by (id, body, n) and sub-cases by label, in order among
 equal labels, so a sub-case added or dropped leaves the others matched.
 Prints:
 
+  * on its first line, the sha256 of each report file, followed by
+    "byte-identical" when the two files are equal byte for byte;
   * every cell and sub-case whose status changed (a cell present in only
     one report counts as a status change);
   * every changed cell, with its largest relative lhs/rhs value and
@@ -29,6 +31,7 @@ Exits 1 when any verdict changed, 0 otherwise.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -184,8 +187,12 @@ def main(argv=None) -> int:
     parser.add_argument("a", help="the reference report (JSON)")
     parser.add_argument("b", help="the report to compare with it (JSON)")
     args = parser.parse_args(argv)
-    with open(args.a) as fa, open(args.b) as fb:
-        return compare(json.load(fa), json.load(fb))
+    with open(args.a, "rb") as fa, open(args.b, "rb") as fb:
+        raw_a, raw_b = fa.read(), fb.read()
+    sha_a, sha_b = (hashlib.sha256(raw).hexdigest() for raw in (raw_a, raw_b))
+    print(f"sha256: A {sha_a}, B {sha_b}"
+          + (", byte-identical" if raw_a == raw_b else ""))
+    return compare(json.loads(raw_a), json.loads(raw_b))
 
 
 if __name__ == "__main__":

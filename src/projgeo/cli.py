@@ -24,7 +24,6 @@ import numpy as np
 from . import bodies, positions, quermass, suite, svgplot
 from .bodies import BodySpec
 from .bodyops import to_polytope
-from .checks import CHECK_IDS
 from .polytope import circumradius, inradius
 from .sampling import Estimate, RngSeed
 from .zonotope import Zonotope

@@ -1,8 +1,10 @@
 """Convex polytopes with exact facet, ridge, and projection data.
 
 A :class:`Polytope` is built as the convex hull of points (qhull underneath).
-The triangulated qhull output is merged into true facets by a union-find over
-coplanar neighboring simplices, which gives
+Each simplex of qhull's triangulation is a facet unless qhull split facets
+into coplanar neighbors (cubes, grids, zonotope vertex sets); only then does
+a union-find merge them.  Ridge pieces come from qhull's neighbor table
+(neighbor j of a simplex lies opposite its vertex j), which gives
 
   * the facet normals u_i, offsets b_i = h_K(u_i) and (n-1)-measures a_i
     (the atomic surface-area measure of the polytope), and
@@ -178,7 +180,7 @@ class Polytope:
             )
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite values")
-        center = pts.mean(axis=0)
+        center = np.add.reduce(pts, 0) / len(pts)
         sv = np.linalg.svd(pts - center, compute_uv=False)
         if sv[-1] <= max(sv[0], 1e-30) * 1e-10:
             rank = int((sv > sv[0] * 1e-10).sum())
@@ -191,54 +193,55 @@ class Polytope:
             raise DegenerateInputError(f"hull construction failed: {exc}") from exc
 
         self.dim: int = n
-        # Keep only extreme points, reindexed.
-        keep = np.asarray(hull.vertices, dtype=int)
+        # Keep only extreme points (the simplices' vertices), reindexed.
+        keep = np.flatnonzero(np.bincount(hull.simplices.ravel(),
+                                          minlength=pts.shape[0]))
         remap = np.full(pts.shape[0], -1, dtype=int)
         remap[keep] = np.arange(keep.size)
         self.vertices: np.ndarray = pts[keep]
-        self.scale: float = float(np.max(np.linalg.norm(self.vertices, axis=1)))
+        self.scale: float = math.sqrt(np.add.reduce(self.vertices ** 2, 1).max())
 
         simplices = remap[hull.simplices]
         u_s = hull.equations[:, :n]
         b_s = -hull.equations[:, n]
-        tri_vol = _simplex_volumes(self.vertices[simplices])
+        weighted = u_s * _simplex_volumes(self.vertices[simplices])[:, None]
 
-        # Merge coplanar neighboring simplices into facets: test every
-        # (simplex, neighbor) pair at once, union the few that pass, and
-        # label the facets in order of first appearance.
+        # Test every (simplex, neighbor) pair s < t for coplanarity at once;
+        # j is the column of s whose vertex lies opposite t.
         nsimp = len(simplices)
-        pair_s = np.repeat(np.arange(nsimp), n)
-        pair_t = np.asarray(hull.neighbors, dtype=int).ravel()
-        up = pair_t > pair_s
-        pair_s, pair_t = pair_s[up], pair_t[up]
+        pair_s, pair_j = np.nonzero(hull.neighbors > np.arange(nsimp)[:, None])
+        pair_t = hull.neighbors[pair_s, pair_j]
         off_tol = _MERGE_OFFSET_TOL * max(self.scale, 1.0)
         coplanar = ((u_s[pair_s] * u_s[pair_t]).sum(axis=1)
                     > 1.0 - _MERGE_ANGLE_TOL) & (
                         np.abs(b_s[pair_s] - b_s[pair_t]) <= off_tol)
-        uf = _UnionFind(nsimp)
-        for s, t in zip(pair_s[coplanar].tolist(), pair_t[coplanar].tolist()):
-            uf.union(s, t)
-        roots = np.array(uf.parent)
-        while not np.array_equal(roots, roots[roots]):
-            roots = roots[roots]
-        _, first, inverse = np.unique(roots, return_index=True,
-                                      return_inverse=True)
-        rank = np.empty(first.size, dtype=int)
-        rank[np.argsort(first)] = np.arange(first.size)
-        gid = rank[inverse]
-        nfacets = first.size
-
-        normals = np.zeros((nfacets, n))
-        np.add.at(normals, gid, u_s * tri_vol[:, None])
-        nrm = np.linalg.norm(normals, axis=1)
+        # Each simplex is a facet (+ 0.0 turns -0.0 into +0.0, as summing
+        # from zeros does) unless qhull split facets: then union the pairs
+        # that passed and label the facets in order of first appearance.
+        gid, normals = np.arange(nsimp), weighted + 0.0
+        if coplanar.any():
+            uf = _UnionFind(nsimp)
+            for s, t in np.stack([pair_s, pair_t], 1)[coplanar].tolist():
+                uf.union(s, t)
+            roots = np.array(uf.parent)
+            while not np.array_equal(roots, roots[roots]):
+                roots = roots[roots]
+            _, first, inverse = np.unique(roots, return_index=True,
+                                          return_inverse=True)
+            rank = np.empty(first.size, dtype=int)
+            rank[np.argsort(first)] = np.arange(first.size)
+            gid = rank[inverse]
+            normals = np.zeros((first.size, n))
+            np.add.at(normals, gid, weighted)
+        nrm = np.sqrt(np.add.reduce(normals * normals, 1))
         # A sliver facet whose simplices all have Gram volume 0 has a zero
         # area-weighted sum; its normal is the mean of qhull's unit normals.
         flat = nrm == 0.0
         if flat.any():
-            unit_sum = np.zeros((nfacets, n))
+            unit_sum = np.zeros_like(normals)
             np.add.at(unit_sum, gid, u_s)
             normals[flat] = unit_sum[flat]
-            nrm[flat] = np.linalg.norm(unit_sum[flat], axis=1)
+            nrm = np.sqrt(np.add.reduce(normals * normals, 1))
         normals /= nrm[:, None]
         # Offsets as exact support values in the merged normal directions.
         offsets = (self.vertices @ normals.T).max(axis=0)
@@ -252,19 +255,16 @@ class Polytope:
         edges = tri_pts[:, 1:, :] - tri_pts[:, :1, :]
         stacked = np.concatenate([edges, normals[gid][:, None, :]], axis=1)
         tri_vol = np.abs(np.linalg.det(stacked)) / math.factorial(n - 1)
-        areas = np.zeros(nfacets)
-        np.add.at(areas, gid, tri_vol)
 
         self.facet_normals: np.ndarray = normals
         self.facet_offsets: np.ndarray = offsets
-        self.facet_areas: np.ndarray = areas
-        self.interior_point: np.ndarray = self.vertices.mean(axis=0)
+        self.facet_areas: np.ndarray = np.bincount(gid, tri_vol, len(normals))
+        self.interior_point: np.ndarray = (np.add.reduce(self.vertices, 0)
+                                           / len(self.vertices))
 
         self._tri_simplices = simplices
-        self._tri_volumes = tri_vol
         self._tri_facet = gid
-        # Neighbor pairs s < t, s ascending and then by neighbor column.
-        self._neighbor_pairs = (pair_s, pair_t)
+        self._neighbor_pairs = (pair_s, pair_t, pair_j)
         self._ridges: _RidgeData | None = None
         self._volume: float | None = None
         self._w3: float | None = None
@@ -311,24 +311,23 @@ class Polytope:
     def _build_ridges(self) -> _RidgeData:
         gid = self._tri_facet
         n = self.dim
-        sorted_simpl = np.sort(self._tri_simplices, axis=1)
-        # Every neighbor pair of different facets, with its shared vertices
-        # in sorted order.
-        pair_s, pair_t = self._neighbor_pairs
+        simplices = self._tri_simplices
+        # Every neighbor pair of different facets.  The shared vertices are
+        # the row of s without its column j, the vertex opposite t.
+        pair_s, pair_t, pair_j = self._neighbor_pairs
         keep = gid[pair_s] != gid[pair_t]
-        pair_s, pair_t = pair_s[keep], pair_t[keep]
-        rows = sorted_simpl[pair_s]
-        in_t = (rows[:, :, None] == sorted_simpl[pair_t][:, None, :]).any(axis=2)
-        # A precision sliver shares fewer than n-1 vertices: a measure-zero
-        # ridge piece.
-        full = in_t.sum(axis=1) >= n - 1
-        rows, in_t = rows[full], in_t[full]
-        first_shared = np.argsort(~in_t, axis=1, kind="stable")[:, : n - 1]
-        shared = np.take_along_axis(rows, first_shared, axis=1)
+        pair_s, pair_t, pair_j = pair_s[keep], pair_t[keep], pair_j[keep]
+        others = np.arange(n) != pair_j[:, None]
+        shared = np.sort(simplices[pair_s][others].reshape(-1, n - 1), 1)
+        # A precision sliver's neighbor holds fewer than those n-1 vertices:
+        # a measure-zero ridge piece.
+        full = (shared[:, :, None] == simplices[pair_t][:, None, :]).sum(
+            (1, 2)) == n - 1
+        shared = shared[full]
         ga, gb = gid[pair_s[full]], gid[pair_t[full]]
         lo, hi = np.minimum(ga, gb), np.maximum(ga, gb)
         # A stable sort keeps each ridge's pieces in the pair order above, so
-        # np.add.at below sums every ridge's volume in a fixed order.
+        # the bincount below sums every ridge's volume in a fixed order.
         order = np.lexsort((hi, lo))
         lo, hi, idx = lo[order], hi[order], shared[order]
         new_key = np.ones(lo.size, dtype=bool)
@@ -338,7 +337,7 @@ class Polytope:
         ub = self.facet_normals[hi[new_key]]
         cos = np.clip(np.einsum("rk,rk->r", ua, ub), -1.0, 1.0)
         ortho = ub - cos[:, None] * ua
-        nrm = np.linalg.norm(ortho, axis=1, keepdims=True)
+        nrm = np.sqrt(np.add.reduce(ortho * ortho, 1, keepdims=True))
         nrm[nrm < 1e-300] = 1.0
         ortho = ortho / nrm
         angles = np.arccos(cos)
@@ -351,8 +350,7 @@ class Polytope:
             [edges, ua[key_of][:, None, :], ortho[key_of][:, None, :]], axis=1
         )
         piece_vol = np.abs(np.linalg.det(stacked)) / math.factorial(n - 2)
-        vols = np.zeros(ua.shape[0])
-        np.add.at(vols, key_of, piece_vol)
+        vols = np.bincount(key_of, piece_vol, ua.shape[0])
         return _RidgeData(vols, ua, ub, ortho, angles, idx, key_of)
 
     # -- support / gauge ----------------------------------------------------

@@ -89,6 +89,7 @@ class Zonotope:
         self.dim: int = n
         self._atoms: np.ndarray | None = None
         self._grams: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._polytope: Polytope | None = None
 
     # -- canonicalization ----------------------------------------------------
 
@@ -296,13 +297,15 @@ def projection_body(body) -> Zonotope:
 
 
 def zonotope_to_polytope(z: Zonotope) -> Polytope:
-    """Vertex representation via sign-pattern enumeration (m <= 12)."""
-    zz = z.merge_parallel()
-    m, _ = zz.generators.shape
-    if m > _CONVERSION_GENERATOR_CAP:
-        raise BudgetError(
-            f"conversion needs <= {_CONVERSION_GENERATOR_CAP} generators, got {m}"
-        )
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
-    return Polytope(zz.center + signs @ zz.generators)
+    """Vertex representation via sign-pattern enumeration (m <= 12), hulled
+    once per zonotope and cached on it."""
+    if z._polytope is None:
+        zz = z.merge_parallel()
+        m, _ = zz.generators.shape
+        if m > _CONVERSION_GENERATOR_CAP:
+            raise BudgetError(f"conversion needs <= {_CONVERSION_GENERATOR_CAP}"
+                              f" generators, got {m}")
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+        z._polytope = Polytope(zz.center + signs @ zz.generators)
+    return z._polytope
 

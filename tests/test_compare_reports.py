@@ -1,5 +1,6 @@
 """scripts/compare_reports.py on two small synthetic reports."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -202,3 +203,20 @@ def test_top_level_key_changes_are_listed_without_changing_the_exit(tmp_path):
     assert lines[at + 1:at + 4] == ["  extra", "  note", "  summary"]
     assert "changed cells: 0" in out
     assert "verdicts: unchanged" in out
+
+
+def test_first_line_gives_both_hashes_and_byte_identity(tmp_path):
+    code, out = _run(tmp_path, _report(), _report())
+    digest = hashlib.sha256((tmp_path / "a.json").read_bytes()).hexdigest()
+    assert code == 0
+    assert out.splitlines()[0] == (f"sha256: A {digest}, B {digest}, "
+                                   "byte-identical")
+    b = _report()
+    b["results"][1]["status"] = "fail"
+    code, out = _run(tmp_path, _report(), b)
+    first = out.splitlines()[0]
+    assert code == 1
+    assert first == (f"sha256: A {digest}, B "
+                     + hashlib.sha256((tmp_path / "b.json").read_bytes())
+                     .hexdigest())
+    assert "byte-identical" not in out

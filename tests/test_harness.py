@@ -1,6 +1,5 @@
 """Check harness: quantities, sub-case semantics, catalog cells, suite runs."""
 
-import json
 import math
 
 import numpy as np

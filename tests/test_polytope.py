@@ -14,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from projgeo import bodies
+from projgeo import bodies, polytope
 from projgeo.bodyops import project_body, transform_body
 from projgeo.polytope import (_MERGE_ANGLE_TOL, _MERGE_OFFSET_TOL,
                               DegenerateInputError, Polytope, _simplex_volumes,
-                              _UnionFind, circumradius, convex_hull,
-                              from_halfspaces, inradius, polar, row_blocks)
+                              circumradius, convex_hull, from_halfspaces,
+                              inradius, polar, row_blocks)
 from projgeo.quermass import omega, quermassintegral
 from projgeo.sampling import RngSeed, sphere_points
 from projgeo.zonotope import zonotope_to_polytope
@@ -178,8 +178,9 @@ def _loop_build(points):
     """Facets and ridges of hull(points) by per-simplex Python loops.
 
     The straightforward form of the build: merge coplanar neighbors one pair
-    at a time, then collect the shared vertices of every neighbor pair of
-    different facets.  Returns (normals, offsets, areas, tri_facet, ridges).
+    at a time with a dict of parents, then collect the shared vertices of
+    every neighbor pair of different facets by set intersection.  Returns
+    (normals, offsets, areas, tri_facet, ridges).
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[1]
@@ -190,19 +191,31 @@ def _loop_build(points):
     simplices = remap[hull.simplices]
     u_s, b_s = hull.equations[:, :n], -hull.equations[:, n]
     scale = float(np.max(np.linalg.norm(verts, axis=1)))
-    uf = _UnionFind(len(simplices))
+    parent = {}
+
+    def find(s):
+        while parent.get(s, s) != s:
+            s = parent[s]
+        return s
+
     for s, nbrs in enumerate(hull.neighbors):
         for t in nbrs:
             if (t > s and u_s[s] @ u_s[t] > 1.0 - _MERGE_ANGLE_TOL
                     and abs(b_s[s] - b_s[t])
                     <= _MERGE_OFFSET_TOL * max(scale, 1.0)):
-                uf.union(s, int(t))
+                rs, rt = find(s), find(int(t))
+                if rs != rt:
+                    parent[rs] = rt
     roots = {}
-    gid = np.array([roots.setdefault(uf.find(s), len(roots))
+    gid = np.array([roots.setdefault(find(s), len(roots))
                     for s in range(len(simplices))])
     normals = np.zeros((len(roots), n))
     np.add.at(normals, gid,
               u_s * _simplex_volumes(verts[simplices])[:, None])
+    for f in np.flatnonzero(np.linalg.norm(normals, axis=1) == 0.0):
+        # a sliver facet of Gram-volume-0 simplices: sum the unit normals
+        for s in np.flatnonzero(gid == f):
+            normals[f] += u_s[s]
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     edges = verts[simplices][:, 1:] - verts[simplices][:, :1]
     stacked = np.concatenate([edges, normals[gid][:, None]], axis=1)
@@ -231,7 +244,8 @@ def _loop_build(points):
     nrm[nrm < 1e-300] = 1.0
     ortho = ortho / nrm
     key_of = np.array([i for i, k in enumerate(keys) for _ in pieces[k]])
-    ridge_pts = verts[np.array([a for k in keys for a in pieces[k]])]
+    piece_vertices = np.array([a for k in keys for a in pieces[k]])
+    ridge_pts = verts[piece_vertices]
     stacked = np.concatenate([ridge_pts[:, 1:] - ridge_pts[:, :1],
                               ua[key_of][:, None], ortho[key_of][:, None]],
                              axis=1)
@@ -239,11 +253,16 @@ def _loop_build(points):
     np.add.at(vols, key_of,
               np.abs(np.linalg.det(stacked)) / math.factorial(n - 2))
     return normals, offsets, areas, gid, (vols, ua, ub, ortho,
-                                          np.arccos(cos))
+                                          np.arccos(cos), piece_vertices,
+                                          key_of)
 
 
 def _grid(n):
     return np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=n)))
+
+
+def _cube_points(n):
+    return np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
 
 
 def _random_points(n, count, seed):
@@ -258,6 +277,14 @@ _BUILD_CASES = (
     + [pytest.param(_cross(n).vertices, id=f"cross-{n}") for n in (3, 4, 5)]
     + [pytest.param(bodies.ball_approx(3, 500).build().vertices,
                     id="ball-approx-500-3")]
+    # sliver facets along the cube's ridges (n = 5, seed 3 is a qhull error)
+    + [pytest.param(_cube_points(n) + 1e-13 * _random_points(n, 2 ** n, seed),
+                    id=f"jittered-cube-{n}-{seed}")
+       for n in (4, 5) for seed in range(6) if (n, seed) != (5, 3)]
+    # heavy merges: 2^7 sign patterns hull into many split facets
+    + [pytest.param(zonotope_to_polytope(
+        bodies.random_zonotope(4, 7, 1).build()).vertices,
+        id="random-zonotope-7-1-4")]
 )
 
 
@@ -271,12 +298,22 @@ def test_build_matches_loop_reference_bit_for_bit(points):
     assert np.array_equal(body._tri_facet, gid)
     rd = body.ridges()
     for got, want in zip((rd.volumes, rd.normal_a, rd.normal_b, rd.ortho_b,
-                          rd.angles), ridges):
+                          rd.angles, rd.piece_vertices, rd.piece_ridge),
+                         ridges):
         assert np.array_equal(got, want)
 
 
-def _cube_points(n):
-    return np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+def test_hull_without_coplanar_neighbors_runs_no_union_find(monkeypatch):
+    def refuse(size):
+        raise AssertionError("union-find built for a simplicial hull")
+
+    monkeypatch.setattr(polytope, "_UnionFind", refuse)
+    body = Polytope(_random_points(4, 12, 0))
+    assert np.array_equal(body._tri_facet,
+                          np.arange(len(body._tri_simplices)))
+    assert body.ridges().volumes.size > 0
+    with pytest.raises(AssertionError, match="union-find"):
+        Polytope(_cube_points(4))        # qhull splits the cube's facets
 
 
 # A 1e-13 vertex jitter leaves qhull's cube facets as separate simplices

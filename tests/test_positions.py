@@ -7,7 +7,7 @@ import pytest
 
 from projgeo import bodies
 from projgeo.bodyops import transform_body
-from projgeo.polytope import circumradius
+from projgeo.polytope import Polytope, circumradius
 from projgeo import positions
 from projgeo.positions import (Ellipsoid, isotropic_position, john_position,
                                lowner_position, min_mean_width_position,
@@ -194,3 +194,20 @@ def test_solve_dispatches_through_the_module_solvers(monkeypatch):
     assert extras["min-width"] == {}
     with pytest.raises(ValueError, match="unknown position kind"):
         positions.solve("banana", z3)
+
+
+def test_zonotope_is_hulled_once_across_the_position_solves(monkeypatch):
+    # isotropic, John and Löwner all read the vertex form of a zonotope;
+    # its 2^m sign patterns are hulled once and cached on the zonotope.
+    builds = []
+    init = Polytope.__init__
+
+    def counted(self, points):
+        builds.append(len(points))
+        init(self, points)
+
+    monkeypatch.setattr(Polytope, "__init__", counted)
+    body = bodies.random_zonotope(4, 6, 1).build()
+    for kind in ("isotropic", "john", "lowner"):
+        positions.solve(kind, body)
+    assert builds == [2 ** 6]
