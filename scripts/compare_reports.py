@@ -27,13 +27,16 @@ Prints:
   * every top-level key other than `results` (such as `note`, `config`
     and `summary`) whose value differs or that only one report has.
 
-Exits 1 when any verdict changed, 0 otherwise.
+Exits 1 when any verdict changed, 0 otherwise, also when the reader of
+standard output closes it early (`| head`).
 """
 
 import argparse
 import hashlib
+import io
 import json
 import math
+import os
 import sys
 
 STDERR_WIDEN_REL = 1e-12
@@ -190,9 +193,18 @@ def main(argv=None) -> int:
     with open(args.a, "rb") as fa, open(args.b, "rb") as fb:
         raw_a, raw_b = fa.read(), fb.read()
     sha_a, sha_b = (hashlib.sha256(raw).hexdigest() for raw in (raw_a, raw_b))
+    out = io.StringIO()
     print(f"sha256: A {sha_a}, B {sha_b}"
-          + (", byte-identical" if raw_a == raw_b else ""))
-    return compare(json.loads(raw_a), json.loads(raw_b))
+          + (", byte-identical" if raw_a == raw_b else ""), file=out)
+    code = compare(json.loads(raw_a), json.loads(raw_b), out=out)
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`); point stdout at devnull so
+        # the flush at exit does not fail again, and keep the exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

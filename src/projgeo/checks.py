@@ -989,7 +989,10 @@ def _check_t_higher_7(ctx: BodyContext):
         child = ctx.positioned(kind)
         vol, surf = child.volume(), child.surface()
         c0 = surf / (n * vol ** ((n - 1.0) / n))
-        for k in range(1, n):
+        # at k = 1 every shadow is a segment with 2 boundary points and the
+        # rhs is 2 |K|^{(n-1)/n} by the definition of c0, so the bound holds
+        # with equality by construction and is not compared with itself
+        for k in range(2, n):
             lhs = child.mean_frame_surface(k).scaled(vol ** ((n - k) / n))
             const = (k * omega(k) / ((n * omega(n)) ** ((k - 1.0) / (n - 1))
                                      * (c0 * n) ** ((n - k) / (n - 1.0))))

@@ -366,9 +366,11 @@ class Polytope:
     def width_batch(self, directions: np.ndarray) -> np.ndarray:
         d = np.atleast_2d(np.asarray(directions, dtype=float))
 
+        # vertex-major (V, rows) products: the extrema reduce along axis 0,
+        # which numpy runs as elementwise passes over contiguous rows
         def widths(xi):
-            prods = xi @ self.vertices.T
-            return prods.max(axis=1) - prods.min(axis=1)
+            prods = self.vertices @ xi.T
+            return prods.max(axis=0) - prods.min(axis=0)
 
         return by_row_blocks(widths, d, self.n_vertices)
 

@@ -10,9 +10,17 @@ positioned body is to the defining fixed-point condition:
 * isotropic: the covariance of the volume-1 body is L^2 I, computed in closed
   form from the exact covariance (residual is roundoff);
 * John / Loewner: largest inscribed / smallest circumscribed ellipsoid, the
-  residual is the relative KKT stationarity / dual gap of the solver;
+  residual is the relative KKT stationarity / the relative violation of
+  the Loewner optimality condition, read from a freshly inverted scatter;
 * minimal mean width: first-order condition w(K) = n E[<xi, theta>^2 h(theta)]
   for every xi, estimated on the optimization sample set (best effort).
+
+The iterative solvers keep their per-step work small.  Loewner steps update
+the inverse scatter by Sherman-Morrison on the vertices of an
+origin-symmetric body (a centered ellipsoid) or on the lifted vertices
+otherwise.  John starts an origin-symmetric body from the ball of radius
+min_i b_i at 0, with no LP.  The mean-width descent lays its support
+products out (vertices, directions) and reduces along the first axis.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from scipy.optimize import minimize, nnls
 
 from .bodyops import (Body, is_zonotope, origin_symmetric, support_points,
                       to_polytope, transform_body)
-from .polytope import centroid_and_covariance, inradius
+from .polytope import Polytope, centroid_and_covariance, inradius
 from .quermass import omega
 from .sampling import RngSeed, sphere_points
 
@@ -174,45 +182,73 @@ def lowner_position(body: Body, tol: float = 1e-7,
                     max_iter: int = 500_000) -> tuple[PositionResult, Ellipsoid]:
     """Minimum-volume enclosing ellipsoid by Frank-Wolfe with away steps.
 
-    The residual is the relative violation of the optimality condition
-    max_i M_i <= (1 + tol)(n + 1), min over support M_i >= (1 - tol)(n + 1).
-    The returned position maps the ellipsoid to the unit ball.
+    The solver weighs rows q_i with u_i >= 0, sum u_i = 1.  For an
+    origin-symmetric body the rows are the vertices and d = n: its
+    ellipsoid is centered.  Otherwise they are the lifted vertices [v_i, 1]
+    and d = n + 1.  With S = sum u_i q_i q_i^T and the levels
+    M_i = q_i^T S^{-1} q_i, the optimality certificate is
+    max_i M_i <= (1 + tol) d and min over the support M_i >= (1 - tol) d;
+    the residual is the larger relative violation.  A step
+    u <- a u + b e_j updates S^{-1} and every level by Sherman-Morrison,
+    so no step inverts S.  When the updated residual drops below ``tol``,
+    S^{-1} and the levels are recomputed exactly, and the solver stops
+    only on that exact residual.  The returned position maps the ellipsoid
+    to the unit ball.
     """
-    points = to_polytope(body).vertices
+    poly = to_polytope(body)
+    points = poly.vertices
     count, n = points.shape
-    lifted = np.hstack([points, np.ones((count, 1))])
+    symmetric = origin_symmetric(poly)
+    rows = points if symmetric else np.hstack([points, np.ones((count, 1))])
+    d = rows.shape[1]
     u = np.full(count, 1.0 / count)
-    d1 = n + 1
+
+    def exact() -> tuple[np.ndarray, np.ndarray]:
+        inv = np.linalg.inv(rows.T @ (rows * u[:, None]))
+        return inv, np.einsum("ij,jk,ik->i", rows, inv, rows)
+
+    def violations(levels: np.ndarray) -> tuple[int, int, float, float]:
+        hi = int(np.argmax(levels))
+        lo = int(np.argmin(np.where(u > 0, levels, np.inf)))
+        return hi, lo, float(levels[hi]) / d - 1.0, 1.0 - float(levels[lo]) / d
+
+    inv, levels = exact()
     iterations = 0
     residual = np.inf
     for iterations in range(max_iter):
-        scatter = lifted.T @ (lifted * u[:, None])
-        inv = np.linalg.inv(scatter)
-        levels = np.einsum("ij,jk,ik->i", lifted, inv, lifted)
-        hi = int(np.argmax(levels))
-        support = u > 0
-        lo_idx = np.flatnonzero(support)
-        lo = lo_idx[int(np.argmin(levels[lo_idx]))]
-        eps_hi = levels[hi] / d1 - 1.0
-        eps_lo = 1.0 - levels[lo] / d1
+        hi, lo, eps_hi, eps_lo = violations(levels)
+        if max(eps_hi, eps_lo) < tol:
+            inv, levels = exact()
+            hi, lo, eps_hi, eps_lo = violations(levels)
         residual = max(eps_hi, eps_lo)
         if residual < tol:
             break
         if eps_hi >= eps_lo:
-            m = levels[hi]
-            lam = (m - d1) / (d1 * (m - 1.0))
-            u *= 1.0 - lam
-            u[hi] += lam
+            j, m = hi, float(levels[hi])
+            lam = (m - d) / (d * (m - 1.0))
+            a, b = 1.0 - lam, lam
         else:
-            m = levels[lo]
-            lam = (d1 - m) / (d1 * (m - 1.0))
-            lam = min(lam, u[lo] / (1.0 - u[lo]))
-            u *= 1.0 + lam
-            u[lo] -= lam
-            u = np.maximum(u, 0.0)
-    center = points.T @ u
-    scatter_c = points.T @ (points * u[:, None]) - np.outer(center, center)
-    shape = n * scatter_c
+            # at a level <= 1 (possible on centered rows only) the log-det
+            # rises all the way to dropping the row
+            j, m = lo, float(levels[lo])
+            lam = float(u[lo] / (1.0 - u[lo]))
+            if m > 1.0:
+                lam = min(lam, (d - m) / (d * (m - 1.0)))
+            a, b = 1.0 + lam, -lam
+        u *= a
+        u[j] = max(u[j] + b, 0.0)  # a > 0, so only u[j] can fall below 0
+        v = inv @ rows[j]
+        w = rows @ v
+        c = b / (a + b * m)
+        levels = (levels - c * (w * w)) / a
+        inv = (inv - c * np.outer(v, v)) / a
+    if symmetric:
+        center = np.zeros(n)
+        shape = n * (points.T @ (points * u[:, None]))
+    else:
+        center = points.T @ u
+        scatter_c = points.T @ (points * u[:, None]) - np.outer(center, center)
+        shape = n * scatter_c
     ellipsoid = Ellipsoid(shape=shape, center=center)
     eigval, eigvec = np.linalg.eigh(shape)
     eigval = np.clip(eigval, 1e-300, None)
@@ -235,6 +271,15 @@ def _sym_to_vec(mat: np.ndarray) -> np.ndarray:
     return mat[iu] * weights
 
 
+def _inner_ball(poly: Polytope, symmetric: bool) -> tuple[float, np.ndarray]:
+    """Inradius and Chebyshev center.  An origin-symmetric body needs no LP:
+    if (c, r) is feasible so is (-c, r), hence their midpoint (0, r), and
+    the largest ball at 0 has radius min_i b_i."""
+    if symmetric:
+        return float(poly.facet_offsets.min()), np.zeros(poly.dim)
+    return inradius(poly)
+
+
 def john_position(body: Body, tol: float = 1e-7,
                   max_iter: int = 300) -> tuple[PositionResult, Ellipsoid]:
     """Largest inscribed ellipsoid by sequential quadratic programming.
@@ -242,8 +287,10 @@ def john_position(body: Body, tol: float = 1e-7,
     The ellipsoid L B_2^n + d is parametrized by a lower-triangular L with
     positive diagonal, so maximizing the volume is minimizing
     -sum log L_ii under the smooth facet constraints
-    ||L^T u_i|| + <u_i, d> <= b_i.  For origin-symmetric bodies the center
-    stays fixed at 0.  The reported residual is the relative norm of the
+    ||L^T u_i|| + <u_i, d> <= b_i.  The start is 0.9 r0 B_2^n at the
+    Chebyshev center, found by an LP; for origin-symmetric bodies the
+    center is 0 and r0 = min_i b_i without one, and the center stays
+    fixed at 0 throughout.  The reported residual is the relative norm of the
     log-det gradient projected onto the active-facet cone (NNLS), i.e. a
     KKT stationarity certificate computed independently of the solver.
     """
@@ -252,7 +299,7 @@ def john_position(body: Body, tol: float = 1e-7,
     normals = poly.facet_normals
     offsets = poly.facet_offsets
     symmetric = origin_symmetric(poly)
-    r0, center0 = inradius(poly)
+    r0, center0 = _inner_ball(poly, symmetric)
     q = n * (n + 1) // 2
     il = np.tril_indices(n)
     diag_pos = np.where(il[0] == il[1])[0]
@@ -368,7 +415,8 @@ def min_mean_width_position(body: Body, samples: int = 2000, max_iter: int = 300
 
     # A vertex body reads h(theta), h(-theta) = -min <theta, v> (negation is
     # exact) and both support points from one product with its vertices;
-    # `seen` is that product, or the directions for a generator body.
+    # `seen` is that product, laid out (vertices, directions) so the extrema
+    # reduce along axis 0, or the directions for a generator body.
     def width_stats(t_mat: np.ndarray):
         dirs = thetas @ t_mat
         if verts is None:
@@ -376,9 +424,9 @@ def min_mean_width_position(body: Body, samples: int = 2000, max_iter: int = 300
             h_plus = body.support_batch(dirs)
             h_minus = body.support_batch(-dirs)
         else:
-            seen = dirs @ verts.T
-            h_plus = seen.max(axis=1)
-            h_minus = -seen.min(axis=1)
+            seen = verts @ dirs.T
+            h_plus = seen.max(axis=0)
+            h_minus = -seen.min(axis=0)
         width = 0.5 * (h_plus + h_minus)
         return float(width.mean()), seen, h_plus, h_minus
 
@@ -386,7 +434,7 @@ def min_mean_width_position(body: Body, samples: int = 2000, max_iter: int = 300
         """x(theta) - x(-theta) for the support points x of each theta."""
         if verts is None:
             return support_points(body, seen) - support_points(body, -seen)
-        return verts[seen.argmax(axis=1)] - verts[seen.argmin(axis=1)]
+        return verts[seen.argmax(axis=0)] - verts[seen.argmin(axis=0)]
 
     value, seen, h_plus, h_minus = width_stats(transform)
     history = [value]

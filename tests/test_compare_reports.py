@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -220,3 +221,23 @@ def test_first_line_gives_both_hashes_and_byte_identity(tmp_path):
                      + hashlib.sha256((tmp_path / "b.json").read_bytes())
                      .hexdigest())
     assert "byte-identical" not in out
+
+
+def test_closed_pipe_exits_quietly_with_the_verdict_code(tmp_path):
+    # `compare_reports.py A B | head`: the reader is gone before the first
+    # line; no traceback, and the exit code still reports the verdict
+    b = _report()
+    b["results"][1]["status"] = "fail"
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(_report()))
+    pb.write_text(json.dumps(b))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, str(SCRIPT), str(pa), str(pb)],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1

@@ -172,6 +172,16 @@ def test_monotone_shadow_sequence_on_cube():
     assert labels == ["Q_1 >= Q_2", "Q_2 >= vrad"]
 
 
+def test_surface_constant_check_has_no_k1_sub_case():
+    # at k = 1 both sides are 2 |K|^{(n-1)/n} by the definition of c0
+    cell = _cell("T-HIGHER-7", bodies.cube(4))
+    assert cell.status == "pass"
+    labels = [c["label"] for c in cell.detail["cases"]]
+    assert labels == [f"{kind}, k={k}" for kind in
+                      ("min-surface", "isotropic", "john", "lowner")
+                      for k in (2, 3)]
+
+
 # ---------------------------------------------------------------------------
 # mean shadow V_1 by Kubota's identity
 

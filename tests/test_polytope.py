@@ -76,6 +76,24 @@ def test_width_is_nonnegative_and_even(seed):
     assert body.width_batch(theta[None])[0] == pytest.approx(w, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_width_batch_matches_row_major_products(n):
+    # the (V, rows) layout reads the same products as (rows, V): bit for bit
+    # on the small corpus bodies, and to roundoff on the 500-point ball
+    dirs = sphere_points(n, 3000, RngSeed(5).generator())
+    for spec in bodies.corpus(n):
+        body = spec.build()
+        if not isinstance(body, polytope.Polytope):
+            continue
+        prods = dirs @ body.vertices.T
+        reference = prods.max(axis=1) - prods.min(axis=1)
+        widths = body.width_batch(dirs)
+        if body.n_vertices <= 32:
+            assert np.array_equal(widths, reference), spec.name
+        else:
+            assert np.allclose(widths, reference, rtol=1e-15, atol=0.0)
+
+
 def test_polar_cube_is_cross():
     q3, b13 = _cube(), _cross()
     assert polar(q3).volume() == pytest.approx(b13.volume(), rel=1e-10)

@@ -211,3 +211,172 @@ def test_zonotope_is_hulled_once_across_the_position_solves(monkeypatch):
     for kind in ("isotropic", "john", "lowner"):
         positions.solve(kind, body)
     assert builds == [2 ** 6]
+
+
+# ---------------------------------------------------------------------------
+# Löwner: rank-one steps on centered or lifted rows
+
+
+def _lowner_levels(body, ellipsoid: Ellipsoid, lifted: bool) -> np.ndarray:
+    """M_i = q_i^T S^{-1} q_i of every vertex, read back from the ellipsoid:
+    n x^T shape^{-1} x on centered rows, plus 1 on lifted rows."""
+    off = body.vertices - ellipsoid.center
+    n = body.dim
+    levels = n * np.einsum("ij,jk,ik->i", off, np.linalg.inv(ellipsoid.shape),
+                           off)
+    return levels + 1.0 if lifted else levels
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_lowner_centered_rows_match_lifted_rows(monkeypatch, n, seed):
+    # an origin-symmetric body's ellipsoid is centered, so its rows are the
+    # vertices (d = n); forcing the lifted rows (d = n + 1) gives the same
+    # ellipsoid
+    poly = positions.to_polytope(bodies.random_zonotope(n, n + 3, seed).build())
+    tol = 1e-7
+    centered, ell_c = lowner_position(poly, tol=tol)
+    monkeypatch.setattr(positions, "origin_symmetric", lambda body: False)
+    lifted, ell_l = lowner_position(poly, tol=tol)
+    for result in (centered, lifted):
+        assert result.converged and result.residual < tol
+    assert np.array_equal(ell_c.center, np.zeros(n))
+    assert np.abs(ell_l.center).max() <= 1e-6 * np.abs(poly.vertices).max()
+    scale = np.abs(ell_c.shape).max()
+    assert np.abs(ell_c.shape - ell_l.shape).max() <= 1e-6 * scale
+    # every vertex satisfies the certificate's bound M_i <= (1 + tol) d
+    for ell, lifted_rows, d in ((ell_c, False, n), (ell_l, True, n + 1)):
+        assert _lowner_levels(poly, ell, lifted_rows).max() <= (1 + tol) * d
+
+
+@pytest.mark.parametrize("spec", [bodies.simplex(3),
+                                  bodies.random_hull(3, 10, 1),
+                                  bodies.random_hull(4, 10, 1)],
+                         ids=lambda spec: f"{spec.name}-n{spec.dim}")
+def test_lowner_of_a_non_symmetric_body_runs_on_lifted_rows(spec):
+    poly = spec.build()
+    tol = 1e-7
+    result, ellipsoid = lowner_position(poly, tol=tol)
+    assert result.converged and result.residual < tol
+    levels = _lowner_levels(poly, ellipsoid, lifted=True)
+    assert levels.max() <= (1 + tol) * (poly.dim + 1)
+
+
+def test_lowner_stops_on_a_residual_from_a_fresh_inverse(monkeypatch):
+    # the last inverse is an exact one: count the exact solves against the
+    # iterations, and recheck the bound from the returned ellipsoid
+    inverses = []
+    real_inv = np.linalg.inv
+
+    def counting(mat):
+        inverses.append(mat.shape)
+        return real_inv(mat)
+
+    poly = positions.to_polytope(bodies.random_zonotope(4, 7, 1).build())
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    result, ellipsoid = lowner_position(poly)
+    monkeypatch.setattr(np.linalg, "inv", real_inv)
+    assert 2 <= len(inverses) < result.iterations
+    levels = _lowner_levels(poly, ellipsoid, lifted=False)
+    assert levels.max() <= (1 + 1e-7) * 4
+
+
+# ---------------------------------------------------------------------------
+# John: an origin-symmetric body starts from its own inradius
+
+
+@pytest.mark.parametrize("spec", [bodies.cube(3), bodies.cross_polytope(3)]
+                         + [bodies.random_zonotope(3, 6, s) for s in (1, 3, 5)],
+                         ids=lambda spec: spec.name)
+def test_john_of_a_symmetric_body_solves_no_lp(monkeypatch, spec):
+    poly = positions.to_polytope(spec.build())
+    real_inradius = positions.inradius
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the Chebyshev-center LP ran")
+
+    monkeypatch.setattr(positions, "inradius", no_lp)
+    result, ellipsoid = john_position(poly)
+    # the LP-started solve, for reference
+    monkeypatch.setattr(positions, "_inner_ball",
+                        lambda body, symmetric: real_inradius(body))
+    ref, ref_ellipsoid = john_position(poly)
+    assert result.converged
+    assert np.abs(result.transform - ref.transform).max() <= 1e-12
+    assert result.scale == pytest.approx(ref.scale, rel=1e-12, abs=0.0)
+    scale = np.abs(ref_ellipsoid.shape).max()
+    assert np.abs(ellipsoid.shape - ref_ellipsoid.shape).max() <= 1e-12 * scale
+
+
+def test_john_of_a_non_symmetric_body_keeps_the_lp_start(monkeypatch):
+    calls = []
+    real_inradius = positions.inradius
+
+    def counted(poly):
+        calls.append(poly)
+        return real_inradius(poly)
+
+    monkeypatch.setattr(positions, "inradius", counted)
+    john_position(bodies.random_hull(3, 10, 1).build())
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# min-width: vertex-major extrema
+
+
+def _min_width_row_major(body, samples=2000, max_iter=300, seed=RngSeed()):
+    """The vertex-body descent of `min_mean_width_position` with the
+    products laid out (directions, vertices), reduced along axis 1."""
+    n = body.dim
+    pairs = max(8, samples // 2)
+    thetas = positions.sphere_points(
+        n, pairs, seed.derive("min-width-panel").generator())
+    transform = np.eye(n)
+    verts = body.vertices
+
+    def width_stats(t_mat):
+        seen = (thetas @ t_mat) @ verts.T
+        width = 0.5 * (seen.max(axis=1) - seen.min(axis=1))
+        return float(width.mean()), seen
+
+    value, seen = width_stats(transform)
+    step = 0.1
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        pts = 0.5 * (verts[seen.argmax(axis=1)] - verts[seen.argmin(axis=1)])
+        moment = (transform @ pts.T) @ thetas / pairs
+        grad = 0.5 * (moment + moment.T)
+        grad -= np.trace(grad) / n * np.eye(n)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm * n / max(value, 1e-300) <= 1e-4:
+            break
+        direction = -grad / gnorm
+        accepted = False
+        while step > 1e-10:
+            eigval, eigvec = np.linalg.eigh(step * direction)
+            cand = ((eigvec * np.exp(eigval)) @ eigvec.T) @ transform
+            cand_value, cand_seen = width_stats(cand)
+            if cand_value < value - 1e-12 * abs(value):
+                transform, value, seen = cand, cand_value, cand_seen
+                step = min(step * 1.5, 1.0)
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    return positions._unimodular(transform), iterations, value
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_min_width_matches_row_major_reference_bit_for_bit(n):
+    for spec in bodies.corpus(n):
+        body = spec.build()
+        if positions.is_zonotope(body):
+            continue
+        result = min_mean_width_position(body, seed=RngSeed(0))
+        transform, iterations, value = _min_width_row_major(body,
+                                                            seed=RngSeed(0))
+        assert np.array_equal(result.transform, transform), spec.name
+        assert result.iterations == iterations, spec.name
+        assert result.objective == value, spec.name
