@@ -13,12 +13,11 @@ from .bodies import (BodySpec, ball_approx, corpus, cross_polytope, cube,
 from .bodyops import project_body, to_polytope, transform_body
 from .checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext, CheckResult,
                      CheckSpec, SuiteConfig, run_check)
-from .polytope import Polytope, convex_hull, from_halfspaces, polar
+from .polytope import Polytope
 from .positions import (PositionResult, isotropic_position, john_position,
                         lowner_position, min_mean_width_position,
                         minimal_surface_position, minimal_surface_quotient)
-from .quermass import (b_constant, mean_width, omega, q_k, quermassintegral,
-                       vrad)
+from .quermass import b_constant, omega, quermassintegral, vrad
 from .sampling import (Estimate, RngSeed, grassmann_frames, mc_estimate,
                        minimize_on_grassmannian, minimize_on_sphere,
                        sphere_points)
@@ -34,11 +33,11 @@ __all__ = [
     "project_body", "to_polytope", "transform_body",
     "CHECK_IDS", "CHECK_MAP", "CHECKS", "BodyContext", "CheckResult",
     "CheckSpec", "SuiteConfig", "run_check",
-    "Polytope", "convex_hull", "from_halfspaces", "polar",
+    "Polytope",
     "PositionResult", "isotropic_position", "john_position",
     "lowner_position", "min_mean_width_position",
     "minimal_surface_position", "minimal_surface_quotient",
-    "b_constant", "mean_width", "omega", "q_k", "quermassintegral", "vrad",
+    "b_constant", "omega", "quermassintegral", "vrad",
     "Estimate", "RngSeed", "grassmann_frames", "mc_estimate",
     "minimize_on_grassmannian", "minimize_on_sphere", "sphere_points",
     "extremizer_search", "run_suite",

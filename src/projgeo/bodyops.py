@@ -102,5 +102,6 @@ def origin_symmetric(body: Body, tol: float = 1e-9) -> bool:
     verts = body.vertices
     scale = max(float(np.abs(verts).max()), 1.0)
     digits = int(-np.log10(tol * scale)) if tol * scale < 1.0 else 0
-    keys = {tuple(np.round(v, digits)) for v in verts}
-    return all(tuple(np.round(-v, digits)) in keys for v in verts)
+    # + 0.0 turns -0.0 (a tiny negative coordinate, rounded) into 0.0
+    r = np.round(verts, digits) + 0.0
+    return np.array_equal(np.unique(r, axis=0), np.unique(-r, axis=0))

@@ -96,7 +96,8 @@ def _cmd_compute(args) -> int:
     elif head == "circumradius":
         est = Estimate.of(circumradius(to_polytope(body)))
     elif head == "mean-width":
-        est = quermass.mean_width(body, args.samples, seed)
+        est = quermass.quermassintegral(body, n - 1, args.samples, seed).scaled(
+            1.0 / quermass.omega(n))
     elif head == "vrad":
         est = Estimate.of(quermass.vrad(body))
     elif head == "partial":

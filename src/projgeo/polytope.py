@@ -2,9 +2,10 @@
 
 A :class:`Polytope` is built as the convex hull of points (qhull underneath).
 Each simplex of qhull's triangulation is a facet unless qhull split facets
-into coplanar neighbors (cubes, grids, zonotope vertex sets); only then does
-a union-find merge them.  Ridge pieces come from qhull's neighbor table
-(neighbor j of a simplex lies opposite its vertex j), which gives
+into coplanar neighbors (cubes, grids, zonotope vertex sets); only then are
+the facets the connected components of the coplanar neighbor pairs.  Ridge
+pieces come from qhull's neighbor table (neighbor j of a simplex lies
+opposite its vertex j), which gives
 
   * the facet normals u_i, offsets b_i = h_K(u_i) and (n-1)-measures a_i
     (the atomic surface-area measure of the polytope), and
@@ -39,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 from scipy.spatial import QhullError
 
@@ -47,9 +50,6 @@ __all__ = [
     "SurfaceAreaMeasure",
     "DegenerateInputError",
     "BudgetError",
-    "convex_hull",
-    "from_halfspaces",
-    "polar",
     "inradius",
     "circumradius",
     "centroid_and_covariance",
@@ -57,7 +57,6 @@ __all__ = [
 
 _MERGE_ANGLE_TOL = 1e-8
 _MERGE_OFFSET_TOL = 1e-8
-_HREP_VERTEX_BUDGET = 200_000
 # Entries in one row block's (rows, columns) temporary, and the row count
 # every block is a multiple of (a multiple of the 4-, 8-, 12- and 16-row
 # BLAS tiles); see the module notes.
@@ -147,23 +146,6 @@ def _silhouette(xi: np.ndarray, rd: _RidgeData) -> np.ndarray:
     return sel @ rd.volumes
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 class Polytope:
     """Full-dimensional convex polytope, the hull of its vertices."""
 
@@ -216,22 +198,16 @@ class Polytope:
                     > 1.0 - _MERGE_ANGLE_TOL) & (
                         np.abs(b_s[pair_s] - b_s[pair_t]) <= off_tol)
         # Each simplex is a facet (+ 0.0 turns -0.0 into +0.0, as summing
-        # from zeros does) unless qhull split facets: then union the pairs
-        # that passed and label the facets in order of first appearance.
+        # from zeros does) unless qhull split facets: then the facets are
+        # the connected components of the pairs that passed, labeled in
+        # order of their lowest simplex.
         gid, normals = np.arange(nsimp), weighted + 0.0
         if coplanar.any():
-            uf = _UnionFind(nsimp)
-            for s, t in np.stack([pair_s, pair_t], 1)[coplanar].tolist():
-                uf.union(s, t)
-            roots = np.array(uf.parent)
-            while not np.array_equal(roots, roots[roots]):
-                roots = roots[roots]
-            _, first, inverse = np.unique(roots, return_index=True,
-                                          return_inverse=True)
-            rank = np.empty(first.size, dtype=int)
-            rank[np.argsort(first)] = np.arange(first.size)
-            gid = rank[inverse]
-            normals = np.zeros((first.size, n))
+            graph = coo_array((np.ones(coplanar.sum()),
+                               (pair_s[coplanar], pair_t[coplanar])),
+                              shape=(nsimp, nsimp))
+            nfacets, gid = connected_components(graph, directed=False)
+            normals = np.zeros((nfacets, n))
             np.add.at(normals, gid, weighted)
         nrm = np.sqrt(np.add.reduce(normals * normals, 1))
         # A sliver facet whose simplices all have Gram volume 0 has a zero
@@ -353,15 +329,11 @@ class Polytope:
         vols = np.bincount(key_of, piece_vol, ua.shape[0])
         return _RidgeData(vols, ua, ub, ortho, angles, idx, key_of)
 
-    # -- support / gauge ----------------------------------------------------
+    # -- support ------------------------------------------------------------
 
     def support_batch(self, directions: np.ndarray) -> np.ndarray:
         """h_K at each row of a (B, n) array (rows need not be unit)."""
         return (np.asarray(directions, dtype=float) @ self.vertices.T).max(axis=1)
-
-    def support(self, theta) -> float:
-        v = np.asarray(theta, dtype=float)
-        return float(self.support_batch(v[None])[0])
 
     def width_batch(self, directions: np.ndarray) -> np.ndarray:
         d = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -373,13 +345,6 @@ class Polytope:
             return prods.max(axis=0) - prods.min(axis=0)
 
         return by_row_blocks(widths, d, self.n_vertices)
-
-    def gauge(self, theta) -> float:
-        """Minkowski functional ‖θ‖_K = max_i ⟨u_i, θ⟩ / b_i (origin interior)."""
-        v = np.asarray(theta, dtype=float)
-        if np.any(self.facet_offsets <= 1e-12 * max(self.scale, 1.0)):
-            raise ValueError("gauge needs the origin in the interior")
-        return float(np.max((self.facet_normals @ v) / self.facet_offsets))
 
     # -- shadows ------------------------------------------------------------
 
@@ -473,63 +438,8 @@ class Polytope:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operations (the public construction/query surface).
+# Module-level queries.
 # ---------------------------------------------------------------------------
-
-
-def convex_hull(points, d: int | None = None) -> Polytope:
-    """Polytope spanned by ``points``; ``d`` optionally pins the dimension."""
-    pts = np.asarray(points, dtype=float)
-    if d is not None and (pts.ndim != 2 or pts.shape[1] != d):
-        raise ValueError(f"expected points in R^{d}, got shape {pts.shape}")
-    return Polytope(pts)
-
-
-def from_halfspaces(normals, offsets) -> Polytope:
-    """Polytope {x : ⟨u_i, x⟩ <= b_i} by vertex enumeration.
-
-    Enumerates n-subsets of facets (budgeted), solves each linear system, and
-    keeps the feasible intersection points.  Intended for modest facet counts.
-    """
-    u = np.asarray(normals, dtype=float)
-    b = np.asarray(offsets, dtype=float).ravel()
-    if u.ndim != 2 or u.shape[0] != b.size:
-        raise ValueError("normals must be (F, n) with matching offsets")
-    f, n = u.shape
-    nrm = np.linalg.norm(u, axis=1)
-    if np.any(nrm == 0.0):
-        raise ValueError("zero normal vector")
-    u = u / nrm[:, None]
-    b = b / nrm
-    if f < n + 1:
-        raise DegenerateInputError("too few halfspaces to bound a body")
-    if math.comb(f, n) > _HREP_VERTEX_BUDGET:
-        raise BudgetError(
-            f"vertex enumeration over C({f},{n}) subsets exceeds the budget"
-        )
-    idx = np.array(list(itertools.combinations(range(f), n)), dtype=int)
-    mats = u[idx]
-    rhs = b[idx]
-    det = np.abs(np.linalg.det(mats))
-    good = det > 1e-12
-    if not good.any():
-        raise DegenerateInputError("no non-degenerate facet intersections")
-    sols = np.linalg.solve(mats[good], rhs[good][..., None])[..., 0]
-    scale_guess = float(np.percentile(np.abs(sols), 90)) + 1.0
-    feas = np.all(sols @ u.T <= b[None, :] + 1e-9 * scale_guess, axis=1)
-    pts = sols[feas]
-    if pts.shape[0] < n + 1:
-        raise DegenerateInputError("halfspace intersection is not a body")
-    # Deduplicate.
-    pts = np.unique(np.round(pts / (1e-10 * scale_guess)), axis=0) * (1e-10 * scale_guess)
-    return Polytope(pts)
-
-
-def polar(p: Polytope) -> Polytope:
-    """Polar body K° = hull of u_i / b_i (origin must be interior)."""
-    if np.any(p.facet_offsets <= 1e-12 * max(p.scale, 1.0)):
-        raise ValueError("polar needs the origin in the interior")
-    return Polytope(p.facet_normals / p.facet_offsets[:, None])
 
 
 def inradius(p: Polytope) -> tuple[float, np.ndarray]:

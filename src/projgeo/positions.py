@@ -505,14 +505,3 @@ def solve(kind: str, body: Body,
         return min_mean_width_position(body, seed=seed), {}
     raise ValueError(f"unknown position kind {kind!r}")
 
-
-# ---------------------------------------------------------------------------
-# volume ratios
-
-
-def volume_ratio(body: Body, tol: float = 1e-7) -> float:
-    """vr(K) = (|K| / |E_John(K)|)^{1/n}."""
-    poly = to_polytope(body)
-    _, ellipsoid = john_position(poly, tol=tol)
-    return (poly.volume() / ellipsoid.volume()) ** (1.0 / poly.dim)
-

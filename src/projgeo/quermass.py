@@ -8,9 +8,10 @@ Conventions for a convex body K in R^n:
   ``binom(n, p) * W_p / omega_p``.
 * Kubota: ``V_j(K) = (omega_n/omega_j) * E_{F ~ G(n,j)} |P_F K|`` where the
   expectation is over Haar-random j-dimensional subspaces.
-* ``Q_k(K) = (V_k(K)/omega_n)^{1/k}``; the Aleksandrov inequalities say
-  ``vrad(K) = Q_n <= Q_{n-1} <= ... <= Q_1 = w(K)`` with ``w = E h_K`` the
-  (support) mean width.
+* The mean width ``w(K) = E h_K`` over unit directions is ``V_1/omega_n``,
+  so ``quermassintegral(K, n-1)`` scaled by ``1/omega_n``; the Aleksandrov
+  inequalities say ``vrad(K) = Q_n <= Q_{n-1} <= ... <= Q_1 = w(K)`` for
+  ``Q_k(K) = (V_k(K)/omega_n)^{1/k}``.
 
 Exact routes are used whenever the representation allows: every index for
 generator bodies, and W_p at p <= 3 and p = n for vertex bodies (facet
@@ -19,8 +20,6 @@ remaining indices fall back to Monte Carlo over random subspaces.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .bodyops import Body, frame_shadow_panel
 from .sampling import Estimate, RngSeed, grassmann_frames, mc_estimate, sphere_points
@@ -39,26 +38,6 @@ def vrad(body: Body) -> float:
     """Volume radius: the radius of the ball with the same volume."""
     n = body.dim
     return (body.volume() / omega(n)) ** (1.0 / n)
-
-
-def mean_width(body: Body, samples: int = DEFAULT_SPHERE_SAMPLES,
-               seed: RngSeed = RngSeed()) -> Estimate:
-    """Spherical average of the support function, w(K) = E h_K (antithetic)."""
-    n = body.dim
-    pairs = max(1, samples // 2)
-    dirs = sphere_points(n, pairs, seed.generator())
-    return mc_estimate(body.width_batch(dirs) / 2.0)
-
-
-def polar_vrad(body: Body, samples: int = DEFAULT_SPHERE_SAMPLES,
-               seed: RngSeed = RngSeed()) -> Estimate:
-    """vrad of the polar body via |K°| = omega_n * E[h_K^{-n}] (origin interior)."""
-    n = body.dim
-    dirs = sphere_points(n, samples, seed.generator())
-    h = body.support_batch(dirs)
-    if np.any(h <= 0):
-        raise ValueError("polar volume needs the origin strictly inside the body")
-    return mc_estimate(h ** (-float(n))).powered(1.0 / n)
 
 
 def quermassintegral(body: Body, p: int, samples: int | None = None,
@@ -93,20 +72,12 @@ def quermassintegral(body: Body, p: int, samples: int | None = None,
         if p == 3:
             return Estimate.of(body.quermass_exact_3codim())
     if j == 1:
-        mw = mean_width(body, samples or DEFAULT_SPHERE_SAMPLES, seed)
-        return mw.scaled(omega(n))
+        # omega_n times the mean width E h_K, from antithetic direction pairs
+        pairs = max(1, (samples or DEFAULT_SPHERE_SAMPLES) // 2)
+        dirs = sphere_points(n, pairs, seed.generator())
+        return mc_estimate(body.width_batch(dirs) / 2.0).scaled(omega(n))
     count = samples or DEFAULT_FRAME_SAMPLES
     frames = grassmann_frames(n, j, count, seed.generator())
     vols, _ = frame_shadow_panel(body, frames, want_surface=False)
     return mc_estimate(vols).scaled(omega(n) / omega(j))
-
-
-def q_k(body: Body, k: int, samples: int | None = None,
-        seed: RngSeed = RngSeed()) -> Estimate:
-    """Normalized mean shadow Q_k = (V_k/omega_n)^{1/k} (Q_1 = w, Q_n = vrad)."""
-    n = body.dim
-    if not 1 <= k <= n:
-        raise ValueError(f"index {k} out of range for dimension {n}")
-    vk = quermassintegral(body, n - k, samples, seed)
-    return vk.scaled(1.0 / omega(n)).powered(1.0 / k)
 

@@ -39,8 +39,16 @@ def test_compute_normalized_mean_shadow(capsys):
     assert "pk index" in capsys.readouterr().err
 
 
+def test_compute_exact_mean_width(capsys):
+    # w(Q3) = W_2(Q3) / omega_3 = 2 pi / (4 pi / 3), from the ridge angles
+    assert main(["compute", "--body", "cube", "--dim", "3",
+                 "--quantity", "mean-width"]) == 0
+    assert capsys.readouterr().out.strip() == "1.5"
+
+
 def test_compute_sampled_quantity_reports_error_bar(capsys):
-    assert main(["compute", "--body", "random-hull(10,1)", "--dim", "3",
+    # a vertex body's mean width is W_{n-1}, sampled at n >= 5
+    assert main(["compute", "--body", "random-hull(12,1)", "--dim", "5",
                  "--quantity", "mean-width", "--samples", "2000"]) == 0
     out = capsys.readouterr().out.strip()
     assert "±" in out or "+-" in out
@@ -145,14 +153,18 @@ def test_search_writes_trace(tmp_path, capsys):
 def test_plot_writes_svg(tmp_path, capsys):
     corpus_file = tmp_path / "tiny.json"
     corpus_file.write_text(json.dumps(["cube"]))
-    report_file = tmp_path / "rep.json"
-    assert main(["verify", "--dim", "3", "--corpus", str(corpus_file),
-                 "--ids", "T-HYPER-1,GHP", "--out", str(report_file)]) == 0
+    report_files = []
+    for n in (3, 4):
+        report_file = tmp_path / f"rep-n{n}.json"
+        assert main(["verify", "--dim", str(n), "--corpus", str(corpus_file),
+                     "--ids", "T-HYPER-1,GHP", "--out", str(report_file)]) == 0
+        report_files.append(str(report_file))
     svg_file = tmp_path / "plot.svg"
-    assert main(["plot", "--report", str(report_file),
+    assert main(["plot", "--report", *report_files,
                  "--out", str(svg_file)]) == 0
     text = svg_file.read_text()
     assert text.startswith("<svg") and "T-HYPER-1" in text
+    assert ">n=3</text>" in text and ">n=4</text>" in text
 
 
 def test_missing_file_is_a_clean_error(capsys):

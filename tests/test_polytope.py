@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from projgeo import bodies, polytope
-from projgeo.bodyops import project_body, transform_body
+from projgeo.bodyops import origin_symmetric, project_body, to_polytope, transform_body
 from projgeo.polytope import (_MERGE_ANGLE_TOL, _MERGE_OFFSET_TOL,
                               DegenerateInputError, Polytope, _simplex_volumes,
-                              circumradius, convex_hull, from_halfspaces,
-                              inradius, polar, row_blocks)
+                              circumradius, inradius, row_blocks)
 from projgeo.quermass import omega, quermassintegral
 from projgeo.sampling import RngSeed, sphere_points
 from projgeo.zonotope import zonotope_to_polytope
@@ -50,19 +49,11 @@ def test_cross_volume_and_surface():
                                                rel=1e-12)
 
 
-def test_cube_support_and_gauge():
-    q3 = _cube()
-    assert q3.support(np.array([1.0, 1.0, 1.0])) == pytest.approx(3.0)
-    diag = np.ones(3) / math.sqrt(3.0)
-    # the diagonal leaves the cube through a vertex at distance sqrt(3)
-    assert q3.gauge(diag) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
-
-
 def test_support_batch_matches_scalar():
     body = bodies.random_hull(3, 12, 5).build()
     dirs = sphere_points(3, 50, RngSeed(11).generator())
     batch = body.support_batch(dirs)
-    singles = [body.support(d) for d in dirs]
+    singles = [body.support_batch(d[None])[0] for d in dirs]
     assert np.allclose(batch, singles, rtol=1e-12)
 
 
@@ -71,7 +62,7 @@ def test_support_batch_matches_scalar():
 def test_width_is_nonnegative_and_even(seed):
     body = bodies.random_hull(3, 10, seed % 97).build()
     theta = sphere_points(3, 1, RngSeed(seed).generator())[0]
-    w = body.support(theta) + body.support(-theta)
+    w = body.support_batch(np.stack([theta, -theta])).sum()
     assert w >= 0.0
     assert body.width_batch(theta[None])[0] == pytest.approx(w, rel=1e-12)
 
@@ -92,12 +83,6 @@ def test_width_batch_matches_row_major_products(n):
             assert np.array_equal(widths, reference), spec.name
         else:
             assert np.allclose(widths, reference, rtol=1e-15, atol=0.0)
-
-
-def test_polar_cube_is_cross():
-    q3, b13 = _cube(), _cross()
-    assert polar(q3).volume() == pytest.approx(b13.volume(), rel=1e-10)
-    assert polar(b13).volume() == pytest.approx(q3.volume(), rel=1e-10)
 
 
 def test_inradius_and_circumradius():
@@ -167,25 +152,35 @@ def test_transform_scales_volume_by_determinant():
                                            rel=1e-10)
 
 
-def test_from_halfspaces_round_trip():
-    q3 = _cube()
-    rebuilt = from_halfspaces(q3.facet_normals, q3.facet_offsets)
-    assert rebuilt.volume() == pytest.approx(8.0, rel=1e-10)
-    assert rebuilt.n_vertices == 8
+def _origin_symmetric_loop(body, tol=1e-9):
+    """Reference: round each vertex and look its negation up in a set."""
+    verts = body.vertices
+    scale = max(float(np.abs(verts).max()), 1.0)
+    digits = int(-np.log10(tol * scale)) if tol * scale < 1.0 else 0
+    keys = {tuple(np.round(v, digits)) for v in verts}
+    return all(tuple(np.round(-v, digits)) in keys for v in verts)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_origin_symmetric_matches_loop_reference(n):
+    seen = set()
+    for spec in bodies.corpus(n):
+        body = to_polytope(spec.build())
+        # a shift breaks the symmetry; a -1e-12 one rounds away, and the
+        # zero coordinates it moves round to -0.0
+        for shift in (0.0, -1e-12, 0.25):
+            moved = Polytope(body.vertices + shift * np.arange(1, n + 1))
+            want = _origin_symmetric_loop(moved)
+            assert origin_symmetric(moved) == want, (spec.name, shift)
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_degenerate_input_reports_affine_dimension():
     flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                      [1.0, 1.0, 0.0]])
     with pytest.raises(DegenerateInputError, match="affine"):
-        convex_hull(flat)
-
-
-def test_polar_requires_interior_origin():
-    shifted = transform_body(_cube(), np.eye(3))
-    pts = shifted.vertices + 5.0
-    with pytest.raises(ValueError):
-        polar(convex_hull(pts))
+        Polytope(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +317,15 @@ def test_build_matches_loop_reference_bit_for_bit(points):
 
 
 def test_hull_without_coplanar_neighbors_runs_no_union_find(monkeypatch):
-    def refuse(size):
-        raise AssertionError("union-find built for a simplicial hull")
+    def refuse(graph, directed):
+        raise AssertionError("components labeled for a simplicial hull")
 
-    monkeypatch.setattr(polytope, "_UnionFind", refuse)
+    monkeypatch.setattr(polytope, "connected_components", refuse)
     body = Polytope(_random_points(4, 12, 0))
     assert np.array_equal(body._tri_facet,
                           np.arange(len(body._tri_simplices)))
     assert body.ridges().volumes.size > 0
-    with pytest.raises(AssertionError, match="union-find"):
+    with pytest.raises(AssertionError, match="components labeled"):
         Polytope(_cube_points(4))        # qhull splits the cube's facets
 
 

@@ -1,4 +1,4 @@
-"""Quermassintegrals, normalized shadow means, and their constants."""
+"""Quermassintegrals, the Aleksandrov chain, and their constants."""
 
 import math
 
@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projgeo import bodies
-from projgeo.quermass import (b_constant, mean_width, omega, polar_vrad, q_k,
-                              quermassintegral, vrad)
+from projgeo.quermass import b_constant, omega, quermassintegral, vrad
 from projgeo.sampling import RngSeed
 from projgeo.zonotope import Zonotope
 
@@ -36,7 +35,8 @@ def test_vrad_of_cube():
 
 def test_mean_width_of_cube():
     q3 = bodies.cube(3).build()
-    est = mean_width(q3, samples=20_000, seed=RngSeed(0))
+    est = quermassintegral(q3, 2, samples=20_000, seed=RngSeed(0),
+                           method="mc").scaled(1.0 / omega(3))
     # w(Q3) = V_1 / omega_3 = 2 pi / omega_3 = 3/2
     assert abs(est.value - 1.5) <= 3.0 * est.stderr
     assert est.stderr < 0.01
@@ -71,20 +71,18 @@ def test_quermassintegral_rejects_bad_codimension():
         quermassintegral(q3, -1)
 
 
+def _q(body, k):
+    """Q_k = (V_k / omega_n)^{1/k}, with V_k the quermassintegral W_{n-k}."""
+    n = body.dim
+    return quermassintegral(body, n - k).scaled(1.0 / omega(n)).powered(1.0 / k)
+
+
 def test_q_k_endpoints_for_cube():
     q3 = bodies.cube(3).build()
     # Q_{n-1} = (S / (n omega_n))^{1/(n-1)} = sqrt(6/pi) for Q3
-    assert q_k(q3, 2).value == pytest.approx(math.sqrt(6.0 / math.pi),
-                                             rel=1e-10)
-    assert q_k(q3, 3).value == pytest.approx(vrad(q3), rel=1e-10)
-
-
-def test_polar_vrad_of_cube():
-    q3 = bodies.cube(3).build()
-    est = polar_vrad(q3, samples=40_000, seed=RngSeed(2))
-    # |Q3 polar| = |B1_3| = 4/3, so vrad = (1/pi)^{1/3}
-    expected = (1.0 / math.pi) ** (1.0 / 3.0)
-    assert abs(est.value - expected) <= 3.0 * est.stderr + 1e-4
+    assert _q(q3, 2).value == pytest.approx(math.sqrt(6.0 / math.pi),
+                                            rel=1e-10)
+    assert _q(q3, 3).value == pytest.approx(vrad(q3), rel=1e-10)
 
 
 @given(seed=st.integers(0, 3000), m=st.integers(4, 8))
@@ -93,6 +91,6 @@ def test_normalized_shadow_means_decrease(seed, m):
     """The chain Q_1 >= Q_2 >= ... >= Q_n, exact for generator bodies."""
     gens = RngSeed(seed).derive("alek").generator().standard_normal((m, 4))
     z = Zonotope(gens)
-    values = [q_k(z, k).value for k in range(1, 5)]
+    values = [_q(z, k).value for k in range(1, 5)]
     for a, b in zip(values, values[1:]):
         assert a >= b - 1e-10 * abs(a)
