@@ -182,6 +182,24 @@ def test_surface_constant_check_has_no_k1_sub_case():
                       for k in (2, 3)]
 
 
+def test_fgm_has_no_p0_sub_case():
+    # at p = 0 both sides are 1, so the cell's ratio was 1 on every body
+    cell = _cell("FGM", bodies.cube(4))
+    assert cell.status == "pass"
+    labels = [c["label"] for c in cell.detail["cases"]]
+    assert labels == [f"k={k}, p={p}" for k in (1, 2, 3)
+                      for p in range(1, k + 1)]
+    assert cell.ratio > 1.5
+
+
+def test_mean_frame_surface_check_has_no_k1_sub_case():
+    # at k = 1 the mean shadow surface and the rhs 1·ω_1·S^0 are both 2
+    cell = _cell("T-HIGHER-6", bodies.cube(4))
+    assert cell.status == "pass"
+    labels = [c["label"] for c in cell.detail["cases"]]
+    assert labels == ["k=2", "k=3"]
+
+
 # ---------------------------------------------------------------------------
 # mean shadow V_1 by Kubota's identity
 
