@@ -20,6 +20,10 @@ def test_compute_exact_quermassintegral(capsys):
     assert main(["compute", "--body", "cube", "--dim", "3",
                  "--quantity", "quermass(2)"]) == 0
     assert capsys.readouterr().out.strip() == "6.28318531"
+    # the mean width is W_2(Q3) / omega_3 = 2 pi / (4 pi / 3), no error bar
+    assert main(["compute", "--body", "cube", "--dim", "3",
+                 "--quantity", "mean-width"]) == 0
+    assert capsys.readouterr().out.strip() == "1.5"
 
 
 def test_compute_exact_w3_at_n4(capsys):
@@ -37,13 +41,6 @@ def test_compute_normalized_mean_shadow(capsys):
     assert main(["compute", "--body", "cube", "--dim", "3",
                  "--quantity", "pk(4)"]) == 2
     assert "pk index" in capsys.readouterr().err
-
-
-def test_compute_exact_mean_width(capsys):
-    # w(Q3) = W_2(Q3) / omega_3 = 2 pi / (4 pi / 3), from the ridge angles
-    assert main(["compute", "--body", "cube", "--dim", "3",
-                 "--quantity", "mean-width"]) == 0
-    assert capsys.readouterr().out.strip() == "1.5"
 
 
 def test_compute_sampled_quantity_reports_error_bar(capsys):
