@@ -42,6 +42,11 @@ HEAVY_VERTEX_LIMIT = 100
 ZONOTOPE_VOLUME_BUDGET = 400_000  # max n-subsets for exact zonotope volume
 ZONOTOPE_SHADOW_BUDGET = 4_000_000  # max (n-1)-subset evaluations for shadows
 SNAP_SEED_ITERS = 50  # descent iterations that seed the Pi K facet walk
+# Screen and polish of the vertex-body shadow quermassintegral minima: each
+# objective row hulls one shadow.
+SCREEN_DIRECTIONS = 128
+POLISH_STEP0 = 0.25
+POLISH_STEP_MIN = 2e-3
 
 
 class SkipCheck(Exception):
@@ -369,7 +374,10 @@ class BodyContext:
         finite-difference steps stall short of the vertex.  A sphere descent
         capped at SNAP_SEED_ITERS iterations, without the polish, only
         seeds the walk: it starts from the descent's best point and from
-        the 8n lowest directions of the sphere panel.  The walk only
+        the 8n lowest directions of the sphere panel.  The walk is local:
+        it stops at the first facet normal no neighbor improves, so it needs
+        the descent's point as a start.  From the panel directions alone it
+        stopped 0.18% high on `random-zonotope(8,4)` at n=5.  The walk only
         proposes directions: every value is Cauchy's formula on K, so
         MINPROJ's inradius of Pi K stays an independent route.
         """
@@ -432,10 +440,11 @@ class BodyContext:
     def min_shadow_quermass(self, p: int) -> tuple[float, str]:
         """min over directions of V_{n-1-p}(shadow), with a method note.
 
-        Exact at j = n-2 and for zonoids.  Vertex bodies at j in {1, 2}
-        screen and polish a fixed-draw objective: Kubota inside xi-perp,
-        V_j(P_{xi-perp} K) = (omega_{n-1}/omega_j) E|P_G K| over j-frames
-        G of xi-perp (widths at j = 1, 2-frame areas at j = 2).
+        Exact at j = n-2 and for zonoids.  A vertex body's value at xi is
+        W_p of the hull of its vertices projected on an orthonormal basis
+        of xi-perp, read by `quermassintegral` (exact at p <= 3, which
+        covers every index at n <= 5), so each screened and polished
+        direction is an exact shadow quermassintegral.
         """
         n = self.n
         j = n - 1 - p
@@ -450,32 +459,17 @@ class BodyContext:
             _, value = minimize_on_sphere(
                 objective, n, seed=self.rng("min-quermass", p), vectorized=True)
             return value, f"sphere minimum of the exact subset-Gram V_{j}"
-        if j > 2:
-            raise ValueError(f"no route for min shadow quermass j={j} at n={n}")
-
-        heavy = self.n_vertices() > HEAVY_VERTEX_LIMIT
-        gen = self.rng("min-quermass", p).generator()
-        # A Gaussian block projected into xi-perp stays Gaussian there, so
-        # it spans Haar j-frames of xi-perp; the block is fixed across
-        # candidate directions so the search surface is smooth.
-        count = (500 if heavy else 800) if j == 1 else (96 if heavy else 160)
-        block = gen.standard_normal((count, j, n))
-        factor = omega(n - 1) / omega(j)
+        if p > 3:
+            raise ValueError(f"no exact route for shadow W_p, p={p} > 3")
 
         def objective(dirs: np.ndarray) -> np.ndarray:
-            dirs = np.atleast_2d(dirs)
-            along = np.einsum("cjn,bn->bcj", block, dirs)
-            g = block - along[..., None] * dirs[:, None, None, :]
-            return factor * _subframe_volumes(self.body, g).mean(axis=1)
+            return np.array([quermassintegral(
+                project_body(self.body, np.linalg.svd(xi[None])[2][1:]), p).value
+                for xi in dirs])
 
-        if j == 1:
-            value = _screened_sphere_min(objective, n, gen,
-                                         screen=256 if heavy else 1024)
-            return value, "screened MC width objective (fixed inner draw)"
-        value = _screened_sphere_min(
-            objective, n, gen, screen=128 if heavy else 192,
-            top=1 if heavy else 2, step_min=2e-3)
-        return value, "screened 2-frame area objective (fixed inner draw)"
+        value = _screened_sphere_min(objective, n,
+                                     self.rng("min-quermass", p).generator())
+        return value, f"screened sphere minimum of the exact shadow-hull V_{j}"
 
     # -- positions ---------------------------------------------------------------
 
@@ -514,26 +508,6 @@ class BodyContext:
         return out
 
 
-def _subframe_volumes(body: Body, g: np.ndarray) -> np.ndarray:
-    """|P_G body| for the j-frames G that Gram-Schmidt makes of the blocks g.
-
-    ``g`` has shape (..., j, n); the result has shape g.shape[:-2].
-    Gaussian blocks drawn inside a k-subspace F give Haar j-frames of F,
-    and P_G P_F K = P_G K for G inside F, so omega_k/omega_j times the
-    mean is Kubota's V_j(P_F K), read on K itself.
-    """
-    frames = np.array(g, dtype=float)
-    for r in range(frames.shape[-2]):
-        row = frames[..., r, :]
-        for s in range(r):
-            prev = frames[..., s, :]
-            row -= np.einsum("...n,...n->...", row, prev)[..., None] * prev
-        row /= np.linalg.norm(row, axis=-1, keepdims=True)
-    vols, _ = frame_shadow_panel(body, frames.reshape(-1, *frames.shape[-2:]),
-                                 want_surface=False)
-    return vols.reshape(frames.shape[:-2])
-
-
 def _frame_shadows(body: Body, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(volumes, surface areas) of the shadows P_F K over (B, k, n) frames.
 
@@ -548,29 +522,31 @@ def _frame_shadows(body: Body, frames: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return frame_shadow_panel(body, frames)
 
 
-def _screened_sphere_min(objective, n: int, gen: np.random.Generator,
-                         screen: int = 1024, top: int = 4,
-                         step0: float = 0.25, step_min: float = 1e-4) -> float:
-    """Screen a batch objective on random directions, then pattern-polish."""
-    cands = sphere_points(n, screen, gen)
+def _screened_sphere_min(objective, n: int, gen: np.random.Generator) -> float:
+    """Screen a batch objective on SCREEN_DIRECTIONS random directions, then
+    pattern-polish the best one."""
+    cands = sphere_points(n, SCREEN_DIRECTIONS, gen)
     vals = objective(cands)
-    order = np.argsort(vals)[:top]
-    best = float(vals[order[0]])
-    for i in order:
-        best = min(best, _polish_sphere(objective, cands[i], step0, step_min))
-    return best
+    best = int(np.argmin(vals))
+    return min(float(vals[best]), _polish_sphere(objective, cands[best]))
 
 
-def _polish_sphere(objective, x0: np.ndarray, step0: float,
-                   step_min: float) -> float:
-    """Pattern search on the sphere from x0 (tangent +- basis probes)."""
+def _polish_sphere(objective, x0: np.ndarray) -> float:
+    """Pattern search on the sphere from x0 (tangent +- basis probes).
+
+    The rows e_i - x_i x of I - x x^T span the tangent space with one to
+    spare; the shortest, at the largest |x_i|, is left out.  Near the axis
+    e_i its length is the distance to e_i, so its probes would creep toward
+    the axis a fraction `step` of the way per accepted move: hundreds of
+    moves on the cube.
+    """
     n = x0.size
     x = x0 / np.linalg.norm(x0)
     fx = float(objective(x[None])[0])
-    step = step0
+    step = POLISH_STEP0
     eye = np.eye(n)
-    while step > step_min:
-        tangent = eye - np.outer(x, x)
+    while step > POLISH_STEP_MIN:
+        tangent = np.delete(eye - np.outer(x, x), np.argmax(np.abs(x)), axis=0)
         probes = np.vstack([x + step * tangent, x - step * tangent])
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
         vals = objective(probes)
@@ -881,34 +857,30 @@ def _check_fgm(ctx: BodyContext):
     for k in range(1, n):
         frames = grassmann_frames(n, k, 50, ctx.rng("FGM", k).generator())
         # Zonotope shadows (k >= 2) are zonotopes, exact at every index.
-        # Otherwise the shadows' volumes and surfaces come from
-        # `_frame_shadows`, and V_j at 1 <= j <= k-2 by Kubota inside F
-        # (`_subframe_volumes`), so no shadow body is built.
-        if ctx.is_zonoid and k > 1:
+        # A vertex body's shadow volumes and surfaces come from
+        # `_frame_shadows`, and V_j at 1 <= j <= k-2 (k >= 3) from the hull
+        # of each frame's projected vertices.
+        zonoid = ctx.is_zonoid and k > 1
+        if zonoid or k > 2:
             shadows = [project_body(ctx.body, f) for f in frames]
+        if zonoid:
             vols = np.array([s.volume() for s in shadows])
         else:
-            shadows = None
             vols, surfs = _frame_shadows(ctx.body, frames)
         # at p = 0 both sides are 1 (|K|/|K| and |P_F K|/|P_F K|), so the
         # bound holds by construction and is not compared with itself
         for p in range(1, k + 1):
             j = k - p
-            if shadows is not None:
-                sides = [Estimate.of(s.quermassintegral_exact(p))
-                         for s in shadows]
-            elif j == 0:
+            if j == 0:
                 sides = [Estimate.of(omega(k))] * len(frames)
-            elif j == k - 1:
+            elif j == k - 1 and not zonoid:
                 sides = [Estimate.of(s / k) for s in surfs]
             else:
-                count = 600 if j == 1 else 192
-                draws = np.stack([
-                    ctx.rng("FGM", k, p, i).generator().standard_normal(
-                        (count, j, k)) for i in range(len(frames))])
-                panel = _subframe_volumes(ctx.body, draws @ frames[:, None])
-                sides = [mc_estimate(row).scaled(omega(k) / omega(j))
-                         for row in panel]
+                # exact for zonotopes and at p <= 3; beyond (k = 5, p = 4
+                # at n = 6) each frame draws its own 600 widths
+                sides = [quermassintegral(s, p, samples=1200,
+                                          seed=ctx.rng("FGM", k, p, i))
+                         for i, s in enumerate(shadows)]
             best = max((side.scaled(1.0 / v) for side, v in zip(sides, vols)),
                        key=lambda q: q.value)
             lhs = ctx.quermass(p).scaled(1.0 / vol)

@@ -50,8 +50,9 @@ SHADOW_QUERMASS_NOTE = (
     "frame panel of its own dimension. CK-IDENT checks the identities "
     "themselves against Monte Carlo panels. The minimum over xi is exact at "
     "j = n-2 and for zonoids (subset-Gram determinants); for vertex bodies "
-    "at j < n-2 it minimizes a fixed-draw Monte Carlo objective. V_j of a "
-    "single vertex shadow (FGM) is a Monte Carlo average inside its subspace."
+    "at j < n-2 it screens and polishes the exact W_p of the hulled shadow. "
+    "V_j of a single vertex shadow (FGM) is W_{k-j} of its hull, exact at "
+    "k-j <= 3 (every index at n <= 5)."
 )
 
 

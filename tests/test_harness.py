@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull
 
 from projgeo import bodies, checks
 from projgeo.bodyops import frame_shadow_panel, project_body, transform_body
@@ -14,9 +13,8 @@ from projgeo.checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext,
                             SubCase, SuiteConfig, run_check)
 from projgeo.polytope import inradius
 from projgeo.positions import minimal_surface_quotient
-from projgeo.quermass import omega
-from projgeo.sampling import (Estimate, grassmann_frames, mc_estimate,
-                              sphere_points)
+from projgeo.quermass import omega, quermassintegral
+from projgeo.sampling import Estimate, grassmann_frames, mc_estimate
 from projgeo.suite import SEARCH_IDS, extremizer_search, run_suite
 from projgeo.svgplot import render
 from projgeo.zonotope import Zonotope, zonotope_to_polytope
@@ -503,10 +501,13 @@ def test_fgm_builds_no_shadow_hull_for_vertex_bodies(monkeypatch, spec):
     monkeypatch.setattr(checks, "project_body", counting)
     ctx = BodyContext(spec, CFG)
     subs, _ = CHECK_MAP["FGM"].fn(ctx)
-    assert calls == []
+    # no hull at n = 3; beyond, only 1 <= j <= k-2 (k >= 3) reads a hull,
+    # one per frame
+    n = ctx.n
+    assert calls == [(k, n) for k in range(3, n) for _ in range(50)]
     # the k = n-1 quotients against the hull route: W_1 = S/k at p = 1
     monkeypatch.undo()
-    k = ctx.n - 1
+    k = n - 1
     frames, _ = _fgm_hyperplane_frames(ctx)
     hulls = [project_body(ctx.body, f) for f in frames]
     best = max(h.surface_area() / k / h.volume() for h in hulls)
@@ -514,52 +515,49 @@ def test_fgm_builds_no_shadow_hull_for_vertex_bodies(monkeypatch, spec):
     assert rhs == pytest.approx(best / math.comb(2, 1), rel=1e-13)
 
 
-def _fgm_shadow_hull_rhs(ctx, k, p):
-    """FGM's (k, p) rhs along the shadow-hull route, from the same draws.
-
-    Each shadow P_F K is hulled in frame coordinates; V_1 is read from its
-    own widths and V_2 from the areas of its own 2-dimensional shadows.
-    """
-    n, j = ctx.n, k - p
-    frames = grassmann_frames(n, k, 50, ctx.rng("FGM", k).generator())
-    best = None
-    for i, frame in enumerate(frames):
-        shadow = project_body(ctx.body, frame)
-        gen = ctx.rng("FGM", k, p, i).generator()
-        if j == 1:
-            dirs = sphere_points(k, 600, gen)
-            values = omega(k) * shadow.width_batch(dirs) / 2.0
-        else:
-            assert j == 2
-            g = gen.standard_normal((192, 2, k))
-            u1 = g[:, 0] / np.linalg.norm(g[:, 0], axis=1, keepdims=True)
-            v2 = g[:, 1] - np.einsum("hn,hn->h", g[:, 1], u1)[:, None] * u1
-            u2 = v2 / np.linalg.norm(v2, axis=1, keepdims=True)
-            areas = [ConvexHull(shadow.vertices @ np.stack([a, b]).T).volume
-                     for a, b in zip(u1, u2)]
-            values = omega(k) / omega(2) * np.array(areas)
-        est = mc_estimate(values / shadow.volume())
-        if best is None or est.value > best.value:
-            best = est
-    scale = 1.0 / math.comb(n - k + p, n - k)
-    return best.value * scale, best.stderr * scale
-
-
-@pytest.mark.parametrize("n, k, p", [(4, 3, 2), (5, 4, 2)])
+@pytest.mark.parametrize("n, k, p", [(4, 3, 2), (5, 4, 2), (5, 4, 3)])
 def test_fgm_monte_carlo_sides_match_the_shadow_hull_route(n, k, p):
+    # the indices 1 <= j <= k-2, once Monte Carlo, are now exact W_p of
+    # the hulled shadows
     ctx = BodyContext(bodies.random_hull(n, 2 * n + 4, 1), CFG)
     subs, _ = CHECK_MAP["FGM"].fn(ctx)
     rhs = next(s.rhs for s in subs if s.label == f"k={k}, p={p}")
-    value, stderr = _fgm_shadow_hull_rhs(ctx, k, p)
-    assert not rhs.exact
-    assert rhs.value == pytest.approx(value, rel=1e-12)
-    assert rhs.stderr == pytest.approx(stderr, rel=1e-12)
+    frames = grassmann_frames(n, k, 50, ctx.rng("FGM", k).generator())
+    shadows = [project_body(ctx.body, f) for f in frames]
+    best = max(quermassintegral(s, p).value / s.volume() for s in shadows)
+    assert rhs.exact
+    assert rhs.value == pytest.approx(best / math.comb(n - k + p, n - k),
+                                      rel=1e-12)
+
+
+@pytest.mark.parametrize("n, p, exact", [(4, 2, 2 * math.pi),
+                                         (5, 2, 4 * math.pi),
+                                         (5, 3, 8 * math.pi / 3)])
+def test_vertex_shadow_quermass_minima_of_the_cube(n, p, exact):
+    # every hyperplane shadow of [-1,1]^n contains a face of the cube
+    # [-1,1]^{n-1}, whose V_j = C(n-1,j) 2^j omega_{n-1-j}/C(n-1,j) is the
+    # minimum (W_p of the shadow, read as V_{n-1-p})
+    value, method = BodyContext(bodies.cube(n), CFG).min_shadow_quermass(p)
+    assert exact <= value <= exact * (1 + 2e-3)
+    assert method == ("screened sphere minimum of the exact shadow-hull "
+                      f"V_{n - 1 - p}")
 
 
 def test_fgm_passes_on_a_vertex_body_at_n6():
-    # V_3 of a 4- or 5-dimensional shadow is Kubota inside the shadow's span
+    # V_j of a 4- or 5-dimensional shadow is its hull's exact W_p at p <= 3;
+    # the one index left, k = 5 and p = 4, draws widths frame by frame
     cell = run_check(CHECK_MAP["FGM"], BodyContext(bodies.simplex(6), CFG))
     assert cell.status == "pass", cell.detail.get("error")
+    drawn = [c["label"] for c in cell.detail["cases"] if not c["rhs"]["exact"]]
+    assert drawn == ["k=5, p=4"]
+
+
+def test_t_quer_1_at_n6_has_no_route_only_at_p4():
+    # a 5-dimensional shadow has exact W_p at p <= 3 only
+    cell = run_check(CHECK_MAP["T-QUER-1"], BodyContext(bodies.simplex(6), CFG))
+    assert cell.status == "error"
+    assert cell.detail["error"] == (
+        "ValueError: no exact route for shadow W_p, p=4 > 3")
 
 
 # ---------------------------------------------------------------------------
