@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import traceback
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -47,6 +48,8 @@ SNAP_SEED_ITERS = 50  # descent iterations that seed the Pi K facet walk
 SCREEN_DIRECTIONS = 128
 POLISH_STEP0 = 0.25
 POLISH_STEP_MIN = 2e-3
+# Direction panels kept by _shared_directions (100 rows each for GHP).
+SHARED_DIRECTIONS_CACHE = 64
 
 
 class SkipCheck(Exception):
@@ -569,8 +572,20 @@ def _b(n: int) -> float:
     return b_constant(n)
 
 
+@lru_cache(maxsize=SHARED_DIRECTIONS_CACHE)
+def _shared_directions(n: int, count: int, seed: RngSeed) -> np.ndarray:
+    """Read-only ``sphere_points(n, count, seed.generator())``."""
+    dirs = sphere_points(n, count, seed.generator())
+    dirs.flags.writeable = False
+    return dirs
+
+
 def _check_ghp(ctx: BodyContext):
-    dirs = sphere_points(ctx.n, 100, ctx.rng("GHP").generator())
+    # The draw depends only on (n, seed), and the seed only on the run seed
+    # and the body name, so contexts of one name share it.  A search scores
+    # every step under one name (common random numbers): its steps reuse
+    # one panel, which no caller can change.
+    dirs = _shared_directions(ctx.n, 100, ctx.rng("GHP"))
     quotients = ctx.body.shadow_surfaces(dirs) / ctx.body.shadow_volumes(dirs)
     worst = int(np.argmax(quotients))
     lhs = Estimate.of(quotients[worst])

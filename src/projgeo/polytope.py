@@ -3,9 +3,13 @@
 A :class:`Polytope` is built as the convex hull of points (qhull underneath).
 Each simplex of qhull's triangulation is a facet unless qhull split facets
 into coplanar neighbors (cubes, grids, zonotope vertex sets); only then are
-the facets the connected components of the coplanar neighbor pairs.  Ridge
-pieces come from qhull's neighbor table (neighbor j of a simplex lies
-opposite its vertex j), which gives
+the facets the connected components of the coplanar neighbor pairs, and
+only then do the facet and ridge builds group simplices and sum over the
+groups.  One determinant pass per hull measures every simplex as its area
+in its facet hyperplane and as its cone from an interior point, which sum
+to the facet areas and the volume.  Ridge pieces come from qhull's
+neighbor table (neighbor j of a simplex lies opposite its vertex j), which
+gives
 
   * the facet normals u_i, offsets b_i = h_K(u_i) and (n-1)-measures a_i
     (the atomic surface-area measure of the polytope), and
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_array
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 from scipy.spatial import QhullError
@@ -91,13 +95,11 @@ class _RidgeData:
     piece_ridge: np.ndarray     # (P,)     ridge of each piece
 
 
-def _simplex_volumes(pts: np.ndarray) -> np.ndarray:
-    """(S,) j-volumes of S simplices given as (S, j+1, n) vertex stacks."""
-    edges = pts[:, 1:, :] - pts[:, :1, :]
-    j = edges.shape[1]
+def _gram_volumes(edges: np.ndarray) -> np.ndarray:
+    """(S,) j-volumes of S simplices given as (S, j, n) edge stacks."""
     gram = np.einsum("sik,sjk->sij", edges, edges)
-    det = np.linalg.det(gram) if j > 0 else np.ones(len(pts))
-    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(j)
+    det = np.linalg.det(gram)
+    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(edges.shape[1])
 
 
 def _block_rows(columns: int) -> int:
@@ -150,7 +152,8 @@ class Polytope:
     """Full-dimensional convex polytope, the hull of its vertices."""
 
     def __init__(self, points):
-        pts = np.ascontiguousarray(points, dtype=float)
+        # A private copy: the vertices may be the input rows themselves.
+        pts = np.array(points, dtype=float, order="C")
         if pts.ndim != 2:
             raise ValueError("points must be a (N, n) array")
         n = pts.shape[1]
@@ -160,7 +163,7 @@ class Polytope:
             raise DegenerateInputError(
                 f"need at least {n + 1} points in R^{n}, got {pts.shape[0]}"
             )
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("points contain non-finite values")
         center = np.add.reduce(pts, 0) / len(pts)
         sv = np.linalg.svd(pts - center, compute_uv=False)
@@ -175,18 +178,25 @@ class Polytope:
             raise DegenerateInputError(f"hull construction failed: {exc}") from exc
 
         self.dim: int = n
-        # Keep only extreme points (the simplices' vertices), reindexed.
-        keep = np.flatnonzero(np.bincount(hull.simplices.ravel(),
+        # Keep only extreme points (the simplices' vertices), reindexed,
+        # unless every point is one; the vertex mean is then the center.
+        simplices = hull.simplices
+        keep = np.flatnonzero(np.bincount(simplices.ravel(),
                                           minlength=pts.shape[0]))
-        remap = np.full(pts.shape[0], -1, dtype=int)
-        remap[keep] = np.arange(keep.size)
-        self.vertices: np.ndarray = pts[keep]
-        self.scale: float = math.sqrt(np.add.reduce(self.vertices ** 2, 1).max())
+        if keep.size < pts.shape[0]:
+            remap = np.full(pts.shape[0], -1, dtype=simplices.dtype)
+            remap[keep] = np.arange(keep.size)
+            simplices = remap[simplices]
+            pts = pts[keep]
+            center = np.add.reduce(pts, 0) / len(pts)
+        self.vertices: np.ndarray = pts
+        self.scale: float = math.sqrt(np.add.reduce(pts ** 2, 1).max())
 
-        simplices = remap[hull.simplices]
         u_s = hull.equations[:, :n]
         b_s = -hull.equations[:, n]
-        weighted = u_s * _simplex_volumes(self.vertices[simplices])[:, None]
+        tri_pts = pts[simplices]
+        edges = tri_pts[:, 1:, :] - tri_pts[:, :1, :]
+        weighted = u_s * _gram_volumes(edges)[:, None]
 
         # Test every (simplex, neighbor) pair s < t for coplanarity at once;
         # j is the column of s whose vertex lies opposite t.
@@ -200,11 +210,15 @@ class Polytope:
         # Each simplex is a facet (+ 0.0 turns -0.0 into +0.0, as summing
         # from zeros does) unless qhull split facets: then the facets are
         # the connected components of the pairs that passed, labeled in
-        # order of their lowest simplex.
+        # order of their lowest simplex.  np.nonzero lists the pairs by
+        # ascending s, which is the row order of a CSR adjacency.
         gid, normals = np.arange(nsimp), weighted + 0.0
-        if coplanar.any():
-            graph = coo_array((np.ones(coplanar.sum()),
-                               (pair_s[coplanar], pair_t[coplanar])),
+        merged = bool(coplanar.any())
+        if merged:
+            rows, cols = pair_s[coplanar], pair_t[coplanar]
+            indptr = np.zeros(nsimp + 1, dtype=cols.dtype)
+            np.cumsum(np.bincount(rows, minlength=nsimp), out=indptr[1:])
+            graph = csr_array((np.ones(cols.size), cols, indptr),
                               shape=(nsimp, nsimp))
             nfacets, gid = connected_components(graph, directed=False)
             normals = np.zeros((nfacets, n))
@@ -220,29 +234,34 @@ class Polytope:
             nrm = np.sqrt(np.add.reduce(normals * normals, 1))
         normals /= nrm[:, None]
         # Offsets as exact support values in the merged normal directions.
-        offsets = (self.vertices @ normals.T).max(axis=0)
-        # Re-measure the triangulation as determinants with the merged unit
-        # normal appended as a row: |det([v_1-v_0; ...; v_{n-1}-v_0; u_f])|
-        # equals the (n-1)-area of the simplex projected onto the facet
-        # hyperplane.  This is backward-stable where sqrt(Gram det) is not —
-        # qhull's triangulations of merged facets contain slivers whose Gram
-        # determinants cancel catastrophically (~sqrt(eps) absolute noise).
-        tri_pts = self.vertices[simplices]
-        edges = tri_pts[:, 1:, :] - tri_pts[:, :1, :]
-        stacked = np.concatenate([edges, normals[gid][:, None, :]], axis=1)
-        tri_vol = np.abs(np.linalg.det(stacked)) / math.factorial(n - 1)
+        offsets = (pts @ normals.T).max(axis=0)
+        # One determinant pass measures every simplex twice (LAPACK factors
+        # each matrix on its own, so batching keeps every value's bits):
+        #   * |det([v_1-v_0; ...; v_{n-1}-v_0; u_f])|/(n-1)! is the
+        #     (n-1)-area of the simplex projected onto its facet hyperplane,
+        #     backward-stable where sqrt(Gram det) is not — qhull's
+        #     triangulations of merged facets contain slivers whose Gram
+        #     determinants cancel catastrophically (~sqrt(eps) noise);
+        #   * |det(v_i - z)|/n! is the volume of its cone from the interior
+        #     point z, which sums to the volume (see volume()).
+        stack = np.empty((2, nsimp, n, n))
+        stack[0, :, :-1] = edges
+        stack[0, :, -1] = normals[gid] if merged else normals
+        np.subtract(tri_pts, center, out=stack[1])
+        dets = np.abs(np.linalg.det(stack))
+        tri_vol = dets[0] / math.factorial(n - 1)
 
         self.facet_normals: np.ndarray = normals
         self.facet_offsets: np.ndarray = offsets
-        self.facet_areas: np.ndarray = np.bincount(gid, tri_vol, len(normals))
-        self.interior_point: np.ndarray = (np.add.reduce(self.vertices, 0)
-                                           / len(self.vertices))
+        self.facet_areas: np.ndarray = (
+            np.bincount(gid, tri_vol, len(normals)) if merged else tri_vol)
+        self.interior_point: np.ndarray = center
 
         self._tri_simplices = simplices
         self._tri_facet = gid
         self._neighbor_pairs = (pair_s, pair_t, pair_j)
         self._ridges: _RidgeData | None = None
-        self._volume: float | None = None
+        self._volume = float(dets[1].sum() / math.factorial(n))
         self._w3: float | None = None
 
     # -- derived data -------------------------------------------------------
@@ -262,12 +281,8 @@ class Polytope:
         interior point, |det(v_i - z)| / n! — the same cone identity as
         Σ a_i (b_i - ⟨u_i, z⟩)/n at the facet level, but exact in floating
         point (facet-level areas inherit qhull's planarity tolerance).
+        The build's determinant pass computes it.
         """
-        if self._volume is None:
-            edges = self.vertices[self._tri_simplices] - self.interior_point
-            self._volume = float(
-                np.abs(np.linalg.det(edges)).sum() / math.factorial(self.dim)
-            )
         return self._volume
 
     def surface_area(self) -> float:
@@ -291,26 +306,39 @@ class Polytope:
         # Every neighbor pair of different facets.  The shared vertices are
         # the row of s without its column j, the vertex opposite t.
         pair_s, pair_t, pair_j = self._neighbor_pairs
-        keep = gid[pair_s] != gid[pair_t]
-        pair_s, pair_t, pair_j = pair_s[keep], pair_t[keep], pair_j[keep]
+        merged = self.n_facets < len(simplices)
+        if merged:
+            keep = gid[pair_s] != gid[pair_t]
+            pair_s, pair_t, pair_j = pair_s[keep], pair_t[keep], pair_j[keep]
         others = np.arange(n) != pair_j[:, None]
         shared = np.sort(simplices[pair_s][others].reshape(-1, n - 1), 1)
-        # A precision sliver's neighbor holds fewer than those n-1 vertices:
-        # a measure-zero ridge piece.
-        full = (shared[:, :, None] == simplices[pair_t][:, None, :]).sum(
-            (1, 2)) == n - 1
-        shared = shared[full]
-        ga, gb = gid[pair_s[full]], gid[pair_t[full]]
-        lo, hi = np.minimum(ga, gb), np.maximum(ga, gb)
+        if merged:
+            # A precision sliver's neighbor holds fewer than those n-1
+            # vertices: a measure-zero ridge piece.  Slivers come from
+            # qhull's triangulation of the facets it merged, so only a
+            # merged hull has them.
+            full = (shared[:, :, None] == simplices[pair_t][:, None, :]).sum(
+                (1, 2)) == n - 1
+            shared = shared[full]
+            ga, gb = gid[pair_s[full]], gid[pair_t[full]]
+            lo, hi = np.minimum(ga, gb), np.maximum(ga, gb)
+        else:
+            lo, hi = pair_s, pair_t   # facets are simplices, and s < t
         # A stable sort keeps each ridge's pieces in the pair order above, so
         # the bincount below sums every ridge's volume in a fixed order.
         order = np.lexsort((hi, lo))
         lo, hi, idx = lo[order], hi[order], shared[order]
-        new_key = np.ones(lo.size, dtype=bool)
-        new_key[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        key_of = np.cumsum(new_key) - 1
-        ua = self.facet_normals[lo[new_key]]
-        ub = self.facet_normals[hi[new_key]]
+        if merged:
+            new_key = np.ones(lo.size, dtype=bool)
+            new_key[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            key_of = np.cumsum(new_key) - 1
+            lo, hi = lo[new_key], hi[new_key]
+        else:
+            # Two simplices share at most one ridge: every pair is a ridge
+            # of one piece, and there is nothing to group.
+            key_of = np.arange(lo.size)
+        ua = self.facet_normals[lo]
+        ub = self.facet_normals[hi]
         cos = np.clip(np.einsum("rk,rk->r", ua, ub), -1.0, 1.0)
         ortho = ub - cos[:, None] * ua
         nrm = np.sqrt(np.add.reduce(ortho * ortho, 1, keepdims=True))
@@ -321,12 +349,13 @@ class Polytope:
         # the (n-2)-volume of its projection onto the ridge's affine plane —
         # stable for the sliver pieces that qhull triangulations produce.
         pts = self.vertices[idx]
-        edges = pts[:, 1:, :] - pts[:, :1, :]
-        stacked = np.concatenate(
-            [edges, ua[key_of][:, None, :], ortho[key_of][:, None, :]], axis=1
-        )
-        piece_vol = np.abs(np.linalg.det(stacked)) / math.factorial(n - 2)
-        vols = np.bincount(key_of, piece_vol, ua.shape[0])
+        stack = np.empty((idx.shape[0], n, n))
+        stack[:, :-2] = pts[:, 1:, :] - pts[:, :1, :]
+        stack[:, -2] = ua[key_of] if merged else ua
+        stack[:, -1] = ortho[key_of] if merged else ortho
+        piece_vol = np.abs(np.linalg.det(stack)) / math.factorial(n - 2)
+        vols = (np.bincount(key_of, piece_vol, ua.shape[0]) if merged
+                else piece_vol)
         return _RidgeData(vols, ua, ub, ortho, angles, idx, key_of)
 
     # -- support ------------------------------------------------------------

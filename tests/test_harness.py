@@ -14,7 +14,8 @@ from projgeo.checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext,
 from projgeo.polytope import inradius
 from projgeo.positions import minimal_surface_quotient
 from projgeo.quermass import omega, quermassintegral
-from projgeo.sampling import Estimate, grassmann_frames, mc_estimate
+from projgeo.sampling import (Estimate, RngSeed, grassmann_frames,
+                              mc_estimate, sphere_points)
 from projgeo.suite import SEARCH_IDS, extremizer_search, run_suite
 from projgeo.svgplot import render
 from projgeo.zonotope import Zonotope, zonotope_to_polytope
@@ -679,6 +680,43 @@ def test_search_rejects_hull_family_for_zonoid_checks():
 
 def test_search_ids_are_catalog_checks():
     assert set(SEARCH_IDS) <= set(CHECK_IDS)
+
+
+def test_ghp_panel_cache_leaves_search_traces_unchanged():
+    panel = checks._shared_directions
+    panel.cache_clear()
+    cold = extremizer_search("GHP", "random-hull", 4, budget=5, seed=0)
+    misses = panel.cache_info().misses
+    warm = extremizer_search("GHP", "random-hull", 4, budget=5, seed=0)
+    # every step of a search scores one body name: one draw per search
+    assert misses == 1
+    assert panel.cache_info().misses == misses
+    assert [s.to_dict() for s in cold] == [s.to_dict() for s in warm]
+
+
+def test_ghp_panel_is_read_only_and_keyed_by_body_and_seed():
+    def draw(spec, seed):
+        ctx = BodyContext(spec, SuiteConfig(samples=20_000, tol=0.05,
+                                            seed=seed))
+        dirs = checks._shared_directions(3, 100, ctx.rng("GHP"))
+        fresh = sphere_points(3, 100, ctx.rng("GHP").generator())
+        assert np.array_equal(dirs, fresh)
+        return dirs
+
+    dirs = draw(bodies.cube(3), 0)
+    with pytest.raises(ValueError, match="read-only"):
+        dirs[0, 0] = 1.0
+    assert draw(bodies.cube(3), 0) is dirs
+    assert not np.array_equal(draw(bodies.cross_polytope(3), 0), dirs)
+    assert not np.array_equal(draw(bodies.cube(3), 1), dirs)
+
+
+def test_ghp_panel_cache_is_bounded():
+    panel = checks._shared_directions
+    assert panel.cache_info().maxsize == checks.SHARED_DIRECTIONS_CACHE > 0
+    for seed in range(checks.SHARED_DIRECTIONS_CACHE + 5):
+        panel(3, 4, RngSeed(seed))
+    assert panel.cache_info().currsize == checks.SHARED_DIRECTIONS_CACHE
 
 
 # ---------------------------------------------------------------------------

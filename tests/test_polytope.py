@@ -17,7 +17,7 @@ from scipy.spatial import ConvexHull
 from projgeo import bodies, polytope
 from projgeo.bodyops import origin_symmetric, project_body, to_polytope, transform_body
 from projgeo.polytope import (_MERGE_ANGLE_TOL, _MERGE_OFFSET_TOL,
-                              DegenerateInputError, Polytope, _simplex_volumes,
+                              DegenerateInputError, Polytope, _gram_volumes,
                               circumradius, inradius, row_blocks)
 from projgeo.quermass import omega, quermassintegral
 from projgeo.sampling import RngSeed, sphere_points
@@ -192,8 +192,9 @@ def _loop_build(points):
 
     The straightforward form of the build: merge coplanar neighbors one pair
     at a time with a dict of parents, then collect the shared vertices of
-    every neighbor pair of different facets by set intersection.  Returns
-    (normals, offsets, areas, tri_facet, ridges).
+    every neighbor pair of different facets by set intersection, and sum
+    the volume over the cones from the vertex mean to every simplex.
+    Returns (normals, offsets, areas, tri_facet, ridges, volume).
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[1]
@@ -222,20 +223,22 @@ def _loop_build(points):
     roots = {}
     gid = np.array([roots.setdefault(find(s), len(roots))
                     for s in range(len(simplices))])
+    edges = verts[simplices][:, 1:] - verts[simplices][:, :1]
     normals = np.zeros((len(roots), n))
-    np.add.at(normals, gid,
-              u_s * _simplex_volumes(verts[simplices])[:, None])
+    np.add.at(normals, gid, u_s * _gram_volumes(edges)[:, None])
     for f in np.flatnonzero(np.linalg.norm(normals, axis=1) == 0.0):
         # a sliver facet of Gram-volume-0 simplices: sum the unit normals
         for s in np.flatnonzero(gid == f):
             normals[f] += u_s[s]
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    edges = verts[simplices][:, 1:] - verts[simplices][:, :1]
     stacked = np.concatenate([edges, normals[gid][:, None]], axis=1)
     areas = np.zeros(len(roots))
     np.add.at(areas, gid,
               np.abs(np.linalg.det(stacked)) / math.factorial(n - 1))
     offsets = (verts @ normals.T).max(axis=0)
+    z = verts.mean(axis=0)
+    cones = np.array([abs(np.linalg.det(verts[s] - z)) for s in simplices])
+    volume = float(cones.sum() / math.factorial(n))
 
     sorted_simpl = np.sort(simplices, axis=1)
     pieces = {}
@@ -267,7 +270,7 @@ def _loop_build(points):
               np.abs(np.linalg.det(stacked)) / math.factorial(n - 2))
     return normals, offsets, areas, gid, (vols, ua, ub, ortho,
                                           np.arccos(cos), piece_vertices,
-                                          key_of)
+                                          key_of), volume
 
 
 def _grid(n):
@@ -282,10 +285,13 @@ def _random_points(n, count, seed):
     return np.random.default_rng(seed).standard_normal((count, n))
 
 
+_RANDOM_CASES = [
+    pytest.param(_random_points(n, count, seed), id=f"random-{n}-{count}-{seed}")
+    for n in (3, 4, 5) for count in (6, 12, 40) for seed in (0, 1, 2)
+    if count > n]
+
 _BUILD_CASES = (
-    [pytest.param(_random_points(n, count, seed), id=f"random-{n}-{count}-{seed}")
-     for n in (3, 4, 5) for count in (6, 12, 40) for seed in (0, 1, 2)
-     if count > n]
+    _RANDOM_CASES
     + [pytest.param(_grid(n), id=f"grid-{n}") for n in (3, 4, 5)]
     + [pytest.param(_cross(n).vertices, id=f"cross-{n}") for n in (3, 4, 5)]
     + [pytest.param(bodies.ball_approx(3, 500).build().vertices,
@@ -304,16 +310,28 @@ _BUILD_CASES = (
 @pytest.mark.parametrize("points", _BUILD_CASES)
 def test_build_matches_loop_reference_bit_for_bit(points):
     body = Polytope(points)
-    normals, offsets, areas, gid, ridges = _loop_build(points)
+    normals, offsets, areas, gid, ridges, volume = _loop_build(points)
     assert np.array_equal(body.facet_normals, normals)
     assert np.array_equal(body.facet_offsets, offsets)
     assert np.array_equal(body.facet_areas, areas)
     assert np.array_equal(body._tri_facet, gid)
+    assert body.volume() == volume
     rd = body.ridges()
     for got, want in zip((rd.volumes, rd.normal_a, rd.normal_b, rd.ortho_b,
                           rd.angles, rd.piece_vertices, rd.piece_ridge),
                          ridges):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("points", _RANDOM_CASES)
+def test_simplicial_hull_has_one_piece_per_ridge(points):
+    body = Polytope(points)
+    simplices = len(body._tri_simplices)
+    assert np.array_equal(body._tri_facet, np.arange(simplices))
+    rd = body.ridges()
+    # each simplex has n neighbors, each ridge two sides
+    assert rd.volumes.size == body.dim * simplices // 2
+    assert np.array_equal(rd.piece_ridge, np.arange(rd.volumes.size))
 
 
 def test_hull_without_coplanar_neighbors_runs_no_union_find(monkeypatch):
