@@ -16,7 +16,7 @@ from .checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext, CheckResult,
 from .polytope import Polytope
 from .positions import (PositionResult, isotropic_position, john_position,
                         lowner_position, min_mean_width_position,
-                        minimal_surface_position, minimal_surface_quotient)
+                        minimal_surface_position)
 from .quermass import b_constant, omega, quermassintegral, vrad
 from .sampling import (Estimate, RngSeed, grassmann_frames, mc_estimate,
                        minimize_on_grassmannian, minimize_on_sphere,
@@ -36,7 +36,7 @@ __all__ = [
     "Polytope",
     "PositionResult", "isotropic_position", "john_position",
     "lowner_position", "min_mean_width_position",
-    "minimal_surface_position", "minimal_surface_quotient",
+    "minimal_surface_position",
     "b_constant", "omega", "quermassintegral", "vrad",
     "Estimate", "RngSeed", "grassmann_frames", "mc_estimate",
     "minimize_on_grassmannian", "minimize_on_sphere", "sphere_points",

@@ -19,6 +19,8 @@ from .zonotope import Zonotope, zonotope_to_polytope
 
 Body = Union[Polytope, Zonotope]
 
+SYMMETRY_TOL = 1e-9  # coordinate tolerance of the origin-symmetry test
+
 
 def is_zonotope(body: Body) -> bool:
     return isinstance(body, Zonotope)
@@ -95,13 +97,14 @@ def support_points(body: Body, directions: np.ndarray) -> np.ndarray:
     return body.vertices[idx]
 
 
-def origin_symmetric(body: Body, tol: float = 1e-9) -> bool:
+def origin_symmetric(body: Body) -> bool:
     """True when body = -body (vertex set closed under negation)."""
     if isinstance(body, Zonotope):
-        return bool(np.max(np.abs(body.center)) <= tol)
+        return bool(np.max(np.abs(body.center)) <= SYMMETRY_TOL)
     verts = body.vertices
     scale = max(float(np.abs(verts).max()), 1.0)
-    digits = int(-np.log10(tol * scale)) if tol * scale < 1.0 else 0
+    tol = SYMMETRY_TOL * scale
+    digits = int(-np.log10(tol)) if tol < 1.0 else 0
     # + 0.0 turns -0.0 (a tiny negative coordinate, rounded) into 0.0
     r = np.round(verts, digits) + 0.0
     return np.array_equal(np.unique(r, axis=0), np.unique(-r, axis=0))

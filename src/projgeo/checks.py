@@ -27,7 +27,7 @@ from . import positions
 from .bodies import BodySpec
 from .bodyops import (Body, frame_shadow_panel, is_zonotope, origin_symmetric,
                       project_body, to_polytope)
-from .polytope import Polytope, inradius
+from .polytope import inradius
 from .quermass import b_constant, omega, quermassintegral, vrad
 from .sampling import (Estimate, RngSeed, grassmann_frames, mc_estimate,
                        minimize_on_grassmannian, minimize_on_sphere,
@@ -122,8 +122,8 @@ class CheckSpec:
 
     id: str
     claim: str
-    body_classes: tuple  # ("any",) | ("zonoid",) | ("ball-approx",)
     fn: Callable
+    body_classes: tuple = ("any",)  # | ("zonoid",) | ("ball-approx",)
 
     def admissible(self, ctx: "BodyContext") -> bool:
         if "any" in self.body_classes:
@@ -216,9 +216,6 @@ class BodyContext:
     def is_zonoid(self) -> bool:
         return is_zonotope(self.body)
 
-    def to_poly(self) -> Polytope:
-        return self._memo("poly", lambda: to_polytope(self.body))
-
     def volume(self) -> float:
         return self._memo("volume", self.body.volume)
 
@@ -235,24 +232,23 @@ class BodyContext:
                 # least width, attained at a facet normal
                 return float(self.body.width_batch(self.measure().normals).min()
                              / 2.0)
-            return inradius(self.to_poly())[0]
+            return inradius(to_polytope(self.body))[0]
         return self._memo("inradius", build)
-
-    def n_vertices(self) -> int:
-        return self.to_poly().n_vertices
 
     # The cost heuristics read ridge_count and n_vertices of vertex bodies
     # only: a zonotope over the conversion cap has no vertex polytope.
+    def n_vertices(self) -> int:
+        return to_polytope(self.body).n_vertices
+
     def ridge_count(self) -> int:
-        return self._memo("ridge_count",
-                          lambda: self.to_poly().ridges().volumes.size)
+        return to_polytope(self.body).ridges().volumes.size
 
     def partial(self) -> float:
         """Minimal surface quotient min_T S(TK)/|TK|^{(n-1)/n} (affine invariant)."""
         if self.parent is not None:
             return self.parent.partial()
         return self._memo(
-            "partial", lambda: positions.minimal_surface_quotient(self.body))
+            "partial", lambda: positions.minimal_surface_position(self.body)[1])
 
     # -- shared panels --------------------------------------------------------
     #
@@ -568,10 +564,6 @@ def _polish_sphere(objective, x0: np.ndarray) -> float:
 # reader can match them against the claim strings in the catalog below.
 
 
-def _b(n: int) -> float:
-    return b_constant(n)
-
-
 @lru_cache(maxsize=SHARED_DIRECTIONS_CACHE)
 def _shared_directions(n: int, count: int, seed: RngSeed) -> np.ndarray:
     """Read-only ``sphere_points(n, count, seed.generator())``."""
@@ -601,7 +593,8 @@ def _check_ghp(ctx: BodyContext):
 def _check_t_hyper_1(ctx: BodyContext):
     n = ctx.n
     lhs = Estimate.of(ctx.volume() ** (1.0 / n) * ctx.min_shadow_surface())
-    factor = 2.0 * _b(n) * ctx.partial() / (n * omega(n) ** (1.0 / n))
+    factor = (2.0 * b_constant(n) * ctx.partial()
+              / (n * omega(n) ** (1.0 / n)))
     rhs = Estimate.of(factor * ctx.surface())
     detail = {"min_surface_quotient": ctx.partial(), "constant_factor": factor}
     return [SubCase("min shadow surface", lhs, rhs, "le", tol=0.0)], detail
@@ -627,18 +620,19 @@ def _check_t_hyper_2(ctx: BodyContext):
     lhs = Estimate.of(ctx.volume() ** (1.0 / n) * ctx.min_shadow_surface())
     surf = ctx.surface()
     subs = [
-        SubCase("sharp form", lhs, Estimate.of(_b(n) * surf), "le", tol=0.0),
-        SubCase("doubled form", lhs, Estimate.of(2.0 * _b(n) * surf), "le",
+        SubCase("sharp form", lhs, Estimate.of(b_constant(n) * surf), "le",
                 tol=0.0),
+        SubCase("doubled form", lhs, Estimate.of(2.0 * b_constant(n) * surf),
+                "le", tol=0.0),
     ]
-    detail = {"equality_gap": 1.0 - lhs.value / (_b(n) * surf)}
+    detail = {"equality_gap": 1.0 - lhs.value / (b_constant(n) * surf)}
     return subs, detail
 
 
 def _check_t_hyper_3(ctx: BodyContext):
     n = ctx.n
     lhs = ctx.mean_shadow_surface().scaled(ctx.volume())
-    const = 2.0 * _b(n) / (n * omega(n) ** (1.0 / n))
+    const = 2.0 * b_constant(n) / (n * omega(n) ** (1.0 / n))
     rhs = Estimate.of(const * ctx.surface() ** 2)
     return [SubCase("mean shadow surface", lhs, rhs, "le", tol=ctx.cfg.tol)], {}
 
@@ -655,7 +649,7 @@ def _check_t_hyper_4(ctx: BodyContext):
         vol, surf = child.volume(), child.surface()
         c0 = surf / (n * vol ** ((n - 1.0) / n))
         lhs = child.mean_shadow_surface().scaled(vol ** (1.0 / n))
-        const = 2.0 * _b(n) / (n * omega(n) ** (1.0 / n)) * c0 * n
+        const = 2.0 * b_constant(n) / (n * omega(n) ** (1.0 / n)) * c0 * n
         rhs = Estimate.of(const * surf)
         subs.append(SubCase(kind, lhs, rhs, "le", tol=ctx.cfg.tol))
         reported[kind] = {"c2": lhs.value / (math.sqrt(n) * surf),
@@ -692,7 +686,8 @@ def _check_t_hyper_6(ctx: BodyContext):
 def _check_l_zon_1(ctx: BodyContext):
     n = ctx.n
     lhs = Estimate.of(ctx.min_shadow_volume())
-    rhs = Estimate.of(n * _b(n) / (n - 1) * ctx.volume() ** ((n - 1.0) / n))
+    rhs = Estimate.of(n * b_constant(n) / (n - 1)
+                      * ctx.volume() ** ((n - 1.0) / n))
     return [SubCase("min shadow volume", lhs, rhs, "le", tol=0.0)], {}
 
 
@@ -711,7 +706,8 @@ def _check_t_zon_2(ctx: BodyContext):
                 seed=ctx.rng("min-frame-volume", k), vectorized=True)
             methods[f"k={k}"] = f"Grassmann minimizer, d = {k * n}"
         lhs = Estimate.of(value)
-        rhs = Estimate.of(n * _b(n) ** (n - k) / k * ctx.volume() ** (k / n))
+        rhs = Estimate.of(n * b_constant(n) ** (n - k) / k
+                          * ctx.volume() ** (k / n))
         subs.append(SubCase(f"k={k}", lhs, rhs, "le", tol=0.0))
     return subs, {"methods": methods}
 
@@ -808,7 +804,7 @@ def _check_t_quer_1(ctx: BodyContext):
                             tol=ctx.cfg.tol))
         if ctx.is_zonoid:
             subs.append(SubCase(f"p={p}, zonoid constant", lhs,
-                                vnp.scaled((p + 1) * _b(n)), "le",
+                                vnp.scaled((p + 1) * b_constant(n)), "le",
                                 tol=ctx.cfg.tol))
         methods[f"p={p}"] = method
     return subs, {"methods": methods, "min_surface_quotient": part}
@@ -939,7 +935,7 @@ def _check_t_higher_2(ctx: BodyContext):
                 seed=ctx.rng("min-frame-surface", k), vectorized=True)
             methods[f"k={k}"] = f"Grassmann minimizer, d = {k * n}"
         lhs = Estimate.of(vol ** ((n - k) / n) * value)
-        rhs = Estimate.of((n - k + 1.0) * _b(n) ** (n - k) * surf)
+        rhs = Estimate.of((n - k + 1.0) * b_constant(n) ** (n - k) * surf)
         subs.append(SubCase(f"k={k}", lhs, rhs, "le", tol=0.0))
     return subs, {"methods": methods}
 
@@ -1039,7 +1035,7 @@ def _check_ck_ident(ctx: BodyContext):
 def _check_ball_eq(ctx: BodyContext):
     n = ctx.n
     lhs = Estimate.of(ctx.volume() ** (1.0 / n) * ctx.min_shadow_surface())
-    rhs = Estimate.of(_b(n) * ctx.surface())
+    rhs = Estimate.of(b_constant(n) * ctx.surface())
     sub = SubCase("sharp zonoid bound at a ball approximant", lhs, rhs, "le",
                   tol=ctx.cfg.tol)
     detail = {"equality_gap": 1.0 - lhs.value / rhs.value}
@@ -1050,115 +1046,110 @@ def _check_ball_eq(ctx: BodyContext):
 # catalog
 
 
-def _spec(id: str, claim: str, fn, body_classes=("any",)):
-    return CheckSpec(id=id, claim=claim, body_classes=tuple(body_classes),
-                     fn=fn)
-
-
 CHECKS: list[CheckSpec] = [
-    _spec("GHP",
-          "shadow surface/volume quotient <= 2(n-1)/n times the body's "
-          "quotient, at 100 random directions",
-          _check_ghp),
-    _spec("T-HYPER-1",
-          "|K|^{1/n} min shadow surface <= (2 b_n d_K / (n w_n^{1/n})) S(K)",
-          _check_t_hyper_1),
-    _spec("T-LOWER-MIN",
-          "at the minimal-surface position, |K|^{1/n} min shadow surface >= "
-          "((n-1) w_n^{1/(n-1)} / (4 n^{(n-2)/(n-1)} d_K^{1/(n-1)})) S(K)",
-          _check_t_lower_min),
-    _spec("T-HYPER-2",
-          "zonoids: |Z|^{1/n} min shadow surface <= b_n S(Z) (sharp) and "
-          "<= 2 b_n S(Z)",
-          _check_t_hyper_2, body_classes=("zonoid",)),
-    _spec("T-HYPER-3",
-          "|K| mean shadow surface <= (2 b_n / (n w_n^{1/n})) S(K)^2",
-          _check_t_hyper_3),
-    _spec("T-HYPER-4",
-          "positioned bodies: |K|^{1/n} mean shadow surface <= c2 sqrt(n) "
-          "S(K), with c2 reported per position",
-          _check_t_hyper_4),
-    _spec("T-HYPER-5",
-          "mean shadow surface >= ((n-1) w_{n-1} / (n w_n)^{(n-2)/(n-1)}) "
-          "S(K)^{(n-2)/(n-1)}",
-          _check_t_hyper_5),
-    _spec("T-HYPER-6",
-          "positioned bodies: |K|^{1/n} mean shadow surface >= c5 S(K), "
-          "with c5 and the width-condition constant reported",
-          _check_t_hyper_6),
-    _spec("L-ZON-1",
-          "zonoids: min shadow volume <= (n b_n / (n-1)) |Z|^{(n-1)/n}",
-          _check_l_zon_1, body_classes=("zonoid",)),
-    _spec("T-ZON-2",
-          "zonoids: min k-frame shadow volume <= (n b_n^{n-k} / k) |Z|^{k/n} "
-          "for 2 <= k <= n-1",
-          _check_t_zon_2, body_classes=("zonoid",)),
-    _spec("ZON-VOL",
-          "volume-one bodies: two-sided bounds on the projection body volume "
-          "and its polar in terms of the minimal surface quotient",
-          _check_zon_vol),
-    _spec("MINPROJ",
-          "min shadow volume equals the projection body inradius (within "
-          "1e-6), and the sqrt(n)-normalized constant is reported",
-          _check_minproj),
-    _spec("ALEK",
-          "the normalized mean-shadow sequence Q_k is non-increasing and "
-          "bracketed by the volume radius and the mean width",
-          _check_alek),
-    _spec("S-INRADIUS",
-          "S(K) <= n |K| / r(K)",
-          _check_s_inradius),
-    _spec("T-QUER-1",
-          "|K|^{1/n} min shadow quermassintegral <= ((p+1) w_{n-1} d_K / "
-          "(n w_n)) V_{n-p}(K), plus the (p+1) b_n zonoid variant",
-          _check_t_quer_1),
-    _spec("T-QUER-2",
-          "|K|^{1/n} mean shadow quermassintegral <= ((p+1) w_{n-1} / "
-          "(n w_n)) (S(K)/|K|^{(n-1)/n}) V_{n-p}(K)",
-          _check_t_quer_2),
-    _spec("T-QUER-3",
-          "mean shadow quermassintegral >= (w_{n-1} / w_n^{(n-1-p)/(n-p)}) "
-          "V_{n-p}(K)^{(n-1-p)/(n-p)}",
-          _check_t_quer_3),
-    _spec("T-QUER-4",
-          "positioned bodies: mean shadow quermassintegral lower bound with "
-          "the measured inradius constant c0",
-          _check_t_quer_4),
-    _spec("FGM",
-          "V_{n-p}(K)/|K| >= (1/C(n-k+p, n-k)) V_{k-p}(shadow)/|shadow| at "
-          "50 random k-frames, 1 <= p <= k",
-          _check_fgm),
-    _spec("L-HIGHER-1",
-          "S(K)/|K| >= (n/(k(n-k+1))) S(shadow)/|shadow| at 50 random "
-          "k-frames",
-          _check_l_higher_1),
-    _spec("T-HIGHER-2",
-          "zonoids: |Z|^{(n-k)/n} min k-frame shadow surface <= "
-          "(n-k+1) b_n^{n-k} S(Z)",
-          _check_t_higher_2, body_classes=("zonoid",)),
-    _spec("T-HIGHER-5",
-          "|K|^{(n-k)/n} mean k-frame shadow surface <= (k(n-k+1)/n) S(K) "
-          "p_k(K)",
-          _check_t_higher_5),
-    _spec("T-HIGHER-6",
-          "mean k-frame shadow surface >= (k w_k / (n w_n)^{(k-1)/(n-1)}) "
-          "S(K)^{(k-1)/(n-1)}",
-          _check_t_higher_6),
-    _spec("T-HIGHER-7",
-          "positioned bodies: mean k-frame shadow surface lower bound with "
-          "the measured surface constant c0",
-          _check_t_higher_7),
-    _spec("ZON-VOL-ID",
-          "the projection body volume equals its facet-shadow recomposition "
-          "(1/n) sum a_i |shadow_i|",
-          _check_zon_vol_id),
-    _spec("CK-IDENT",
-          "surface area from mean shadow volumes, and mean shadow surface "
-          "from codimension-2 shadow volumes (two averaging identities)",
-          _check_ck_ident),
-    _spec("BALL-EQ",
-          "near-equality of the sharp zonoid bound on ball approximants",
-          _check_ball_eq, body_classes=("ball-approx",)),
+    CheckSpec("GHP",
+              "shadow surface/volume quotient <= 2(n-1)/n times the body's "
+              "quotient, at 100 random directions",
+              _check_ghp),
+    CheckSpec("T-HYPER-1",
+              "|K|^{1/n} min shadow surface <= (2 b_n d_K / (n w_n^{1/n})) S(K)",
+              _check_t_hyper_1),
+    CheckSpec("T-LOWER-MIN",
+              "at the minimal-surface position, |K|^{1/n} min shadow surface >= "
+              "((n-1) w_n^{1/(n-1)} / (4 n^{(n-2)/(n-1)} d_K^{1/(n-1)})) S(K)",
+              _check_t_lower_min),
+    CheckSpec("T-HYPER-2",
+              "zonoids: |Z|^{1/n} min shadow surface <= b_n S(Z) (sharp) and "
+              "<= 2 b_n S(Z)",
+              _check_t_hyper_2, body_classes=("zonoid",)),
+    CheckSpec("T-HYPER-3",
+              "|K| mean shadow surface <= (2 b_n / (n w_n^{1/n})) S(K)^2",
+              _check_t_hyper_3),
+    CheckSpec("T-HYPER-4",
+              "positioned bodies: |K|^{1/n} mean shadow surface <= c2 sqrt(n) "
+              "S(K), with c2 reported per position",
+              _check_t_hyper_4),
+    CheckSpec("T-HYPER-5",
+              "mean shadow surface >= ((n-1) w_{n-1} / (n w_n)^{(n-2)/(n-1)}) "
+              "S(K)^{(n-2)/(n-1)}",
+              _check_t_hyper_5),
+    CheckSpec("T-HYPER-6",
+              "positioned bodies: |K|^{1/n} mean shadow surface >= c5 S(K), "
+              "with c5 and the width-condition constant reported",
+              _check_t_hyper_6),
+    CheckSpec("L-ZON-1",
+              "zonoids: min shadow volume <= (n b_n / (n-1)) |Z|^{(n-1)/n}",
+              _check_l_zon_1, body_classes=("zonoid",)),
+    CheckSpec("T-ZON-2",
+              "zonoids: min k-frame shadow volume <= (n b_n^{n-k} / k) |Z|^{k/n} "
+              "for 2 <= k <= n-1",
+              _check_t_zon_2, body_classes=("zonoid",)),
+    CheckSpec("ZON-VOL",
+              "volume-one bodies: two-sided bounds on the projection body volume "
+              "and its polar in terms of the minimal surface quotient",
+              _check_zon_vol),
+    CheckSpec("MINPROJ",
+              "min shadow volume equals the projection body inradius (within "
+              "1e-6), and the sqrt(n)-normalized constant is reported",
+              _check_minproj),
+    CheckSpec("ALEK",
+              "the normalized mean-shadow sequence Q_k is non-increasing and "
+              "bracketed by the volume radius and the mean width",
+              _check_alek),
+    CheckSpec("S-INRADIUS",
+              "S(K) <= n |K| / r(K)",
+              _check_s_inradius),
+    CheckSpec("T-QUER-1",
+              "|K|^{1/n} min shadow quermassintegral <= ((p+1) w_{n-1} d_K / "
+              "(n w_n)) V_{n-p}(K), plus the (p+1) b_n zonoid variant",
+              _check_t_quer_1),
+    CheckSpec("T-QUER-2",
+              "|K|^{1/n} mean shadow quermassintegral <= ((p+1) w_{n-1} / "
+              "(n w_n)) (S(K)/|K|^{(n-1)/n}) V_{n-p}(K)",
+              _check_t_quer_2),
+    CheckSpec("T-QUER-3",
+              "mean shadow quermassintegral >= (w_{n-1} / w_n^{(n-1-p)/(n-p)}) "
+              "V_{n-p}(K)^{(n-1-p)/(n-p)}",
+              _check_t_quer_3),
+    CheckSpec("T-QUER-4",
+              "positioned bodies: mean shadow quermassintegral lower bound with "
+              "the measured inradius constant c0",
+              _check_t_quer_4),
+    CheckSpec("FGM",
+              "V_{n-p}(K)/|K| >= (1/C(n-k+p, n-k)) V_{k-p}(shadow)/|shadow| at "
+              "50 random k-frames, 1 <= p <= k",
+              _check_fgm),
+    CheckSpec("L-HIGHER-1",
+              "S(K)/|K| >= (n/(k(n-k+1))) S(shadow)/|shadow| at 50 random "
+              "k-frames",
+              _check_l_higher_1),
+    CheckSpec("T-HIGHER-2",
+              "zonoids: |Z|^{(n-k)/n} min k-frame shadow surface <= "
+              "(n-k+1) b_n^{n-k} S(Z)",
+              _check_t_higher_2, body_classes=("zonoid",)),
+    CheckSpec("T-HIGHER-5",
+              "|K|^{(n-k)/n} mean k-frame shadow surface <= (k(n-k+1)/n) S(K) "
+              "p_k(K)",
+              _check_t_higher_5),
+    CheckSpec("T-HIGHER-6",
+              "mean k-frame shadow surface >= (k w_k / (n w_n)^{(k-1)/(n-1)}) "
+              "S(K)^{(k-1)/(n-1)}",
+              _check_t_higher_6),
+    CheckSpec("T-HIGHER-7",
+              "positioned bodies: mean k-frame shadow surface lower bound with "
+              "the measured surface constant c0",
+              _check_t_higher_7),
+    CheckSpec("ZON-VOL-ID",
+              "the projection body volume equals its facet-shadow recomposition "
+              "(1/n) sum a_i |shadow_i|",
+              _check_zon_vol_id),
+    CheckSpec("CK-IDENT",
+              "surface area from mean shadow volumes, and mean shadow surface "
+              "from codimension-2 shadow volumes (two averaging identities)",
+              _check_ck_ident),
+    CheckSpec("BALL-EQ",
+              "near-equality of the sharp zonoid bound on ball approximants",
+              _check_ball_eq, body_classes=("ball-approx",)),
 ]
 
 CHECK_MAP = {spec.id: spec for spec in CHECKS}

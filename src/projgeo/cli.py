@@ -101,7 +101,7 @@ def _cmd_compute(args) -> int:
     elif head == "vrad":
         est = Estimate.of(quermass.vrad(body))
     elif head == "partial":
-        est = Estimate.of(positions.minimal_surface_quotient(body))
+        est = Estimate.of(positions.minimal_surface_position(body)[1])
     elif head == "quermass":
         if arg is None:
             raise ValueError("quermass needs a codimension, e.g. quermass(2)")

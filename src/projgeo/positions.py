@@ -36,6 +36,18 @@ from .polytope import Polytope, centroid_and_covariance, inradius
 from .quermass import omega
 from .sampling import RngSeed, sphere_points
 
+# Solver settings: every position is solved at one fixed setting.
+MIN_SURFACE_TOL = 1e-6       # residual ||n M - I||_F that stops the iteration
+MIN_SURFACE_MAX_ITER = 500
+MIN_SURFACE_STEP_POWER = 0.5  # damping: the step is (n M)^power
+LOWNER_TOL = 1e-7            # relative violation of the Loewner condition
+LOWNER_MAX_ITER = 500_000
+JOHN_TOL = 1e-7              # relative KKT residual
+JOHN_MAX_ITER = 300          # SLSQP iterations
+MIN_WIDTH_PAIRS = 1000       # antithetic direction pairs of the panel
+MIN_WIDTH_MAX_ITER = 300
+MIN_WIDTH_TOL = 0.02         # first-order residual floor for convergence
+
 
 @dataclass(frozen=True)
 class Ellipsoid:
@@ -95,12 +107,11 @@ def _unimodular(matrix: np.ndarray) -> np.ndarray:
 # minimal surface area
 
 
-def minimal_surface_position(body: Body, tol: float = 1e-6, max_iter: int = 500,
-                             step_power: float = 0.5) -> tuple[PositionResult, float]:
+def minimal_surface_position(body: Body) -> tuple[PositionResult, float]:
     """Damped fixed-point iteration for the minimal surface area position.
 
     Pushes the surface-area measure toward isotropy by the volume-preserving
-    step A = (n M)^step_power; the measure of the image is transported in
+    step A = (n M)^MIN_SURFACE_STEP_POWER; the measure of the image is transported in
     closed form (u -> A^{-T}u normalized, a -> a ||A^{-T}u||), so no hulls are
     rebuilt inside the loop.  Returns the position and the minimal surface
     quotient S(TK)/|TK|^{(n-1)/n}.
@@ -114,18 +125,18 @@ def minimal_surface_position(body: Body, tol: float = 1e-6, max_iter: int = 500,
     residual = np.inf
     iterations = 0
     converged = False
-    for iterations in range(max_iter + 1):
+    for iterations in range(MIN_SURFACE_MAX_ITER + 1):
         total = weights.sum()
         moment = (normals * weights[:, None]).T @ normals / total
         residual = float(np.linalg.norm(n * moment - eye))
-        if residual < tol:
+        if residual < MIN_SURFACE_TOL:
             converged = True
             break
-        if iterations == max_iter:
+        if iterations == MIN_SURFACE_MAX_ITER:
             break
         eigval, eigvec = np.linalg.eigh(n * moment)
         eigval = np.clip(eigval, 1e-12, None)
-        step = (eigvec * eigval ** step_power) @ eigvec.T
+        step = (eigvec * eigval ** MIN_SURFACE_STEP_POWER) @ eigvec.T
         step /= np.linalg.det(step) ** (1.0 / n)
         back = np.linalg.inv(step).T
         moved = normals @ back.T
@@ -140,11 +151,6 @@ def minimal_surface_position(body: Body, tol: float = 1e-6, max_iter: int = 500,
                             objective=surface, iterations=iterations,
                             converged=converged)
     return result, quotient
-
-
-def minimal_surface_quotient(body: Body, tol: float = 1e-6, max_iter: int = 500) -> float:
-    """S(TK)/|TK|^{(n-1)/n} at the minimal surface area position."""
-    return minimal_surface_position(body, tol=tol, max_iter=max_iter)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +184,7 @@ def isotropic_position(body: Body) -> tuple[PositionResult, float]:
 # Loewner (smallest circumscribed ellipsoid)
 
 
-def lowner_position(body: Body, tol: float = 1e-7,
-                    max_iter: int = 500_000) -> tuple[PositionResult, Ellipsoid]:
+def lowner_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
     """Minimum-volume enclosing ellipsoid by Frank-Wolfe with away steps.
 
     The solver weighs rows q_i with u_i >= 0, sum u_i = 1.  For an
@@ -187,10 +192,11 @@ def lowner_position(body: Body, tol: float = 1e-7,
     ellipsoid is centered.  Otherwise they are the lifted vertices [v_i, 1]
     and d = n + 1.  With S = sum u_i q_i q_i^T and the levels
     M_i = q_i^T S^{-1} q_i, the optimality certificate is
-    max_i M_i <= (1 + tol) d and min over the support M_i >= (1 - tol) d;
+    max_i M_i <= (1 + tol) d and min over the support M_i >= (1 - tol) d,
+    tol = LOWNER_TOL;
     the residual is the larger relative violation.  A step
     u <- a u + b e_j updates S^{-1} and every level by Sherman-Morrison,
-    so no step inverts S.  When the updated residual drops below ``tol``,
+    so no step inverts S.  When the updated residual drops below tol,
     S^{-1} and the levels are recomputed exactly, and the solver stops
     only on that exact residual.  The returned position maps the ellipsoid
     to the unit ball.
@@ -215,13 +221,13 @@ def lowner_position(body: Body, tol: float = 1e-7,
     inv, levels = exact()
     iterations = 0
     residual = np.inf
-    for iterations in range(max_iter):
+    for iterations in range(LOWNER_MAX_ITER):
         hi, lo, eps_hi, eps_lo = violations(levels)
-        if max(eps_hi, eps_lo) < tol:
+        if max(eps_hi, eps_lo) < LOWNER_TOL:
             inv, levels = exact()
             hi, lo, eps_hi, eps_lo = violations(levels)
         residual = max(eps_hi, eps_lo)
-        if residual < tol:
+        if residual < LOWNER_TOL:
             break
         if eps_hi >= eps_lo:
             j, m = hi, float(levels[hi])
@@ -256,7 +262,8 @@ def lowner_position(body: Body, tol: float = 1e-7,
     scale = float(np.linalg.det(whiten)) ** (1.0 / n)
     result = PositionResult(transform=whiten / scale, residual=float(residual),
                             objective=ellipsoid.volume(), iterations=iterations,
-                            converged=residual < tol, scale=scale, shift=center)
+                            converged=residual < LOWNER_TOL, scale=scale,
+                            shift=center)
     return result, ellipsoid
 
 
@@ -280,8 +287,7 @@ def _inner_ball(poly: Polytope, symmetric: bool) -> tuple[float, np.ndarray]:
     return inradius(poly)
 
 
-def john_position(body: Body, tol: float = 1e-7,
-                  max_iter: int = 300) -> tuple[PositionResult, Ellipsoid]:
+def john_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
     """Largest inscribed ellipsoid by sequential quadratic programming.
 
     The ellipsoid L B_2^n + d is parametrized by a lower-triangular L with
@@ -345,7 +351,7 @@ def john_position(body: Body, tol: float = 1e-7,
         constraints=[{"type": "ineq", "fun": constraints,
                       "jac": constraints_jac}],
         bounds=list(zip(lower, np.full(x0.size, np.inf))),
-        options={"maxiter": max_iter, "ftol": 1e-14})
+        options={"maxiter": JOHN_MAX_ITER, "ftol": 1e-14})
     low, d = unpack(solve.x)
 
     # SPD square root of the shape so the certificate and the returned
@@ -387,7 +393,7 @@ def john_position(body: Body, tol: float = 1e-7,
     result = PositionResult(transform=inv / det ** (1.0 / n), residual=residual,
                             objective=ellipsoid.volume(),
                             iterations=int(solve.nit),
-                            converged=residual <= tol,
+                            converged=residual <= JOHN_TOL,
                             scale=det ** (1.0 / n), shift=d)
     return result, ellipsoid
 
@@ -396,8 +402,7 @@ def john_position(body: Body, tol: float = 1e-7,
 # minimal mean width
 
 
-def min_mean_width_position(body: Body, samples: int = 2000, max_iter: int = 300,
-                            tol: float = 0.02,
+def min_mean_width_position(body: Body,
                             seed: RngSeed = RngSeed()) -> PositionResult:
     """Stochastic minimization of the mean width over SL(n) (best effort).
 
@@ -408,7 +413,7 @@ def min_mean_width_position(body: Body, samples: int = 2000, max_iter: int = 300
     w(K) = n E[<xi, theta>^2 h_K(theta)] estimated on the same panel.
     """
     n = body.dim
-    pairs = max(8, samples // 2)
+    pairs = MIN_WIDTH_PAIRS
     thetas = sphere_points(n, pairs, seed.derive("min-width-panel").generator())
     transform = np.eye(n)
     verts = None if is_zonotope(body) else body.vertices
@@ -440,7 +445,7 @@ def min_mean_width_position(body: Body, samples: int = 2000, max_iter: int = 300
     history = [value]
     step = 0.1
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MIN_WIDTH_MAX_ITER + 1):
         pts = 0.5 * support_spread(seen)
         moment = (transform @ pts.T) @ thetas / pairs
         grad = 0.5 * (moment + moment.T)
@@ -474,7 +479,7 @@ def min_mean_width_position(body: Body, samples: int = 2000, max_iter: int = 300
     noise = n * entry_sd / (max(value, 1e-300) * np.sqrt(pairs))
     return PositionResult(transform=_unimodular(transform), residual=residual,
                           objective=value, iterations=iterations,
-                          converged=residual <= max(tol, 3.0 * noise),
+                          converged=residual <= max(MIN_WIDTH_TOL, 3.0 * noise),
                           history=tuple(history))
 
 
@@ -495,11 +500,11 @@ def solve(kind: str, body: Body,
         result, quotient = minimal_surface_position(body)
         return result, {"surface-quotient": quotient}
     if kind == "isotropic":
-        result, constant = isotropic_position(to_polytope(body))
+        result, constant = isotropic_position(body)
         return result, {"isotropic-constant": constant}
     if kind in ("john", "lowner"):
         solver = john_position if kind == "john" else lowner_position
-        result, ellipsoid = solver(to_polytope(body))
+        result, ellipsoid = solver(body)
         return result, {"ellipsoid-radii": ellipsoid.radii().tolist()}
     if kind == "min-width":
         return min_mean_width_position(body, seed=seed), {}

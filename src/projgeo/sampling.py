@@ -35,6 +35,13 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
+# Minimizer settings (see the notes above _descend).
+FD_STEP = 1e-6             # forward-difference step of the descent gradient
+STEP_MIN = 1e-10           # a restart retires when its step falls below this
+POLISH_START_SCALE = 1e-2  # pattern-search scale: first and largest
+POLISH_END_SCALE = 1e-9    # the polish stops below this scale
+POLISH_STALL_REDRAWS = 3   # random frames tried before the scale halves
+
 
 class ObjectiveError(ValueError):
     """An objective returned a non-finite value during minimization."""
@@ -146,10 +153,10 @@ def mc_estimate(values) -> Estimate:
 # Multi-start projected (sub)gradient descent, run on the live restarts at
 # once as array rows: finite-difference gradients of f∘retract and
 # per-restart Armijo step control.  A restart retires when its step drops
-# below 1e-10 and is never evaluated again; a restart whose step was
+# below STEP_MIN and is never evaluated again; a restart whose step was
 # rejected keeps its gradient, so the FD stencil runs only on the rows that
 # moved.  The best point is then polished by a shrinking pattern search
-# (handles kinks, where gradient steps stall at ~sqrt(fd_step) accuracy).
+# (handles kinks, where gradient steps stall at ~sqrt(FD_STEP) accuracy).
 # The returned value is the minimum over every point evaluated anywhere in
 # the procedure.
 #
@@ -194,11 +201,11 @@ class _BestTracker:
         return v
 
 
-def _descend(fb: _BestTracker, x0: np.ndarray, retract, max_iter: int = 400,
-             fd_step: float = 1e-6, step_min: float = 1e-10) -> None:
+def _descend(fb: _BestTracker, x0: np.ndarray, retract,
+             max_iter: int = 400) -> None:
     """Batched descent of the live restarts; results accumulate inside ``fb``.
 
-    A retired restart (step below ``step_min``) is dropped from the rows and
+    A retired restart (step below STEP_MIN) is dropped from the rows and
     never evaluated again.  A restart whose last step was rejected sits at
     the same x, so it keeps its gradient: the FD stencil runs only on the
     rows that moved, and not at all when none did."""
@@ -208,21 +215,21 @@ def _descend(fb: _BestTracker, x0: np.ndarray, retract, max_iter: int = 400,
     t = np.full(x.shape[0], 0.25)
     grad_t = np.empty((d, x.shape[0]))  # the gradients as columns
     moved = np.ones(x.shape[0], dtype=bool)
-    steps = fd_step * np.eye(d)[:, None, :]
+    steps = FD_STEP * np.eye(d)[:, None, :]
     for _ in range(max_iter):
-        live = t >= step_min
+        live = t >= STEP_MIN
         if not live.all():
             if not live.any():
                 break
             x, fx, t = x[live], fx[live], t[live]
             grad_t, moved = grad_t[:, live], moved[live]
-        # FD gradient of f∘retract: the d perturbed copies x + fd_step·e_j
+        # FD gradient of f∘retract: the d perturbed copies x + FD_STEP·e_j
         # of each moved row, stacked coordinate-major into one (d·m, d)
         # batch and one call.
         if moved.any():
             xm = x[moved]
             fd = fb(retract((xm[None] + steps).reshape(-1, d))).reshape(d, -1)
-            grad_t[:, moved] = (fd - fx[moved]) / fd_step
+            grad_t[:, moved] = (fd - fx[moved]) / FD_STEP
         grad = grad_t.T
         prop = retract(x - t[:, None] * grad)
         fp = fb(prop)
@@ -234,9 +241,7 @@ def _descend(fb: _BestTracker, x0: np.ndarray, retract, max_iter: int = 400,
 
 
 def _pattern_polish(fb: _BestTracker, retract, d: int,
-                    gen: np.random.Generator,
-                    start_scale: float = 1e-2, end_scale: float = 1e-9,
-                    stall_redraws: int = 3) -> None:
+                    gen: np.random.Generator) -> None:
     """Pattern search around the incumbent best point, with scale adaptation.
 
     Probes +- scale along an orthonormal frame.  A successful poll expands
@@ -251,21 +256,22 @@ def _pattern_polish(fb: _BestTracker, retract, d: int,
     chunks of as many as a polish that never improves redraws; a chunk of
     (d, d) draws and a batched QR give the frames of one draw at a time.
     """
-    chunk = stall_redraws * math.ceil(math.log2(start_scale / end_scale))
+    chunk = POLISH_STALL_REDRAWS * math.ceil(
+        math.log2(POLISH_START_SCALE / POLISH_END_SCALE))
     eye = np.eye(d)
     signed = np.concatenate([eye, -eye])
     frames, drawn = np.empty((0, 2 * d, d)), 0
-    scale = start_scale
+    scale = POLISH_START_SCALE
     redraws = 0
     polls = 0
-    while scale >= end_scale and polls < 500 * d:
+    while scale >= POLISH_END_SCALE and polls < 500 * d:
         before = fb.best_v
         fb(retract(fb.best_x + scale * signed))
         polls += 1
         if fb.best_v < before - 1e-13 * abs(before) - 1e-300:
             redraws = 0
-            scale = min(scale * 2.0, start_scale)
-        elif redraws < stall_redraws:
+            scale = min(scale * 2.0, POLISH_START_SCALE)
+        elif redraws < POLISH_STALL_REDRAWS:
             if drawn == len(frames):
                 q, _ = np.linalg.qr(gen.standard_normal((chunk, d, d)))
                 frames, drawn = np.concatenate([q, -q], axis=1), 0

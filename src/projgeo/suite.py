@@ -237,8 +237,7 @@ def _score(check_id: str, spec: BodySpec, cfg: SuiteConfig) -> float:
 
 def extremizer_search(check_id: str, family: str, n: int,
                       budget: int = 150, seed: int = 0, *,
-                      samples: int = 4_000,
-                      tol: float = 0.05) -> list[SearchStep]:
+                      samples: int = 4_000) -> list[SearchStep]:
     """Maximize a check's lhs/rhs ratio over a perturbation family.
 
     Runs ``budget`` mutation steps of a (1+1) evolution strategy and
@@ -255,7 +254,7 @@ def extremizer_search(check_id: str, family: str, n: int,
     if budget < 0:
         raise ValueError("budget must be >= 0")
     gen = RngSeed(seed).derive("search", check_id, family).generator()
-    cfg = SuiteConfig(samples=samples, tol=tol, seed=seed)
+    cfg = SuiteConfig(samples=samples, seed=seed)
 
     genome, as_generators = _initial_genome(family, check_id, n, gen)
     spec = _genome_body(genome, as_generators)

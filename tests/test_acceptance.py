@@ -150,7 +150,7 @@ def test_acceptance_08_fixed_point_certificates():
 
 def test_acceptance_09_enclosing_and_inscribed_ellipsoids():
     q3 = bodies.cube(3).build()
-    _, mvee = lowner_position(q3, tol=1e-7)
+    _, mvee = lowner_position(q3)
     assert np.allclose(mvee.radii(), math.sqrt(3.0), atol=1e-5)
     _, john = john_position(q3)
     assert np.allclose(john.radii(), 1.0, atol=1e-5)

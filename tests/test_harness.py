@@ -12,7 +12,7 @@ from projgeo.bodyops import frame_shadow_panel, project_body, transform_body
 from projgeo.checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext,
                             SubCase, SuiteConfig, run_check)
 from projgeo.polytope import inradius
-from projgeo.positions import minimal_surface_quotient
+from projgeo.positions import minimal_surface_position
 from projgeo.quermass import omega, quermassintegral
 from projgeo.sampling import (Estimate, RngSeed, grassmann_frames,
                               mc_estimate, sphere_points)
@@ -571,7 +571,7 @@ def test_surface_quotient_floor_random_hulls(seed):
     # the ball minimizes S/V^{(n-1)/n}: quotient >= n omega_n^{1/n}
     body = bodies.random_hull(3, 10, seed).build()
     floor = 3.0 * omega(3) ** (1.0 / 3.0)
-    assert minimal_surface_quotient(body) >= floor - 1e-9
+    assert minimal_surface_position(body)[1] >= floor - 1e-9
 
 
 @given(seed=st.integers(min_value=1, max_value=40))
@@ -580,7 +580,7 @@ def test_surface_quotient_reverse_bound_zonotopes(seed):
     # at the minimal-surface position of a symmetric body the quotient is at
     # most the cube value 2n
     body = bodies.random_zonotope(3, 6, seed).build()
-    assert minimal_surface_quotient(body) <= 6.0 + 1e-6
+    assert minimal_surface_position(body)[1] <= 6.0 + 1e-6
 
 
 def test_surface_quotient_is_linearly_invariant():
@@ -588,8 +588,8 @@ def test_surface_quotient_is_linearly_invariant():
     rng = np.random.default_rng(5)
     t = rng.standard_normal((3, 3))
     image = transform_body(q3, t)
-    assert minimal_surface_quotient(image) == pytest.approx(
-        minimal_surface_quotient(q3), rel=1e-4)
+    assert minimal_surface_position(image)[1] == pytest.approx(
+        minimal_surface_position(q3)[1], rel=1e-4)
 
 
 # ---------------------------------------------------------------------------

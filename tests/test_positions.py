@@ -11,8 +11,7 @@ from projgeo.polytope import Polytope, circumradius
 from projgeo import positions
 from projgeo.positions import (Ellipsoid, isotropic_position, john_position,
                                lowner_position, min_mean_width_position,
-                               minimal_surface_position,
-                               minimal_surface_quotient)
+                               minimal_surface_position)
 from projgeo.quermass import omega, quermassintegral
 from projgeo.sampling import RngSeed
 
@@ -59,11 +58,6 @@ def test_minimal_surface_recovers_stretched_cube():
     n = placed.dim
     direct = placed.surface_area() / placed.volume() ** ((n - 1) / n)
     assert direct == pytest.approx(quotient, rel=1e-6)
-
-
-def test_minimal_surface_quotient_shortcut():
-    q3 = bodies.cube(3).build()
-    assert minimal_surface_quotient(q3) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_isotropic_cube_constant():
@@ -229,10 +223,10 @@ def test_lowner_centered_rows_match_lifted_rows(monkeypatch, n, seed):
     # vertices (d = n); forcing the lifted rows (d = n + 1) gives the same
     # ellipsoid
     poly = positions.to_polytope(bodies.random_zonotope(n, n + 3, seed).build())
-    tol = 1e-7
-    centered, ell_c = lowner_position(poly, tol=tol)
+    tol = positions.LOWNER_TOL
+    centered, ell_c = lowner_position(poly)
     monkeypatch.setattr(positions, "origin_symmetric", lambda body: False)
-    lifted, ell_l = lowner_position(poly, tol=tol)
+    lifted, ell_l = lowner_position(poly)
     for result in (centered, lifted):
         assert result.converged and result.residual < tol
     assert np.array_equal(ell_c.center, np.zeros(n))
@@ -250,8 +244,8 @@ def test_lowner_centered_rows_match_lifted_rows(monkeypatch, n, seed):
                          ids=lambda spec: f"{spec.name}-n{spec.dim}")
 def test_lowner_of_a_non_symmetric_body_runs_on_lifted_rows(spec):
     poly = spec.build()
-    tol = 1e-7
-    result, ellipsoid = lowner_position(poly, tol=tol)
+    tol = positions.LOWNER_TOL
+    result, ellipsoid = lowner_position(poly)
     assert result.converged and result.residual < tol
     levels = _lowner_levels(poly, ellipsoid, lifted=True)
     assert levels.max() <= (1 + tol) * (poly.dim + 1)
