@@ -32,7 +32,8 @@ from .quermass import b_constant, omega, quermassintegral, vrad
 from .sampling import (Estimate, RngSeed, grassmann_frames, mc_estimate,
                        minimize_on_grassmannian, minimize_on_sphere,
                        sphere_points)
-from .zonotope import Zonotope, projection_body, zonotope_to_polytope
+from .zonotope import (CONVERSION_GENERATOR_CAP, SUBSET_BUDGET, Zonotope,
+                       projection_body, zonotope_to_polytope)
 
 # Panel and budget policy (tuned so the default corpus at n in {3,4,5}
 # finishes in minutes while every Monte Carlo side keeps a sub-percent
@@ -40,7 +41,6 @@ from .zonotope import Zonotope, projection_body, zonotope_to_polytope
 SPHERE_PANEL_MAX = 20_000
 KUBOTA_WIDTH_PAIRS = 200_000
 HEAVY_VERTEX_LIMIT = 100
-ZONOTOPE_VOLUME_BUDGET = 400_000  # max n-subsets for exact zonotope volume
 ZONOTOPE_SHADOW_BUDGET = 4_000_000  # max (n-1)-subset evaluations for shadows
 SNAP_SEED_ITERS = 50  # descent iterations that seed the Pi K facet walk
 # Screen and polish of the vertex-body shadow quermassintegral minima: each
@@ -719,7 +719,7 @@ def _check_zon_vol(ctx: BodyContext):
     part = ctx.partial()
     subs = []
     m = zone.n_generators
-    if math.comb(m, n) <= ZONOTOPE_VOLUME_BUDGET:
+    if math.comb(m, n) <= SUBSET_BUDGET:
         # the volume-one copy: |Pi(tK)| = t^{n(n-1)} |Pi K| with t^n = 1/|K|
         pivol = Estimate.of(zone.volume() * vol ** (1 - n))
         subs.append(SubCase("projection body volume, lower",
@@ -731,7 +731,7 @@ def _check_zon_vol(ctx: BodyContext):
         budget_note = None
     else:
         budget_note = (f"projection body has {m} generators; exact volume "
-                       f"skipped (budget {ZONOTOPE_VOLUME_BUDGET} subsets)")
+                       f"skipped (budget {SUBSET_BUDGET} subsets)")
     # polar volume |Pi* K| = omega_n E[h^{-n}] over the shared panel
     shadows = ctx.shadow_vols() * vol ** (-(n - 1.0) / n)
     polar = mc_estimate(omega(n) * shadows ** (-float(n)))
@@ -750,10 +750,11 @@ def _check_zon_vol(ctx: BodyContext):
 def _check_minproj(ctx: BodyContext):
     n = ctx.n
     zone = ctx.projection_body_merged()
-    if zone.n_generators > 12:
+    if zone.n_generators > CONVERSION_GENERATOR_CAP:
         raise SkipCheck(
             f"projection body has {zone.n_generators} generators after "
-            "merging; the exact inradius route is reserved for <= 12")
+            "merging; the exact inradius route is reserved for <= "
+            f"{CONVERSION_GENERATOR_CAP}")
     min_shadow = ctx.min_shadow_volume()
     reported_c = min_shadow / (math.sqrt(n) * ctx.volume() ** ((n - 1.0) / n))
     detail = {"sqrt_n_constant": reported_c}
@@ -995,7 +996,7 @@ def _check_zon_vol_id(ctx: BodyContext):
     meas = ctx.measure()
     zone = ctx.projection_body_merged()
     m = zone.n_generators
-    if math.comb(m, n) > ZONOTOPE_VOLUME_BUDGET:
+    if math.comb(m, n) > SUBSET_BUDGET:
         raise SkipCheck(f"projection body has {m} generators; exact volume "
                         "over budget")
     if math.comb(m, n - 1) * meas.normals.shape[0] > ZONOTOPE_SHADOW_BUDGET:

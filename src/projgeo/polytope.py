@@ -261,6 +261,7 @@ class Polytope:
         self._tri_facet = gid
         self._neighbor_pairs = (pair_s, pair_t, pair_j)
         self._ridges: _RidgeData | None = None
+        self._cone_dets = dets[1]  # |det(v_i - z)| per simplex
         self._volume = float(dets[1].sum() / math.factorial(n))
         self._w3: float | None = None
 
@@ -495,13 +496,13 @@ def centroid_and_covariance(p: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """Centroid and covariance of the uniform probability measure on K.
 
     Computed exactly by fanning the facet triangulation from an interior
-    point and applying the standard simplex moment formulas.
+    point and applying the standard simplex moment formulas; the cone
+    volumes come from the build's determinant pass.
     """
     n = p.dim
     z = p.interior_point
     tri = p.vertices[p._tri_simplices]           # (S, n, n)
-    edges = tri - z[None, None, :]
-    vols = np.abs(np.linalg.det(edges)) / math.factorial(n)
+    vols = p._cone_dets / math.factorial(n)
     w = np.concatenate([np.broadcast_to(z, (len(tri), 1, n)), tri], axis=1)  # (S, n+1, n)
     total = vols.sum()
     first = (vols[:, None] * w.mean(axis=1)).sum(axis=0)

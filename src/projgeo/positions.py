@@ -111,10 +111,10 @@ def minimal_surface_position(body: Body) -> tuple[PositionResult, float]:
     """Damped fixed-point iteration for the minimal surface area position.
 
     Pushes the surface-area measure toward isotropy by the volume-preserving
-    step A = (n M)^MIN_SURFACE_STEP_POWER; the measure of the image is transported in
-    closed form (u -> A^{-T}u normalized, a -> a ||A^{-T}u||), so no hulls are
-    rebuilt inside the loop.  Returns the position and the minimal surface
-    quotient S(TK)/|TK|^{(n-1)/n}.
+    step A = (n M)^MIN_SURFACE_STEP_POWER; the measure of the image is
+    transported in closed form (u -> A^{-T}u normalized,
+    a -> a ||A^{-T}u||), so no hulls are rebuilt inside the loop.  Returns
+    the position and the minimal surface quotient S(TK)/|TK|^{(n-1)/n}.
     """
     meas = body.surface_measure()
     normals = meas.normals.copy()
@@ -190,10 +190,9 @@ def lowner_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
     The solver weighs rows q_i with u_i >= 0, sum u_i = 1.  For an
     origin-symmetric body the rows are the vertices and d = n: its
     ellipsoid is centered.  Otherwise they are the lifted vertices [v_i, 1]
-    and d = n + 1.  With S = sum u_i q_i q_i^T and the levels
-    M_i = q_i^T S^{-1} q_i, the optimality certificate is
-    max_i M_i <= (1 + tol) d and min over the support M_i >= (1 - tol) d,
-    tol = LOWNER_TOL;
+    and d = n + 1.  With S = sum u_i q_i q_i^T, the levels
+    M_i = q_i^T S^{-1} q_i and tol = LOWNER_TOL, the optimality certificate
+    is max_i M_i <= (1 + tol) d and min over the support M_i >= (1 - tol) d;
     the residual is the larger relative violation.  A step
     u <- a u + b e_j updates S^{-1} and every level by Sherman-Morrison,
     so no step inverts S.  When the updated residual drops below tol,

@@ -37,8 +37,8 @@ __all__ = [
     "zonotope_to_polytope",
 ]
 
-_SUBSET_BUDGET = 300_000
-_CONVERSION_GENERATOR_CAP = 12
+SUBSET_BUDGET = 300_000  # max subsets any enumeration may visit
+CONVERSION_GENERATOR_CAP = 12  # max generators of the vertex conversion
 _PARALLEL_TOL = 1e-10
 
 
@@ -50,7 +50,7 @@ def _subsets(m: int, k: int) -> np.ndarray:
 
 
 def _check_budget(m: int, k: int, what: str) -> None:
-    if math.comb(m, k) > _SUBSET_BUDGET:
+    if math.comb(m, k) > SUBSET_BUDGET:
         raise BudgetError(
             f"{what}: C({m},{k}) subsets exceed the enumeration budget"
         )
@@ -302,8 +302,8 @@ def zonotope_to_polytope(z: Zonotope) -> Polytope:
     if z._polytope is None:
         zz = z.merge_parallel()
         m, _ = zz.generators.shape
-        if m > _CONVERSION_GENERATOR_CAP:
-            raise BudgetError(f"conversion needs <= {_CONVERSION_GENERATOR_CAP}"
+        if m > CONVERSION_GENERATOR_CAP:
+            raise BudgetError(f"conversion needs <= {CONVERSION_GENERATOR_CAP}"
                               f" generators, got {m}")
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
         z._polytope = Polytope(zz.center + signs @ zz.generators)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projgeo import bodies, checks
+from projgeo import bodies, checks, zonotope
 from projgeo.bodyops import frame_shadow_panel, project_body, transform_body
 from projgeo.checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext,
                             SubCase, SuiteConfig, run_check)
@@ -419,6 +419,25 @@ def test_minproj_budget_skip_solves_no_minimum(monkeypatch):
     assert cell.detail["reason"].startswith("projection body has ")
     assert cell.detail["reason"].endswith("reserved for <= 12")
     assert calls == []
+
+
+def test_zon_vol_reads_the_zonotope_volume_budget():
+    # Pi K of ball-approx(64) at n=3 has 300,000 < C(m, 3) <= 400,000
+    # n-subsets: over the budget of Zonotope.volume, which raises there, so
+    # both checks must take their budget branch, not call it
+    ctx = BodyContext(bodies.ball_approx(3, 64), CFG)
+    subsets = math.comb(ctx.projection_body_merged().n_generators, 3)
+    assert zonotope.SUBSET_BUDGET < subsets <= 400_000
+    zon_vol = run_check(CHECK_MAP["ZON-VOL"], ctx)
+    assert zon_vol.status == "pass"
+    assert zon_vol.detail["note"].endswith(
+        f"(budget {zonotope.SUBSET_BUDGET} subsets)")
+    assert [s["label"] for s in zon_vol.detail["cases"]] == [
+        "polar projection body volume, lower",
+        "polar projection body volume, upper"]
+    identity = run_check(CHECK_MAP["ZON-VOL-ID"], ctx)
+    assert identity.status == "skipped"
+    assert identity.detail["reason"].endswith("exact volume over budget")
 
 
 @pytest.mark.parametrize("spec", [make(n) for n in (3, 4) for make in (

@@ -152,6 +152,34 @@ def test_transform_scales_volume_by_determinant():
                                            rel=1e-10)
 
 
+def _centroid_and_covariance_reference(p):
+    """The simplex moment formulas with every cone determinant retaken."""
+    n = p.dim
+    z = p.interior_point
+    tri = p.vertices[p._tri_simplices]
+    vols = np.abs(np.linalg.det(tri - z[None, None, :])) / math.factorial(n)
+    w = np.concatenate([np.broadcast_to(z, (len(tri), 1, n)), tri], axis=1)
+    total = vols.sum()
+    centroid = (vols[:, None] * w.mean(axis=1)).sum(axis=0) / total
+    ssum = w.sum(axis=1)
+    second = np.einsum("s,snm->nm", vols / ((n + 1) * (n + 2)),
+                       np.einsum("sin,sim->snm", w, w)
+                       + np.einsum("sn,sm->snm", ssum, ssum))
+    return centroid, second / total - np.outer(centroid, centroid)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_centroid_and_covariance_read_the_build_cone_volumes(n):
+    # the build's determinant pass already took det(v_i - z); reading it
+    # keeps every bit of the centroid and the covariance
+    for spec in bodies.corpus(n):
+        body = to_polytope(spec.build())
+        centroid, cov = polytope.centroid_and_covariance(body)
+        want_centroid, want_cov = _centroid_and_covariance_reference(body)
+        assert np.array_equal(centroid, want_centroid), spec.name
+        assert np.array_equal(cov, want_cov), spec.name
+
+
 def _origin_symmetric_loop(body, tol=1e-9):
     """Reference: round each vertex and look its negation up in a set."""
     verts = body.vertices
