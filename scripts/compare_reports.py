@@ -24,6 +24,9 @@ Prints:
   * every sub-case whose lhs or rhs stderr widened by more than 1e-12
     relative (a stderr that was 0 and is not any more counts as widened);
   * every sub-case side whose `exact` flag flipped, in each direction;
+  * every position record (`detail.positions.<kind>.position`) whose
+    residual changed, per cell and kind (a record present in only one
+    report counts as changed);
   * every top-level key other than `results` (such as `note`, `config`
     and `summary`) whose value differs or that only one report has.
 
@@ -86,6 +89,13 @@ def _name(key) -> str:
     return f"{check} {body} n={n}"
 
 
+def _residuals(cell: dict) -> dict:
+    """Position-record residual of each kind in the cell's detail."""
+    kinds = cell.get("detail", {}).get("positions", {})
+    return {kind: entry["position"].get("residual")
+            for kind, entry in kinds.items() if "position" in entry}
+
+
 def compare(a: dict, b: dict, out=sys.stdout) -> int:
     """Print the diff of reports ``a`` and ``b``; return the exit code."""
     cells_a, cells_b = _cells(a), _cells(b)
@@ -100,6 +110,7 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
     switches = []
     widened = []
     flips = {True: [], False: []}  # keyed by the new exact flag
+    residuals = []
     worst = (0.0, "none")
     rose, dropped = 0, 0
     top_rise = (0.0, "none")
@@ -107,6 +118,11 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
         ca, cb = cells_a[key], cells_b[key]
         if ca["status"] != cb["status"]:
             status_changes.append(f"{_name(key)}: {ca['status']} -> {cb['status']}")
+        res_a, res_b = _residuals(ca), _residuals(cb)
+        for kind in [*res_a, *(k for k in res_b if k not in res_a)]:
+            ra, rb = res_a.get(kind, "(absent)"), res_b.get(kind, "(absent)")
+            if ra != rb:
+                residuals.append(f"{_name(key)} [{kind}]: {ra!r} -> {rb!r}")
         bind_a = ca.get("detail", {}).get("binding_case")
         bind_b = cb.get("detail", {}).get("binding_case")
         if bind_a != bind_b:
@@ -175,6 +191,7 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
             "relative", widened)
     section("sub-case sides that became exact", flips[True])
     section("sub-case sides that stopped being exact", flips[False])
+    section("position-record residuals that changed", residuals)
     section("top-level keys other than results that differ",
             sorted(k for k in a.keys() | b.keys()
                    if k != "results" and a.get(k) != b.get(k)))

@@ -175,7 +175,7 @@ _POSITION_CERT = {
     "isotropic": 1e-7,
     "john": 2e-3,
     "lowner": 1e-5,
-    "min-width": None,  # noise-aware: checked against its own converged flag
+    "min-width": 1e-9,  # edge-measure route; the sampled route has its flag
 }
 
 
@@ -477,14 +477,16 @@ class BodyContext:
             result, _ = positions.solve(kind, self.body,
                                         self.rng("min-width-position"))
             cert = _POSITION_CERT[kind]
-            if cert is not None and result.residual > cert:
+            if result.route == positions.SAMPLED_ROUTE:
+                # a panel estimate: checked against its own noise-aware flag
+                if not result.converged:
+                    raise PositionCertificateError(
+                        f"min-width position did not converge for {self.key} "
+                        f"(residual {result.residual:.3g})")
+            elif result.residual > cert:
                 raise PositionCertificateError(
                     f"{kind} position residual {result.residual:.3g} exceeds "
                     f"certificate {cert:.1g} for {self.key}")
-            if kind == "min-width" and not result.converged:
-                raise PositionCertificateError(
-                    f"min-width position did not converge for {self.key} "
-                    f"(residual {result.residual:.3g})")
             child_body = result.apply(self.body)
             ctx = BodyContext(self.spec, self.cfg, body=child_body,
                               position=kind, residual=result.residual,

@@ -133,6 +133,8 @@ def _cmd_position(args) -> int:
 
     print(f"body: {spec.name} (n={body.dim})")
     print(f"kind: {args.kind}")
+    if result.route:
+        print(f"route: {result.route}")
     print(f"converged: {result.converged}")
     print(f"residual: {_g(result.residual)}")
     print(f"iterations: {result.iterations}")

@@ -95,6 +95,41 @@ class _RidgeData:
     piece_ridge: np.ndarray     # (P,)     ridge of each piece
 
 
+@dataclass(frozen=True)
+class _FaceFan:
+    """The (n-3)-faces as groups of (face simplex, ridge) incidences."""
+
+    sub: np.ndarray     # (m, n-2) sorted vertex ids of the face simplex
+    ridge: np.ndarray   # (m,)     ridge of each incidence
+    starts: np.ndarray  # (F,)     first incidence of each face
+    group: np.ndarray   # (m,)     face of each incidence
+
+
+def _cone_areas(fan: _FaceFan, normal_a: np.ndarray, normal_b: np.ndarray,
+                ortho_b: np.ndarray):
+    """(F,) areas of the normal cones N(F) ∩ S^{n-1} of the (n-3)-faces,
+    from each ridge's unit facet normals (rows of normal_a, normal_b) and
+    ortho_b, normal_b orthonormalized against normal_a; also each
+    incidence's r, the part of the fan center off span(u_a, u_b), and ‖r‖."""
+    starts, group = fan.starts, fan.group
+    ua, ub = normal_a[fan.ridge], normal_b[fan.ridge]
+    ob = ortho_b[fan.ridge]
+    # c, an interior point of the polygon, cones it into triangles
+    # (c, u_a, u_b).  With u_b = cos·u_a + sin·ob, √det Gram(c,u_a,u_b)
+    # = sin·‖r‖: no cancellation.
+    c = np.add.reduceat(ua + ub, starts, axis=0)
+    c = (c / np.linalg.norm(c, axis=1, keepdims=True))[group]
+    ca = np.einsum("mk,mk->m", c, ua)
+    cb = np.einsum("mk,mk->m", c, ub)
+    r = c - ca[:, None] * ua - np.einsum("mk,mk->m", c, ob)[:, None] * ob
+    rn = np.linalg.norm(r, axis=1)
+    sin = np.einsum("mk,mk->m", ub, ob)
+    cos = np.einsum("mk,mk->m", ua, ub)
+    # Van Oosterom–Strackee solid angle of each triangle.
+    tri = 2.0 * np.arctan2(sin * rn, 1.0 + ca + cos + cb)
+    return np.add.reduceat(tri, starts), r, rn
+
+
 def _gram_volumes(edges: np.ndarray) -> np.ndarray:
     """(S,) j-volumes of S simplices given as (S, j, n) edge stacks."""
     gram = np.einsum("sik,sjk->sij", edges, edges)
@@ -264,6 +299,7 @@ class Polytope:
         self._cone_dets = dets[1]  # |det(v_i - z)| per simplex
         self._volume = float(dets[1].sum() / math.factorial(n))
         self._w3: float | None = None
+        self._fan: _FaceFan | None = None
 
     # -- derived data -------------------------------------------------------
 
@@ -414,6 +450,28 @@ class Polytope:
 
     def _build_w3(self) -> float:
         rd = self.ridges()
+        fan = self._face_fan()
+        area, r, rn = _cone_areas(fan, rd.normal_a, rd.normal_b, rd.ortho_b)
+        n = self.dim
+        # Measure each face simplex as |det([edges; u_a; ob; r/‖r‖])|/(n-3)!,
+        # the orthonormal frame of (lin F)⊥ taken where ‖r‖ is largest (a
+        # flat cone, r = 0, has area 0 and gets the volume 0).
+        pick = np.lexsort((-rn, fan.group))[fan.starts]
+        ridge = fan.ridge[pick]
+        pts = self.vertices[fan.sub[pick]]
+        unit_r = r[pick] / np.maximum(rn[pick], 1e-300)[:, None]
+        frame = np.stack([rd.normal_a[ridge], rd.ortho_b[ridge], unit_r],
+                         axis=1)
+        stacked = np.concatenate([pts[:, 1:, :] - pts[:, :1, :], frame], axis=1)
+        vol = np.abs(np.linalg.det(stacked)) / math.factorial(n - 3)
+        return float(vol @ area / (3.0 * math.comb(n, 3)))
+
+    def _face_fan(self) -> _FaceFan:
+        """The (n-3)-faces and the ridges around each (topology only, built
+        once and cached)."""
+        if self._fan is not None:
+            return self._fan
+        rd = self.ridges()
         n = self.dim
         # Every (n-2)-vertex sub-simplex of every ridge piece, keyed by its
         # sorted vertex ids.
@@ -434,33 +492,40 @@ class Polytope:
         group = np.cumsum(start) - 1
         face = np.bincount(group)[group] >= 3
         sub, ridge, start = sub[face], ridge[face], start[face]
-        starts = np.flatnonzero(start)
-        group = np.cumsum(start) - 1
-        ua, ub, ob = rd.normal_a[ridge], rd.normal_b[ridge], rd.ortho_b[ridge]
-        # c, an interior point of the polygon, cones it into triangles
-        # (c, u_a, u_b).  With u_b = cos·u_a + sin·ob, √det Gram(c,u_a,u_b)
-        # = sin·‖r‖, r the part of c off span(u_a, u_b): no cancellation.
-        c = np.add.reduceat(ua + ub, starts, axis=0)
-        c = (c / np.linalg.norm(c, axis=1, keepdims=True))[group]
-        ca = np.einsum("mk,mk->m", c, ua)
-        cb = np.einsum("mk,mk->m", c, ub)
-        r = c - ca[:, None] * ua - np.einsum("mk,mk->m", c, ob)[:, None] * ob
-        rn = np.linalg.norm(r, axis=1)
-        sin = np.einsum("mk,mk->m", ub, ob)
-        cos = np.einsum("mk,mk->m", ua, ub)
-        # Van Oosterom–Strackee solid angle of each triangle.
-        tri = 2.0 * np.arctan2(sin * rn, 1.0 + ca + cos + cb)
-        area = np.add.reduceat(tri, starts)
-        # Measure each face simplex as |det([edges; u_a; ob; r/‖r‖])|/(n-3)!,
-        # the orthonormal frame of (lin F)⊥ taken where ‖r‖ is largest (a
-        # flat cone, r = 0, has area 0 and gets the volume 0).
-        pick = np.lexsort((-rn, group))[starts]
-        pts = self.vertices[sub[pick]]
-        unit_r = r[pick] / np.maximum(rn[pick], 1e-300)[:, None]
-        frame = np.stack([ua[pick], ob[pick], unit_r], axis=1)
-        stacked = np.concatenate([pts[:, 1:, :] - pts[:, :1, :], frame], axis=1)
-        vol = np.abs(np.linalg.det(stacked)) / math.factorial(n - 3)
-        return float(vol @ area / (3.0 * math.comb(n, 3)))
+        self._fan = _FaceFan(sub, ridge, np.flatnonzero(start),
+                             np.cumsum(start) - 1)
+        return self._fan
+
+    def edges(self) -> np.ndarray:
+        """(E, n) edge vectors at n = 3 or 4: one row per ridge piece at
+        n = 3 and per face simplex at n = 4 (collinear rows of one edge sum
+        to it).  `edge_angles` gives their normalized external angles."""
+        if self.dim == 3:
+            ends = self.vertices[self.ridges().piece_vertices]
+        elif self.dim == 4:
+            fan = self._face_fan()
+            ends = self.vertices[fan.sub[fan.starts]]
+        else:
+            raise ValueError("edges are read at ambient dimension 3 or 4")
+        return ends[:, 1] - ends[:, 0]
+
+    def edge_angles(self, transform_inv: np.ndarray) -> np.ndarray:
+        """The normalized external angle γ of each row of `edges()` in the
+        image TK, given T^{-1}.  TK has K's face lattice and its facet
+        normals are T^{-T}u normalized, so each ridge's normals are
+        transported and no hull is built: at n = 3 γ is the dihedral angle
+        over 2π, at n = 4 the area of the edge's normal cone over 4π."""
+        rd = self.ridges()
+        ua = rd.normal_a @ transform_inv
+        ua /= np.linalg.norm(ua, axis=1, keepdims=True)
+        ub = rd.normal_b @ transform_inv
+        ub /= np.linalg.norm(ub, axis=1, keepdims=True)
+        cos = np.clip(np.einsum("rk,rk->r", ua, ub), -1.0, 1.0)
+        if self.dim == 3:
+            return np.arccos(cos)[rd.piece_ridge] / (2.0 * math.pi)
+        ob = ub - cos[:, None] * ua
+        ob /= np.maximum(np.linalg.norm(ob, axis=1, keepdims=True), 1e-300)
+        return _cone_areas(self._face_fan(), ua, ub, ob)[0] / (4.0 * math.pi)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Polytope(dim={self.dim}, vertices={self.n_vertices}, "

@@ -12,15 +12,22 @@ positioned body is to the defining fixed-point condition:
 * John / Loewner: largest inscribed / smallest circumscribed ellipsoid, the
   residual is the relative KKT stationarity / the relative violation of
   the Loewner optimality condition, read from a freshly inverted scatter;
-* minimal mean width: first-order condition w(K) = n E[<xi, theta>^2 h(theta)]
-  for every xi, estimated on the optimization sample set (best effort).
+* minimal mean width: the edge measure M = sum_e |e| g_e e^ e^T / sum_e
+  |e| g_e (unit edge directions e^, normalized external angles g_e) is
+  isotropic, residual = ||n M - I||_F; exact for zonotopes at every n and
+  vertex bodies at n = 3, 4.  A vertex body at other n falls back to a
+  sampled descent whose residual is the first-order condition
+  w(K) = n E[<xi, theta>^2 h(theta)] for every xi, estimated on its
+  sample set (best effort).
 
 The iterative solvers keep their per-step work small.  Loewner steps update
 the inverse scatter by Sherman-Morrison on the vertices of an
 origin-symmetric body (a centered ellipsoid) or on the lifted vertices
 otherwise.  John starts an origin-symmetric body from the ball of radius
-min_i b_i at 0, with no LP.  The mean-width descent lays its support
-products out (vertices, directions) and reduces along the first axis.
+min_i b_i at 0, with no LP.  The edge-measure iteration transports facet
+normals instead of building hulls.  The sampled mean-width descent lays
+its support products out (vertices, directions) and reduces along the
+first axis.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ from scipy.optimize import minimize, nnls
 
 from .bodyops import (Body, is_zonotope, origin_symmetric, support_points,
                       to_polytope, transform_body)
-from .polytope import Polytope, centroid_and_covariance, inradius
+from .polytope import (DegenerateInputError, Polytope,
+                       centroid_and_covariance, inradius)
 from .quermass import omega
 from .sampling import RngSeed, sphere_points
 
@@ -44,9 +52,15 @@ LOWNER_TOL = 1e-7            # relative violation of the Loewner condition
 LOWNER_MAX_ITER = 500_000
 JOHN_TOL = 1e-7              # relative KKT residual
 JOHN_MAX_ITER = 300          # SLSQP iterations
-MIN_WIDTH_PAIRS = 1000       # antithetic direction pairs of the panel
+EDGE_MEASURE_TOL = 1e-10     # residual ||n M - I||_F of the edge measure
+EDGE_MEASURE_MAX_ITER = 200
+MIN_WIDTH_PAIRS = 1000       # sampled route: antithetic direction pairs
 MIN_WIDTH_MAX_ITER = 300
 MIN_WIDTH_TOL = 0.02         # first-order residual floor for convergence
+
+# The min-width route that ran, named in its position record.
+EDGE_MEASURE_ROUTE = "edge measure"
+SAMPLED_ROUTE = "sampled pairs"
 
 
 @dataclass(frozen=True)
@@ -80,6 +94,7 @@ class PositionResult:
     scale: float = 1.0
     shift: np.ndarray = field(default=None)  # type: ignore[assignment]
     history: tuple = ()  # objective value at each accepted iterate
+    route: str = ""  # the min-width route that ran (empty for other kinds)
 
     def __post_init__(self):
         if self.shift is None:
@@ -95,7 +110,8 @@ class PositionResult:
                 "shift": np.asarray(self.shift, dtype=float).tolist(),
                 "residual": float(self.residual),
                 "objective": float(self.objective),
-                "iterations": int(self.iterations)}
+                "iterations": int(self.iterations),
+                **({"route": self.route} if self.route else {})}
 
 
 def _unimodular(matrix: np.ndarray) -> np.ndarray:
@@ -403,6 +419,60 @@ def john_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
 
 def min_mean_width_position(body: Body,
                             seed: RngSeed = RngSeed()) -> PositionResult:
+    """The minimal mean width position: by the edge-measure fixed point for
+    a zonotope at any n and a vertex body at n = 3, 4, and by the sampled
+    descent (``seed`` picks its panel) for a vertex body otherwise."""
+    if is_zonotope(body) or body.dim in (3, 4):
+        return edge_measure_min_width_position(body)
+    return sampled_min_width_position(body, seed)
+
+
+def edge_measure_min_width_position(body: Body) -> PositionResult:
+    """Damped fixed point T <- (n M)^{-1/2} T, |det T| = 1, on the edge
+    measure of TK.
+
+    The mean width of a polytope is E h_K = ω_{n-1}/(n ω_n)·Σ_e |e|·γ_e
+    over its edges e with normalized external angles γ_e, and its
+    derivative along SL(n) is the trace-free part of the edge measure
+    Σ_e |e|·γ_e·ê êᵀ.  So K is in minimal mean width position iff
+    M = Σ_e |Te| γ_e ê êᵀ / Σ_e |Te| γ_e (ê = Te/|Te|) is I/n.  A zonotope
+    reads its generators as edges with γ = 2, in closed form at every n; a
+    vertex body at n = 3, 4 transports its facet normals by T^{-T} for the
+    angles of TK (`Polytope.edge_angles`).  The residual is ||n M - I||_F
+    and the objective the exact E h_{TK}.
+    """
+    n = body.dim
+    zonotope = is_zonotope(body)
+    edges = body.generators if zonotope else body.edges()
+    eye = np.eye(n)
+    transform = eye
+    residual = np.inf
+    iterations = 0
+    for iterations in range(EDGE_MEASURE_MAX_ITER + 1):
+        moved = edges @ transform.T
+        lengths = np.linalg.norm(moved, axis=1)
+        gamma = 2.0 if zonotope else body.edge_angles(np.linalg.inv(transform))
+        total = float((lengths * gamma).sum())
+        # |Te| γ ê êᵀ = (γ/|Te|) (Te)(Te)ᵀ
+        moment = (moved * (gamma / lengths)[:, None]).T @ moved / total
+        residual = float(np.linalg.norm(n * moment - eye))
+        if residual <= EDGE_MEASURE_TOL or iterations == EDGE_MEASURE_MAX_ITER:
+            break
+        eigval, eigvec = np.linalg.eigh(n * moment)
+        if eigval[0] <= 1e-14 * eigval[-1]:
+            raise DegenerateInputError(
+                "the edge measure is singular: the body is not full-dimensional")
+        step = (eigvec * eigval ** -0.5) @ eigvec.T
+        transform = _unimodular(step @ transform)
+    return PositionResult(transform=transform, residual=residual,
+                          objective=omega(n - 1) / (n * omega(n)) * total,
+                          iterations=iterations,
+                          converged=residual <= EDGE_MEASURE_TOL,
+                          route=EDGE_MEASURE_ROUTE)
+
+
+def sampled_min_width_position(body: Body,
+                               seed: RngSeed = RngSeed()) -> PositionResult:
     """Stochastic minimization of the mean width over SL(n) (best effort).
 
     The objective is the empirical mean width on a fixed antithetic direction
@@ -479,7 +549,7 @@ def min_mean_width_position(body: Body,
     return PositionResult(transform=_unimodular(transform), residual=residual,
                           objective=value, iterations=iterations,
                           converged=residual <= max(MIN_WIDTH_TOL, 3.0 * noise),
-                          history=tuple(history))
+                          history=tuple(history), route=SAMPLED_ROUTE)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +561,8 @@ def solve(kind: str, body: Body,
     """The named position of ``body`` and the solver's by-products.
 
     ``kind`` is one of min-surface, isotropic, john, lowner and min-width;
-    ``seed`` drives the min-width sample set only.  The solvers are looked
+    ``seed`` drives the sample set of the sampled min-width route only (a
+    vertex body at n other than 3, 4).  The solvers are looked
     up as module globals at call time, so wrappers installed on this
     module see every call.
     """

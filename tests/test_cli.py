@@ -112,6 +112,23 @@ def test_position_record_matches_the_positioned_context(tmp_path, capsys):
     assert np.allclose(record["transform"], shared["transform"])
 
 
+def test_min_width_position_names_its_route(tmp_path, capsys):
+    out_file = tmp_path / "pos.json"
+    assert main(["position", "--body", "cube", "--dim", "3",
+                 "--kind", "min-width", "--out", str(out_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:6] == ["kind: min-width", "route: edge measure",
+                          "converged: True", "residual: 0", "iterations: 0"]
+    record = json.loads(out_file.read_text())
+    assert record["route"] == "edge measure"
+    assert record["transform"] == np.eye(3).tolist()
+    assert record["objective"] == 1.5
+    shared = BodyContext(bodies.cube(3), SuiteConfig()).positioned(
+        "min-width").position_record()
+    assert set(record) == {*shared, "body", "kind", "converged", "extras"}
+    assert shared["route"] == "edge measure"
+
+
 def test_verify_exit_zero_and_byte_identical_reruns(tmp_path, capsys):
     corpus_file = tmp_path / "tiny.json"
     corpus_file.write_text(json.dumps(["cube", "random-zonotope(6,1)"]))

@@ -191,6 +191,36 @@ def test_exact_flag_flips_are_listed_in_each_direction(tmp_path):
     assert lines[stopped + 1] == "  GHP cube n=3 [worst] rhs"
 
 
+def _positioned(a_residual, b_residual):
+    """A T-HYPER-6-like cell whose detail carries position records."""
+    cell = _cell("T-HYPER-6", "cube", [_case("min-width", _side(1.0),
+                                             _side(2.0))])
+    cell["detail"]["positions"] = {
+        "john": {"c5": 0.5, "position": {"residual": 1e-8}},
+        "min-width": {"c5": 0.5, "position": {"residual": a_residual}}}
+    other = json.loads(json.dumps(cell))
+    other["detail"]["positions"]["min-width"]["position"]["residual"] = \
+        b_residual
+    return ({"results": [*_report()["results"], cell]},
+            {"results": [*_report()["results"], other]})
+
+
+def test_changed_position_residuals_are_listed_per_cell_and_kind(tmp_path):
+    a, b = _positioned(0.03, 0.03)
+    code, out = _run(tmp_path, a, b)
+    assert "position-record residuals that changed: 0" in out
+    a, b = _positioned(0.03, 4e-11)
+    del b["results"][-1]["detail"]["positions"]["john"]
+    code, out = _run(tmp_path, a, b)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("position-record residuals that changed: 2")
+    assert lines[at + 1:at + 3] == [
+        "  T-HYPER-6 cube n=3 [john]: 1e-08 -> '(absent)'",
+        "  T-HYPER-6 cube n=3 [min-width]: 0.03 -> 4e-11"]
+    assert "verdicts: unchanged" in out
+
+
 def test_top_level_key_changes_are_listed_without_changing_the_exit(tmp_path):
     a = {**_report(), "note": "old", "config": {"n": 3},
          "summary": {"cells": 3}}

@@ -558,3 +558,56 @@ def test_w3_faces_are_built_lazily_once(monkeypatch):
     assert calls == []
     assert body.quermass_exact_3codim() == body.quermass_exact_3codim()
     assert calls == [body]
+
+
+# ---------------------------------------------------------------------------
+# edges and their external angles, transported to a linear image
+
+
+def _edge_measure(body, linear):
+    """(Σ_e |Te| γ_e, Σ_e |Te| γ_e ê êᵀ) of the image TK, from K's edges and
+    the angles of its transported facet normals."""
+    moved = body.edges() @ linear.T
+    lengths = np.linalg.norm(moved, axis=1)
+    weights = lengths * body.edge_angles(np.linalg.inv(linear))
+    return weights.sum(), (moved * (weights / lengths ** 2)[:, None]).T @ moved
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", ["cube", "simplex", "random-hull(12,1)",
+                                  "random-zonotope(7,2)"])
+def test_edge_lengths_and_angles_sum_to_the_exact_mean_width(n, name):
+    # V_1 = Σ_e |e| γ_e and W_{n-1} = ω_{n-1} V_1 / n
+    body = to_polytope(bodies.from_name(name, n).build())
+    v1, _ = _edge_measure(body, np.eye(n))
+    assert omega(n - 1) * v1 / n == pytest.approx(
+        quermassintegral(body, n - 1).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", ["random-hull(12,3)", "random-zonotope(7,4)"])
+def test_transported_edge_measure_matches_the_rebuilt_hull(n, name):
+    body = to_polytope(bodies.from_name(name, n).build())
+    rng = np.random.default_rng(n)
+    linear = np.eye(n) + 0.5 * rng.standard_normal((n, n))
+    total, moment = _edge_measure(body, linear)
+    image = transform_body(body, linear)
+    ref_total, ref_moment = _edge_measure(image, np.eye(n))
+    assert total == pytest.approx(ref_total, rel=1e-12)
+    assert np.abs(moment - ref_moment).max() <= 1e-12 * ref_total
+
+
+def test_face_fan_is_shared_by_w3_and_the_edge_angles(monkeypatch):
+    calls = []
+    build = Polytope._face_fan
+
+    def counted(self):
+        calls.append(self._fan is None)
+        return build(self)
+
+    monkeypatch.setattr(Polytope, "_face_fan", counted)
+    body = bodies.random_hull(4, 12, 1).build()
+    body.edge_angles(np.eye(4))
+    body.edge_angles(2.0 * np.eye(4))
+    body.quermass_exact_3codim()
+    assert calls[0] and not any(calls[1:])

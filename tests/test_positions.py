@@ -14,6 +14,7 @@ from projgeo.positions import (Ellipsoid, isotropic_position, john_position,
                                minimal_surface_position)
 from projgeo.quermass import omega, quermassintegral
 from projgeo.sampling import RngSeed
+from projgeo.zonotope import Zonotope
 
 
 def test_ellipsoid_volume_and_radii():
@@ -120,8 +121,9 @@ def test_john_of_simplex_touches_inscribed_ball():
 
 
 def test_min_width_leaves_ball_alone():
+    # the sampled route, called directly: the edge-measure route runs at n=3
     b3 = bodies.ball_approx(3, 500).build()
-    result = min_mean_width_position(b3, seed=RngSeed(3))
+    result = positions.sampled_min_width_position(b3, seed=RngSeed(3))
     assert result.converged
     assert np.abs(result.transform - np.eye(3)).max() < 0.05
     assert abs(np.linalg.det(result.transform)) == pytest.approx(1.0, rel=1e-9)
@@ -129,7 +131,7 @@ def test_min_width_leaves_ball_alone():
 
 def test_min_width_descent_trace_is_monotone():
     q3 = bodies.cube(3).build()
-    result = min_mean_width_position(q3, seed=RngSeed(0))
+    result = positions.sampled_min_width_position(q3, seed=RngSeed(0))
     trace = np.asarray(result.history)
     assert trace.size >= 1
     assert np.all(np.diff(trace) <= 0.0)
@@ -140,12 +142,12 @@ def test_min_width_recovers_stretched_cube():
     q3 = bodies.cube(3).build()
     stretch = np.diag([3.0, 1.0, 1.0])
     image = transform_body(q3, stretch / np.linalg.det(stretch) ** (1.0 / 3.0))
-    result = min_mean_width_position(image, seed=RngSeed(1))
+    result = min_mean_width_position(image)
     placed = result.apply(image)
-    est = quermassintegral(placed, 2, samples=40_000, seed=RngSeed(7),
-                           method="mc").scaled(1.0 / omega(3))
+    exact = quermassintegral(placed, 2).value / omega(3)
     # the volume-1-normalized cube has minimal mean width 3/2 over SL(3) images
-    assert abs(est.value - 1.5) < 0.02 * 1.5
+    assert result.objective == pytest.approx(1.5, rel=1e-9, abs=0.0)
+    assert exact == pytest.approx(1.5, rel=1e-9, abs=0.0)
 
 
 def test_position_results_report_unimodular_transforms():
@@ -359,13 +361,102 @@ def _min_width_row_major(body, samples=2000, max_iter=300, seed=RngSeed()):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_min_width_matches_row_major_reference_bit_for_bit(n):
+    # the sampled route, called directly: it runs on vertex bodies at n = 5
     for spec in bodies.corpus(n):
         body = spec.build()
         if positions.is_zonotope(body):
             continue
-        result = min_mean_width_position(body, seed=RngSeed(0))
+        result = positions.sampled_min_width_position(body, seed=RngSeed(0))
         transform, iterations, value = _min_width_row_major(body,
                                                             seed=RngSeed(0))
         assert np.array_equal(result.transform, transform), spec.name
         assert result.iterations == iterations, spec.name
         assert result.objective == value, spec.name
+
+
+# ---------------------------------------------------------------------------
+# min-width: the edge-measure fixed point
+
+
+def _exact_mean_width(body) -> float:
+    """E h_K from the exact W_{n-1} (ridges at n=3, edge cones at n=4)."""
+    return quermassintegral(body, body.dim - 1).value / omega(body.dim)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_edge_measure_puts_the_corpus_in_position_below_the_sampled_width(n):
+    for spec in bodies.corpus(n):
+        body = spec.build()
+        result = min_mean_width_position(body)
+        assert result.route == positions.EDGE_MEASURE_ROUTE, spec.name
+        assert result.converged and result.residual <= 1e-9, spec.name
+        assert abs(np.linalg.det(result.transform)) == pytest.approx(
+            1.0, rel=1e-12)
+        # the objective is the exact mean width of the positioned body
+        assert _exact_mean_width(result.apply(body)) == pytest.approx(
+            result.objective, rel=1e-12)
+        sampled = positions.sampled_min_width_position(body, seed=RngSeed(0))
+        assert result.objective <= _exact_mean_width(sampled.apply(body)), \
+            spec.name
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("make", [bodies.cube, bodies.cross_polytope,
+                                  bodies.simplex],
+                         ids=["cube", "cross", "simplex"])
+def test_edge_measure_leaves_symmetric_bodies_at_the_identity(n, make):
+    result = min_mean_width_position(make(n).build())
+    assert result.iterations == 0
+    assert result.residual <= 1e-12
+    assert np.array_equal(result.transform, np.eye(n))
+
+
+@pytest.mark.parametrize("spec", [bodies.random_hull(3, 10, 1),
+                                  bodies.random_hull(4, 12, 2),
+                                  bodies.random_zonotope(4, 7, 3)],
+                         ids=lambda spec: f"{spec.name}-n{spec.dim}")
+def test_edge_measure_width_is_affine_invariant(spec):
+    # the minimal mean width is a function of the SL(n) orbit
+    body = spec.build()
+    n = body.dim
+    rng = np.random.default_rng(5)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    linear = q1 @ np.diag(np.logspace(0.0, 2.0, n)) @ q2
+    assert np.linalg.cond(linear) == pytest.approx(1e2, rel=1e-9)
+    image = transform_body(body, linear / abs(np.linalg.det(linear))
+                           ** (1.0 / n))
+    ref = min_mean_width_position(body)
+    moved = min_mean_width_position(image)
+    assert moved.residual <= 1e-9
+    assert moved.objective == pytest.approx(ref.objective, rel=1e-9, abs=0.0)
+
+
+def test_zonotope_generator_and_vertex_routes_agree():
+    zono = bodies.random_zonotope(3, 6, 1).build()
+    poly = positions.to_polytope(zono)
+    by_generators = min_mean_width_position(zono)
+    by_vertices = min_mean_width_position(poly)
+    assert by_generators.objective == pytest.approx(by_vertices.objective,
+                                                    rel=1e-9, abs=0.0)
+    assert np.abs(by_generators.transform
+                  - by_vertices.transform).max() <= 1e-9
+
+
+def test_edge_measure_of_a_flat_zonotope_is_degenerate():
+    flat = Zonotope(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                     [1.0, 1.0, 0.0]]))
+    with pytest.raises(positions.DegenerateInputError, match="singular"):
+        min_mean_width_position(flat)
+
+
+def test_min_width_runs_the_sampled_route_on_vertex_bodies_at_n5():
+    cube = bodies.cube(5).build()
+    result = min_mean_width_position(cube, seed=RngSeed(0))
+    ref = positions.sampled_min_width_position(cube, seed=RngSeed(0))
+    assert result.route == positions.SAMPLED_ROUTE
+    assert np.array_equal(result.transform, ref.transform)
+    assert result.to_dict()["route"] == "sampled pairs"
+    zono = min_mean_width_position(bodies.random_zonotope(5, 8, 1).build())
+    assert zono.route == positions.EDGE_MEASURE_ROUTE
+    assert zono.residual <= 1e-9
