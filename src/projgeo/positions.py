@@ -446,8 +446,6 @@ def edge_measure_min_width_position(body: Body) -> PositionResult:
     edges = body.generators if zonotope else body.edges()
     eye = np.eye(n)
     transform = eye
-    residual = np.inf
-    iterations = 0
     for iterations in range(EDGE_MEASURE_MAX_ITER + 1):
         moved = edges @ transform.T
         lengths = np.linalg.norm(moved, axis=1)
