@@ -40,7 +40,6 @@ from .zonotope import (CONVERSION_GENERATOR_CAP, SUBSET_BUDGET, Zonotope,
 # standard error).
 SPHERE_PANEL_MAX = 20_000
 KUBOTA_WIDTH_PAIRS = 200_000
-HEAVY_VERTEX_LIMIT = 100
 ZONOTOPE_SHADOW_BUDGET = 4_000_000  # max (n-1)-subset evaluations for shadows
 SNAP_SEED_ITERS = 50  # descent iterations that seed the Pi K facet walk
 # Screen and polish of the vertex-body shadow quermassintegral minima: each
@@ -184,12 +183,18 @@ class BodyContext:
 
     A positioned child context (`positioned("john")` etc.) wraps the
     affinely repositioned body; its panels are keyed by the position label
-    so parallel and serial runs see identical draws.
+    so parallel and serial runs see identical draws.  The catalog runs at
+    n = 3, 4 and 5, where every mean and minimum has an exact or one-panel
+    route (see `quermass`); other dimensions are refused before the body
+    is built.
     """
 
     def __init__(self, spec: BodySpec, cfg: SuiteConfig, body: Body | None = None,
                  position: str | None = None, residual: float | None = None,
                  parent: "BodyContext | None" = None):
+        if spec.dim not in (3, 4, 5):
+            raise ValueError(f"the check catalog runs at n = 3, 4 or 5, "
+                             f"not n = {spec.dim}")
         self.spec = spec
         self.cfg = cfg
         self.body = spec.build() if body is None else body
@@ -273,13 +278,9 @@ class BodyContext:
 
     def _frame_panel_size(self) -> int:
         if self.is_zonoid:
-            size = 2500
-        else:
-            v = self.n_vertices()
-            size = 2500 if v <= 80 else (1200 if v <= 250 else 700)
-        if self.position is not None:
-            size = min(size, 1500 if self.is_zonoid else 800)
-        return size
+            return 2500
+        v = self.n_vertices()
+        return 2500 if v <= 80 else (1200 if v <= 250 else 700)
 
     def frame_panel(self, k: int) -> np.ndarray:
         def build():
@@ -288,45 +289,29 @@ class BodyContext:
             return grassmann_frames(self.n, k, count, rng)
         return self._memo(("frames", k), build)
 
-    def frame_stats(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(shadow volumes, shadow surface areas) over the k-frame panel."""
-        def build():
-            vols, surfs = frame_shadow_panel(self.body, self.frame_panel(k))
-            return vols, surfs
-        return self._memo(("frame_stats", k), build)
-
     # -- means by Kubota's recursion -------------------------------------------
     #
     # Every mean over directions or subspaces is one quermassintegral of K:
     #     E_{F in G(n,k)} W_i(P_F K) = (omega_k/omega_n) W_{n-k+i}(K).
     # The mean k-frame shadow surface (i = 1) reads W_{n-k+1}, p_k (i = 0)
     # reads W_{n-k}, and the mean of V_j over hyperplane shadows (k = n-1,
-    # i = p, j = n-1-p) reads W_{p+1} = V_j(K).  `quermass` is exact for
-    # zonoids and, for vertex bodies, at p <= 3 (ridge angles and the normal
-    # cones of the (n-3)-faces) and p = n; W_{n-1} at n >= 5 is one
-    # antithetic width panel, and 4 <= p <= n-2 (V_2 at n = 6) a frame draw.
-    # A mean whose W_p would be such a frame draw keeps the frame panel of
-    # its own k instead, which gives the narrower stderr.
+    # i = p, j = n-1-p) reads W_{p+1} = V_j(K).  At n <= 5 `quermass` is
+    # exact for zonoids and, for vertex bodies, at every p but one: p <= 3
+    # (ridge angles and the normal cones of the (n-3)-faces) and p = n are
+    # exact, and W_4 at n = 5, the mean width, is one antithetic panel of
+    # KUBOTA_WIDTH_PAIRS width pairs.
     # CK-IDENT checks these identities, so it keeps its Monte Carlo sides.
 
     def quermass(self, p: int) -> Estimate:
         """W_p(K) = V_{n-p}(K), the one source of every mean (see above)."""
-        n = self.n
-
         def build():
-            if p == n - 1:
+            if p == self.n - 1:
                 # the mean width, wherever it is not exact
-                samples, seed = 2 * KUBOTA_WIDTH_PAIRS, self.rng("kubota-v1")
-            else:
-                heavy = (not self.is_zonoid
-                         and self.n_vertices() > HEAVY_VERTEX_LIMIT)
-                samples, seed = 1200 if heavy else None, self.rng("quermass", p)
-            return quermassintegral(self.body, p, samples=samples, seed=seed)
+                return quermassintegral(self.body, p,
+                                        samples=2 * KUBOTA_WIDTH_PAIRS,
+                                        seed=self.rng("kubota-v1"))
+            return quermassintegral(self.body, p)
         return self._memo(("quermass", p), build)
-
-    def _frame_drawn(self, p: int) -> bool:
-        """Whether `quermass(p)` is a Monte Carlo draw over frames."""
-        return not self.is_zonoid and 4 <= p <= self.n - 2
 
     def mean_shadow_surface(self) -> Estimate:
         """E_xi S(P_xi K) = (n-1)(omega_{n-1}/omega_n) W_2(K), exact."""
@@ -335,8 +320,6 @@ class BodyContext:
     def mean_frame_surface(self, k: int) -> Estimate:
         """E_F S(P_F K) over k-subspaces F = k (omega_k/omega_n) W_{n-k+1}(K)."""
         n = self.n
-        if self._frame_drawn(n - k + 1):
-            return mc_estimate(self.frame_stats(k)[1])
         return self.quermass(n - k + 1).scaled(k * omega(k) / omega(n))
 
     def shadow_quermass_mean(self, p: int) -> tuple[Estimate, str]:
@@ -345,10 +328,6 @@ class BodyContext:
         j = n - 1 - p
         if not 1 <= j <= n - 2:
             raise ValueError(f"shadow quermass index p={p} out of range")
-        if self._frame_drawn(p + 1):
-            est = mc_estimate(self.frame_stats(j)[0])
-            return (est.scaled(omega(n - 1) / omega(j)),
-                    f"Kubota recursion, {j}-frame panel")
         mean = self.quermass(p + 1).scaled(omega(n - 1) / omega(n))
         if mean.exact:
             return mean, f"Kubota recursion, exact W_{p + 1}(K)"
@@ -458,8 +437,6 @@ class BodyContext:
             _, value = minimize_on_sphere(
                 objective, n, seed=self.rng("min-quermass", p), vectorized=True)
             return value, f"sphere minimum of the exact subset-Gram V_{j}"
-        if p > 3:
-            raise ValueError(f"no exact route for shadow W_p, p={p} > 3")
 
         def objective(dirs: np.ndarray) -> np.ndarray:
             return np.array([quermassintegral(
@@ -890,11 +867,8 @@ def _check_fgm(ctx: BodyContext):
             elif j == k - 1 and not zonoid:
                 sides = [Estimate.of(s / k) for s in surfs]
             else:
-                # exact for zonotopes and at p <= 3; beyond (k = 5, p = 4
-                # at n = 6) each frame draws its own 600 widths
-                sides = [quermassintegral(s, p, samples=1200,
-                                          seed=ctx.rng("FGM", k, p, i))
-                         for i, s in enumerate(shadows)]
+                # exact: a zonotope shadow at every p, a hull at p <= 3
+                sides = [quermassintegral(s, p) for s in shadows]
             best = max((side.scaled(1.0 / v) for side, v in zip(sides, vols)),
                        key=lambda q: q.value)
             lhs = ctx.quermass(p).scaled(1.0 / vol)

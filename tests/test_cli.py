@@ -152,6 +152,23 @@ def test_verify_rejects_unknown_ids(tmp_path, capsys):
     assert "unknown check ids" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--dim", "6"],
+    ["search", "--id", "GHP", "--family", "random-hull", "--dim", "6",
+     "--budget", "1"]])
+def test_verify_and_search_refuse_n6(args, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the check catalog runs at n = 3, 4 or 5, " \
+        "not n = 6\n"
+
+
+def test_compute_keeps_n6(capsys):
+    assert main(["compute", "--body", "cube", "--dim", "6",
+                 "--quantity", "volume"]) == 0
+    assert capsys.readouterr().out.strip() == "64"
+
+
 def test_search_writes_trace(tmp_path, capsys):
     out_file = tmp_path / "trace.json"
     assert main(["search", "--id", "GHP", "--family", "perturbed-cube",

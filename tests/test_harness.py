@@ -280,7 +280,7 @@ def test_mean_frame_surface_is_exact_for_zonotopes(n, m, k):
     ctx = BodyContext(bodies.random_zonotope(n, m, 1), CFG)
     mean = ctx.mean_frame_surface(k)
     assert mean.exact and mean.stderr == 0.0
-    panel = mc_estimate(ctx.frame_stats(k)[1])
+    panel = mc_estimate(frame_shadow_panel(ctx.body, ctx.frame_panel(k))[1])
     assert abs(panel.value - mean.value) <= 4.0 * panel.stderr
 
 
@@ -563,21 +563,10 @@ def test_vertex_shadow_quermass_minima_of_the_cube(n, p, exact):
                       f"V_{n - 1 - p}")
 
 
-def test_fgm_passes_on_a_vertex_body_at_n6():
-    # V_j of a 4- or 5-dimensional shadow is its hull's exact W_p at p <= 3;
-    # the one index left, k = 5 and p = 4, draws widths frame by frame
-    cell = run_check(CHECK_MAP["FGM"], BodyContext(bodies.simplex(6), CFG))
-    assert cell.status == "pass", cell.detail.get("error")
-    drawn = [c["label"] for c in cell.detail["cases"] if not c["rhs"]["exact"]]
-    assert drawn == ["k=5, p=4"]
-
-
-def test_t_quer_1_at_n6_has_no_route_only_at_p4():
-    # a 5-dimensional shadow has exact W_p at p <= 3 only
-    cell = run_check(CHECK_MAP["T-QUER-1"], BodyContext(bodies.simplex(6), CFG))
-    assert cell.status == "error"
-    assert cell.detail["error"] == (
-        "ValueError: no exact route for shadow W_p, p=4 > 3")
+@pytest.mark.parametrize("n", [2, 6])
+def test_body_context_refuses_dimensions_outside_3_to_5(n):
+    with pytest.raises(ValueError, match=f"n = 3, 4 or 5, not n = {n}"):
+        BodyContext(bodies.cube(n), CFG)
 
 
 # ---------------------------------------------------------------------------
