@@ -44,10 +44,9 @@ SHADOW_QUERMASS_NOTE = (
     "Kubota's recursion E_{F in G(n,k)} W_i(P_F K) = (omega_k/omega_n) "
     "W_{n-k+i}(K): the mean V_j of hyperplane shadows, the mean shadow "
     "surface k (omega_k/omega_n) W_{n-k+1}(K) and p_k. W_p(K) is exact for "
-    "zonoids and, for vertex bodies, at p <= 3; W_{n-1} of a vertex body at "
-    f"n >= 5 is one antithetic panel of {KUBOTA_WIDTH_PAIRS} width pairs, "
-    "and a mean whose W_p would be a frame draw (V_2 at n = 6) keeps the "
-    "frame panel of its own dimension. CK-IDENT checks the identities "
+    "zonoids and, for vertex bodies, at p <= 3 and p = n; W_4 of a vertex "
+    f"body at n = 5 is one antithetic panel of {KUBOTA_WIDTH_PAIRS} width "
+    "pairs. CK-IDENT checks the identities "
     "themselves against Monte Carlo panels. The minimum over xi is exact at "
     "j = n-2 and for zonoids (subset-Gram determinants); for vertex bodies "
     "at j < n-2 it screens and polishes the exact W_p of the hulled shadow. "
