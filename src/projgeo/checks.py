@@ -620,21 +620,35 @@ _UPPER_POSITIONS = ("min-surface", "isotropic", "john", "lowner")
 _LOWER_POSITIONS = ("min-surface", "min-width", "isotropic", "john", "lowner")
 
 
+def _at_positions(ctx: BodyContext, kinds: tuple[str, ...], evaluate):
+    """The sub-cases of ``evaluate(child) -> (sub-cases, constants)`` at each
+    applicable position, labelled by the position and any index (k=..., p=...);
+    the constants and the solver record go to ``detail.positions.<kind>``."""
+    subs, reported = [], {}
+    for kind in ctx.position_list(kinds):
+        child = ctx.positioned(kind)
+        child_subs, constants = evaluate(child)
+        for sub in child_subs:
+            sub.label = f"{kind}, {sub.label}" if "=" in sub.label else kind
+        subs += child_subs
+        reported[kind] = {**constants, "position": child.position_record()}
+    return subs, {"positions": reported}
+
+
+# T-HYPER-4, T-HYPER-6 and T-HIGHER-7 bound a positioned body by a constant
+# measured on it (c0 or the width-condition constant) that cancels against
+# its volume and surface, so each runs its base check on the positioned body.
+
 def _check_t_hyper_4(ctx: BodyContext):
     n = ctx.n
-    subs, reported = [], {}
-    for kind in ctx.position_list(_UPPER_POSITIONS):
-        child = ctx.positioned(kind)
+
+    def evaluate(child: BodyContext):
         vol, surf = child.volume(), child.surface()
-        c0 = surf / (n * vol ** ((n - 1.0) / n))
-        lhs = child.mean_shadow_surface().scaled(vol ** (1.0 / n))
-        const = 2.0 * b_constant(n) / (n * omega(n) ** (1.0 / n)) * c0 * n
-        rhs = Estimate.of(const * surf)
-        subs.append(SubCase(kind, lhs, rhs, "le", tol=ctx.cfg.tol))
-        reported[kind] = {"c2": lhs.value / (math.sqrt(n) * surf),
-                          "surface_constant_c0": c0,
-                          "position": child.position_record()}
-    return subs, {"positions": reported}
+        lhs = child.mean_shadow_surface().value * vol ** (1.0 / n)
+        return _check_t_hyper_3(child)[0], {
+            "c2": lhs / (math.sqrt(n) * surf),
+            "surface_constant_c0": surf / (n * vol ** ((n - 1.0) / n))}
+    return _at_positions(ctx, _UPPER_POSITIONS, evaluate)
 
 
 def _check_t_hyper_5(ctx: BodyContext):
@@ -647,19 +661,14 @@ def _check_t_hyper_5(ctx: BodyContext):
 
 def _check_t_hyper_6(ctx: BodyContext):
     n = ctx.n
-    subs, reported = [], {}
-    const = (n - 1) * omega(n - 1) / (n * omega(n)) ** ((n - 2.0) / (n - 1))
-    for kind in ctx.position_list(_LOWER_POSITIONS):
-        child = ctx.positioned(kind)
+
+    def evaluate(child: BodyContext):
         vol, surf = child.volume(), child.surface()
+        lhs = child.mean_shadow_surface().value * vol ** (1.0 / n)
         cw = surf ** (1.0 / (n - 1)) / vol ** (1.0 / n)
-        lhs = child.mean_shadow_surface().scaled(vol ** (1.0 / n))
-        rhs = Estimate.of(const * surf / cw)
-        subs.append(SubCase(kind, lhs, rhs, "ge", tol=ctx.cfg.tol))
-        reported[kind] = {"c5": lhs.value / surf,
-                          "width_condition_constant": cw,
-                          "position": child.position_record()}
-    return subs, {"positions": reported}
+        return _check_t_hyper_5(child)[0], {"c5": lhs / surf,
+                                            "width_condition_constant": cw}
+    return _at_positions(ctx, _LOWER_POSITIONS, evaluate)
 
 
 def _check_l_zon_1(ctx: BodyContext):
@@ -821,24 +830,24 @@ def _check_t_quer_3(ctx: BodyContext):
 
 
 def _check_t_quer_4(ctx: BodyContext):
+    # the inradius constant c0 does not cancel, so this check keeps its
+    # own arithmetic
     n = ctx.n
-    subs, reported = [], {}
-    for kind in ctx.position_list(_UPPER_POSITIONS):
-        child = ctx.positioned(kind)
+
+    def evaluate(child: BodyContext):
         vol = child.volume()
         c0 = child.inradius() / vol ** (1.0 / n)
+        subs, reported = [], {"inradius_constant_c0": c0}
         for p in range(1, n - 1):
             mean, method = child.shadow_quermass_mean(p)
             lhs = mean.scaled(vol ** (1.0 / n))
             expo = (n - 1.0 - p) / (n - p)
             const = omega(n - 1) * c0 ** (p / (n - p)) / omega(n) ** expo
             rhs = child.quermass(p).scaled(const)
-            subs.append(SubCase(f"{kind}, p={p}", lhs, rhs, "ge",
-                                tol=ctx.cfg.tol))
-            reported.setdefault(kind, {})[f"p={p}"] = method
-        reported[kind]["inradius_constant_c0"] = c0
-        reported[kind]["position"] = child.position_record()
-    return subs, {"positions": reported}
+            subs.append(SubCase(f"p={p}", lhs, rhs, "ge", tol=ctx.cfg.tol))
+            reported[f"p={p}"] = method
+        return subs, reported
+    return _at_positions(ctx, _UPPER_POSITIONS, evaluate)
 
 
 def _check_fgm(ctx: BodyContext):
@@ -947,24 +956,11 @@ def _check_t_higher_6(ctx: BodyContext):
 
 def _check_t_higher_7(ctx: BodyContext):
     n = ctx.n
-    subs, reported = [], {}
-    for kind in ctx.position_list(_UPPER_POSITIONS):
-        child = ctx.positioned(kind)
-        vol, surf = child.volume(), child.surface()
-        c0 = surf / (n * vol ** ((n - 1.0) / n))
-        # at k = 1 every shadow is a segment with 2 boundary points and the
-        # rhs is 2 |K|^{(n-1)/n} by the definition of c0, so the bound holds
-        # with equality by construction and is not compared with itself
-        for k in range(2, n):
-            lhs = child.mean_frame_surface(k).scaled(vol ** ((n - k) / n))
-            const = (k * omega(k) / ((n * omega(n)) ** ((k - 1.0) / (n - 1))
-                                     * (c0 * n) ** ((n - k) / (n - 1.0))))
-            rhs = Estimate.of(const * surf)
-            subs.append(SubCase(f"{kind}, k={k}", lhs, rhs, "ge",
-                                tol=ctx.cfg.tol))
-        reported[kind] = {"surface_constant_c0": c0,
-                          "position": child.position_record()}
-    return subs, {"positions": reported}
+
+    def evaluate(child: BodyContext):
+        c0 = child.surface() / (n * child.volume() ** ((n - 1.0) / n))
+        return _check_t_higher_6(child)[0], {"surface_constant_c0": c0}
+    return _at_positions(ctx, _UPPER_POSITIONS, evaluate)
 
 
 def _check_zon_vol_id(ctx: BodyContext):
@@ -1043,16 +1039,15 @@ CHECKS: list[CheckSpec] = [
               "|K| mean shadow surface <= (2 b_n / (n w_n^{1/n})) S(K)^2",
               _check_t_hyper_3),
     CheckSpec("T-HYPER-4",
-              "positioned bodies: |K|^{1/n} mean shadow surface <= c2 sqrt(n) "
-              "S(K), with c2 reported per position",
+              "T-HYPER-3 at each classical position; c2 and c0 reported",
               _check_t_hyper_4),
     CheckSpec("T-HYPER-5",
               "mean shadow surface >= ((n-1) w_{n-1} / (n w_n)^{(n-2)/(n-1)}) "
               "S(K)^{(n-2)/(n-1)}",
               _check_t_hyper_5),
     CheckSpec("T-HYPER-6",
-              "positioned bodies: |K|^{1/n} mean shadow surface >= c5 S(K), "
-              "with c5 and the width-condition constant reported",
+              "T-HYPER-5 at each classical position; c5 and the "
+              "width-condition constant reported",
               _check_t_hyper_6),
     CheckSpec("L-ZON-1",
               "zonoids: min shadow volume <= (n b_n / (n-1)) |Z|^{(n-1)/n}",
@@ -1113,8 +1108,7 @@ CHECKS: list[CheckSpec] = [
               "S(K)^{(k-1)/(n-1)}",
               _check_t_higher_6),
     CheckSpec("T-HIGHER-7",
-              "positioned bodies: mean k-frame shadow surface lower bound with "
-              "the measured surface constant c0",
+              "T-HIGHER-6 at each classical position; c0 reported",
               _check_t_higher_7),
     CheckSpec("ZON-VOL-ID",
               "the projection body volume equals its facet-shadow recomposition "

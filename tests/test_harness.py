@@ -300,6 +300,49 @@ def test_positioned_contexts_draw_no_panels(n, name):
         assert panels == [], child.key
 
 
+# each positioned check and the general check it runs on positioned bodies
+_BASE_CHECKS = {"T-HYPER-4": ("T-HYPER-3", checks._UPPER_POSITIONS),
+                "T-HYPER-6": ("T-HYPER-5", checks._LOWER_POSITIONS),
+                "T-HIGHER-7": ("T-HIGHER-6", checks._UPPER_POSITIONS)}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", ["cube", "simplex", "random-hull(12,2)",
+                                  "random-zonotope(7,1)"])
+def test_positioned_checks_are_their_base_checks_on_positioned_bodies(n, name):
+    ctx = BodyContext(bodies.from_name(name, n), CFG)
+    assert "min-width" in ctx.position_list(checks._LOWER_POSITIONS)
+    for check_id, (base_id, kinds) in _BASE_CHECKS.items():
+        cell = run_check(CHECK_MAP[check_id], ctx)
+        kinds = ctx.position_list(kinds)
+        assert list(cell.detail["positions"]) == kinds
+        cases = iter(cell.detail["cases"])
+        for kind in kinds:
+            child = ctx.positioned(kind)
+            base = run_check(CHECK_MAP[base_id], child).detail["cases"]
+            for want in base:
+                label = (f"{kind}, {want['label']}" if base_id == "T-HIGHER-6"
+                         else kind)
+                assert next(cases) == {**want, "label": label}
+            # the constants by their definitions, from the base sides
+            vol, surf = child.volume(), child.surface()
+            c0 = surf / (n * vol ** ((n - 1.0) / n))
+            lhs = base[0]["lhs"]["value"]
+            expected = {
+                "T-HYPER-4": {"c2": lhs / (vol ** ((n - 1.0) / n)
+                                           * math.sqrt(n) * surf),
+                              "surface_constant_c0": c0},
+                "T-HYPER-6": {"c5": lhs * vol ** (1.0 / n) / surf,
+                              "width_condition_constant":
+                                  surf ** (1.0 / (n - 1)) / vol ** (1.0 / n)},
+                "T-HIGHER-7": {"surface_constant_c0": c0}}[check_id]
+            reported = cell.detail["positions"][kind]
+            assert set(reported) == {*expected, "position"}
+            for key, value in expected.items():
+                assert reported[key] == pytest.approx(value, rel=1e-14)
+        assert next(cases, None) is None
+
+
 def test_positioned_contexts_draw_no_frames_at_n5():
     # V_2 means at n = 5 read the exact W_3 instead of a frame panel
     ctx = BodyContext(bodies.random_hull(5, 14, 1), CFG)
