@@ -18,11 +18,16 @@ Prints:
     binding sub-case, so a switch is not a value change);
   * the largest relative lhs/rhs value change over all sub-cases (the cell
     row stands in only for cells without sub-cases);
+  * the largest relative change of a sub-case ratio lhs/rhs, which a
+    rescaling of both sides leaves at 0;
   * how many sub-case lhs/rhs values rose and how many dropped, and the
     largest signed rise, so a gate that minima may only drop reads in one
     line;
   * every sub-case whose lhs or rhs stderr widened by more than 1e-12
     relative (a stderr that was 0 and is not any more counts as widened);
+  * every sub-case whose lhs or rhs relative error bar stderr/|value|
+    widened by more than 1e-12 relative, by the same rule (a side that
+    was only rescaled is not listed);
   * every sub-case side whose `exact` flag flipped, in each direction;
   * every position record (`detail.positions.<kind>.position`) whose
     residual changed, per cell and kind (a record present in only one
@@ -84,6 +89,14 @@ def _widened(a: float, b: float) -> bool:
     return b - a > STDERR_WIDEN_REL * a if a > 0.0 else b > 0.0
 
 
+def _rel_err(side: dict) -> float:
+    """stderr/|value| of a side: 0 when exact, inf at a value of 0."""
+    if side["stderr"] == 0.0:
+        return 0.0
+    value = abs(side["value"])
+    return side["stderr"] / value if value > 0.0 else math.inf
+
+
 def _name(key) -> str:
     check, body, n = key
     return f"{check} {body} n={n}"
@@ -109,9 +122,11 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
     changed_cells = []
     switches = []
     widened = []
+    rel_widened = []
     flips = {True: [], False: []}  # keyed by the new exact flag
     residuals = []
     worst = (0.0, "none")
+    worst_ratio = (0.0, "none")
     rose, dropped = 0, 0
     top_rise = (0.0, "none")
     for key in sorted(cells_a.keys() & cells_b.keys()):
@@ -144,11 +159,18 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
                 if _widened(sa[side]["stderr"], sb[side]["stderr"]):
                     widened.append(f"{label} {side}: stderr "
                                    f"{sa[side]['stderr']!r} -> {sb[side]['stderr']!r}")
+                rel_a, rel_b = _rel_err(sa[side]), _rel_err(sb[side])
+                if _widened(rel_a, rel_b):
+                    rel_widened.append(f"{label} {side}: stderr/|value| "
+                                       f"{rel_a:.6g} -> {rel_b:.6g}")
                 if sa[side].get("exact") != sb[side].get("exact"):
                     flips[bool(sb[side].get("exact"))].append(f"{label} {side}")
         cell_worst_se = 0.0
         lines = []
         for suffix, sa, sb in sides:
+            rel = _rel_change(sa["ratio"], sb["ratio"])
+            if rel > worst_ratio[0]:
+                worst_ratio = (rel, f"{_name(key)}{suffix}")
             for side in ("lhs", "rhs"):
                 va, vb = sa[side]["value"], sb[side]["value"]
                 rel = _rel_change(va, vb)
@@ -184,11 +206,15 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
     section("binding-case switches", switches)
     print(f"largest relative lhs/rhs value change: {worst[0]:.3g} ({worst[1]})",
           file=out)
+    print(f"largest relative sub-case ratio change: {worst_ratio[0]:.3g} "
+          f"({worst_ratio[1]})", file=out)
     rise = f"{top_rise[0]:+.3g} ({top_rise[1]})" if rose else "none"
     print(f"lhs/rhs values: {rose} rose, {dropped} dropped; largest rise "
           f"{rise}", file=out)
     section(f"sub-cases with stderr widened by more than {STDERR_WIDEN_REL:g} "
             "relative", widened)
+    section("sub-cases with relative error bar stderr/|value| widened by "
+            f"more than {STDERR_WIDEN_REL:g} relative", rel_widened)
     section("sub-case sides that became exact", flips[True])
     section("sub-case sides that stopped being exact", flips[False])
     section("position-record residuals that changed", residuals)

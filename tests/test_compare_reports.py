@@ -151,6 +151,46 @@ def test_summary_counts_rises_and_drops(tmp_path):
             "(GHP cube n=3 [worst] lhs)") in out
 
 
+def test_rescaled_sides_keep_their_ratio_and_relative_error_bar(tmp_path):
+    code, out = _run(tmp_path, _report(), _report())
+    assert "largest relative sub-case ratio change: 0 (none)" in out
+    assert ("sub-cases with relative error bar stderr/|value| widened by "
+            "more than 1e-12 relative: 0") in out
+    b = _report()
+    quer = b["results"][0]["detail"]["cases"]
+    # both sides of p=1 doubled: values and the absolute stderr move, the
+    # ratio and the relative error bar do not
+    quer[0] = _case("p=1", _side(2.0, 0.02), _side(4.0))
+    code, out = _run(tmp_path, _report(), b)
+    assert code == 0
+    assert ("largest relative lhs/rhs value change: 0.5 (T-QUER-2 cube n=3 "
+            "[p=1] lhs)") in out
+    assert "largest relative sub-case ratio change: 0 (none)" in out
+    assert "sub-cases with stderr widened by more than 1e-12 relative: 1" in out
+    assert ("sub-cases with relative error bar stderr/|value| widened by "
+            "more than 1e-12 relative: 0") in out
+
+
+def test_ratio_change_and_wider_relative_error_bar_are_listed(tmp_path):
+    b = _report()
+    quer = b["results"][0]["detail"]["cases"]
+    quer[0] = _case("p=1", _side(1.0 * (1 + 1e-9), 0.01), _side(2.0))
+    quer[1] = _case("p=2", _side(1.5, 0.03), _side(2.0))
+    b["results"][1]["detail"]["cases"][0]["rhs"] = _side(4.0, 0.04)
+    code, out = _run(tmp_path, _report(), b)
+    assert code == 0
+    assert ("largest relative sub-case ratio change: 1e-09 (T-QUER-2 cube "
+            "n=3 [p=1])") in out
+    lines = out.splitlines()
+    at = lines.index("sub-cases with relative error bar stderr/|value| "
+                     "widened by more than 1e-12 relative: 2")
+    assert lines[at + 1:at + 3] == [
+        "  GHP cube n=3 [worst] rhs: stderr/|value| 0 -> 0.01",
+        "  T-QUER-2 cube n=3 [p=2] lhs: stderr/|value| 0.0133333 -> 0.02"]
+    # p=1's value rose with its stderr fixed: its relative error bar narrowed
+    assert "[p=1] lhs: stderr/|value|" not in out
+
+
 def test_binding_case_switch_is_not_a_value_change(tmp_path):
     a = _report()
     a["results"][0]["detail"]["binding_case"] = "p=1"
