@@ -166,7 +166,8 @@ def test_rescaled_sides_keep_their_ratio_and_relative_error_bar(tmp_path):
     assert ("largest relative lhs/rhs value change: 0.5 (T-QUER-2 cube n=3 "
             "[p=1] lhs)") in out
     assert "largest relative sub-case ratio change: 0 (none)" in out
-    assert "sub-cases with stderr widened by more than 1e-12 relative: 1" in out
+    assert ("sub-cases with stderr widened by more than 1e-12 relative: 1"
+            in out)
     assert ("sub-cases with relative error bar stderr/|value| widened by "
             "more than 1e-12 relative: 0") in out
 
