@@ -168,9 +168,9 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
         cell_worst_se = 0.0
         lines = []
         for suffix, sa, sb in sides:
-            rel = _rel_change(sa["ratio"], sb["ratio"])
-            if rel > worst_ratio[0]:
-                worst_ratio = (rel, f"{_name(key)}{suffix}")
+            ratio_change = _rel_change(sa["ratio"], sb["ratio"])
+            if ratio_change > worst_ratio[0]:
+                worst_ratio = (ratio_change, f"{_name(key)}{suffix}")
             for side in ("lhs", "rhs"):
                 va, vb = sa[side]["value"], sb[side]["value"]
                 rel = _rel_change(va, vb)
