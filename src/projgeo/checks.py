@@ -364,7 +364,7 @@ class BodyContext:
                 self.body.shadow_volumes, self.n,
                 seed=self.rng("min-shadow-volume"), vectorized=True,
                 seed_iters=SNAP_SEED_ITERS)
-            lowest = np.argsort(self.shadow_vols(), kind="stable")[:8 * self.n]
+            lowest = _lowest(self.shadow_vols(), 8 * self.n)
             starts = np.vstack([x, self.sphere_panel()[lowest]])
             return min(value, self._facet_snap(starts))
         return self._memo("min_shadow_volume", build)
@@ -484,6 +484,14 @@ class BodyContext:
                 continue
             out.append(kind)
         return out
+
+
+def _lowest(values: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(values, kind="stable")[:k], ties in index order, without
+    sorting the values above the k-th smallest."""
+    kth = np.partition(values, k - 1)[k - 1]
+    below = np.flatnonzero(values <= kth)
+    return below[np.argsort(values[below], kind="stable")[:k]]
 
 
 def _frame_shadows(body: Body, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

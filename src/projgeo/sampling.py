@@ -38,6 +38,9 @@ _MASK64 = (1 << 64) - 1
 # Minimizer settings (see the notes above _descend).
 FD_STEP = 1e-6             # forward-difference step of the descent gradient
 STEP_MIN = 1e-10           # a restart retires when its step falls below this
+DESCENT_STALL_REL = 1e-12  # a sphere descent ends once its best value has
+DESCENT_STALL_ITERS = 20   # gained no more than this (relative) since before
+                           # the iteration this many iterations back
 POLISH_START_SCALE = 1e-2  # pattern-search scale: first and largest
 POLISH_END_SCALE = 1e-9    # the polish stops below this scale
 POLISH_STALL_REDRAWS = 3   # random frames tried before the scale halves
@@ -160,6 +163,14 @@ def mc_estimate(values) -> Estimate:
 # The returned value is the minimum over every point evaluated anywhere in
 # the procedure.
 #
+# A sphere descent also ends once its best value has improved by no more
+# than DESCENT_STALL_REL (relative) over the last DESCENT_STALL_ITERS + 1
+# iterations; the polish then starts from the best point, as after a full
+# descent.  On the n = 3 corpus (seed 0) the stop cuts the sphere objective
+# calls from 13,581 to 11,246 and leaves the report's bytes unchanged.
+# The Grassmann descent keeps descending to STEP_MIN: with the same stop,
+# T-ZON-2's k = 3 minimum on random-zonotope(8,4) at n = 5 rose by 5.5e-4.
+#
 # With cheap objectives the loop's own numpy calls dominate, so each step is
 # a handful of whole-array operations: the descent keeps arrays of the live
 # rows only (compacted on the iterations where a row retires), and the
@@ -202,13 +213,17 @@ class _BestTracker:
 
 
 def _descend(fb: _BestTracker, x0: np.ndarray, retract,
-             max_iter: int = 400) -> None:
+             max_iter: int = 400, stall: bool = False) -> None:
     """Batched descent of the live restarts; results accumulate inside ``fb``.
 
     A retired restart (step below STEP_MIN) is dropped from the rows and
     never evaluated again.  A restart whose last step was rejected sits at
     the same x, so it keeps its gradient: the FD stencil runs only on the
-    rows that moved, and not at all when none did."""
+    rows that moved, and not at all when none did.  With ``stall`` the
+    descent also ends after an iteration that leaves ``fb.best_v`` within
+    DESCENT_STALL_REL (relative) of its value before the iteration
+    DESCENT_STALL_ITERS earlier, that is after DESCENT_STALL_ITERS + 1
+    iterations in a row that together gain no more."""
     x = retract(x0.copy())
     fx = fb(x)
     d = x.shape[1]
@@ -216,7 +231,9 @@ def _descend(fb: _BestTracker, x0: np.ndarray, retract,
     grad_t = np.empty((d, x.shape[0]))  # the gradients as columns
     moved = np.ones(x.shape[0], dtype=bool)
     steps = FD_STEP * np.eye(d)[:, None, :]
+    history = []  # fb.best_v before each iteration
     for _ in range(max_iter):
+        history.append(fb.best_v)
         live = t >= STEP_MIN
         if not live.all():
             if not live.any():
@@ -238,6 +255,10 @@ def _descend(fb: _BestTracker, x0: np.ndarray, retract,
         fx = np.where(ok, fp, fx)
         t = np.where(ok, np.minimum(t * 1.25, 1.0), t * 0.5)
         moved = ok
+        if stall and len(history) > DESCENT_STALL_ITERS:
+            past = history[-1 - DESCENT_STALL_ITERS]
+            if past - fb.best_v <= DESCENT_STALL_REL * abs(past):
+                break
 
 
 def _pattern_polish(fb: _BestTracker, retract, d: int,
@@ -284,14 +305,15 @@ def _pattern_polish(fb: _BestTracker, retract, d: int,
 
 
 def _run_minimizer(objective, shape: tuple[int, ...], starts: np.ndarray,
-                   retract, vectorized: bool, seed: RngSeed,
+                   retract, vectorized: bool, seed: RngSeed, stall: bool,
                    seed_iters: int | None = None):
     """Descend from the flat ``starts`` rows, then polish the best point.
 
     ``objective`` sees points reshaped to ``shape`` (one at a time, or as a
     (B, *shape) stack when ``vectorized``).  Returns the best point in that
-    shape and its value.  With ``seed_iters`` the descent stops after that
-    many iterations and the polish is skipped.
+    shape and its value.  ``stall`` is the descent's stall stop.  With
+    ``seed_iters`` the descent stops after at most that many iterations and
+    the polish is skipped.
     """
     if vectorized:
         def fbatch(flat):
@@ -302,9 +324,9 @@ def _run_minimizer(objective, shape: tuple[int, ...], starts: np.ndarray,
                              for row in flat])
     fb = _BestTracker(fbatch)
     if seed_iters is not None:
-        _descend(fb, starts, retract, max_iter=seed_iters)
+        _descend(fb, starts, retract, max_iter=seed_iters, stall=stall)
         return fb.best_x.reshape(shape), fb.best_v
-    _descend(fb, starts, retract)
+    _descend(fb, starts, retract, stall=stall)
     _pattern_polish(fb, retract, starts.shape[1],
                     seed.derive("polish").generator())
     return fb.best_x.reshape(shape), fb.best_v
@@ -322,6 +344,12 @@ def minimize_on_sphere(objective, n: int, restarts: int | None = None,
     unit vector found and its value, which is ≤ the objective at every point
     evaluated during the search.
 
+    The descent ends once its best value has improved by no more than
+    DESCENT_STALL_REL (relative) over DESCENT_STALL_ITERS + 1 iterations, or
+    when every restart's step has fallen below STEP_MIN; the polish then
+    runs from the best point (see the notes above `_normalize_rows`).  The
+    Grassmann descent has no such stop, because with it T-ZON-2's k = 3
+    minimum on random-zonotope(8,4) at n = 5 ended 5.5e-4 higher.
     ``seed_iters`` caps the descent at that many iterations and skips the
     polish: the result only seeds a caller's own exact search.
     """
@@ -331,7 +359,7 @@ def minimize_on_sphere(objective, n: int, restarts: int | None = None,
         raise ValueError("restarts must be >= 1")
     starts = sphere_points(n, restarts, seed.generator())
     return _run_minimizer(objective, (n,), starts, _normalize_rows,
-                          vectorized, seed, seed_iters)
+                          vectorized, seed, stall=True, seed_iters=seed_iters)
 
 
 def minimize_on_grassmannian(objective, n: int, k: int,
@@ -343,6 +371,9 @@ def minimize_on_grassmannian(objective, n: int, k: int,
     ``objective`` maps an orthonormal (k, n) frame (basis vectors as rows) to
     a finite scalar; with ``vectorized=True`` it maps a (B, k, n) stack of
     frames to a (B,) array.  Returns the best frame found and its value.
+    The descent runs until every restart's step has fallen below STEP_MIN,
+    without the sphere descent's stall stop (see the notes above
+    `_normalize_rows`).
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -360,4 +391,5 @@ def minimize_on_grassmannian(objective, n: int, k: int,
         return frames.reshape(flat.shape[0], k * n)
 
     starts = grassmann_frames(n, k, restarts, seed.generator()).reshape(restarts, k * n)
-    return _run_minimizer(objective, (k, n), starts, retract, vectorized, seed)
+    return _run_minimizer(objective, (k, n), starts, retract, vectorized, seed,
+                          stall=False)

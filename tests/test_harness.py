@@ -429,6 +429,17 @@ def test_capped_descent_seeds_the_walk_to_the_full_descents_value(spec):
     assert ctx.min_shadow_volume() == full
 
 
+@pytest.mark.parametrize("draw", ["panel", "ties", "constant"])
+def test_lowest_matches_a_stable_argsort_with_ties(draw):
+    ctx = BodyContext(bodies.random_hull(3, 10, 1), CFG)
+    values = {"panel": ctx.shadow_vols(),
+              "ties": np.random.default_rng(3).integers(0, 40, 20_000) * 1.0,
+              "constant": np.ones(20_000)}[draw]
+    for k in (1, 8 * 3, 8 * 5):
+        assert np.array_equal(checks._lowest(values, k),
+                              np.argsort(values, kind="stable")[:k])
+
+
 def test_unknown_check_cells_report_errors_not_raises():
     # an evaluator crash must surface as status "error" with a traceback
     spec = CHECK_MAP["T-HYPER-1"]

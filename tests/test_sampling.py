@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projgeo.sampling import (ObjectiveError, RngSeed, _BestTracker,
+from projgeo.sampling import (DESCENT_STALL_ITERS, DESCENT_STALL_REL,
+                              ObjectiveError, RngSeed, _BestTracker,
                               _descend, _normalize_rows, grassmann_frames,
                               mc_estimate, minimize_on_grassmannian,
                               minimize_on_sphere, sphere_points)
@@ -268,9 +269,11 @@ class _BestTrackerRef:
 
 
 def _descend_ref(fb, x0, retract, max_iter=400, fd_step=1e-6,
-                 step_min=1e-10):
+                 step_min=1e-10, stall=False):
     """Reference: gathers the live rows and scatters them back each step;
-    the FD gradient is recomputed only for the rows that moved."""
+    the FD gradient is recomputed only for the rows that moved.  With
+    ``stall`` it ends after an iteration whose best value lies within
+    1e-12 (relative) of the best 21 iterations before."""
     x = retract(x0.copy())
     fx = fb(x)
     r, d = x.shape
@@ -278,6 +281,7 @@ def _descend_ref(fb, x0, retract, max_iter=400, fd_step=1e-6,
     grad = np.empty((r, d))
     moved = np.ones(r, dtype=bool)
     steps = fd_step * np.eye(d)[:, None, :]
+    bests = [fb.best_v]  # after the starts, then after each iteration
     for _ in range(max_iter):
         live = np.flatnonzero(t >= step_min)
         if live.size == 0:
@@ -294,6 +298,10 @@ def _descend_ref(fb, x0, retract, max_iter=400, fd_step=1e-6,
         fx[live[ok]] = fp[ok]
         t[live] = np.where(ok, np.minimum(tl * 1.25, 1.0), tl * 0.5)
         moved[live] = ok
+        bests.append(fb.best_v)
+        if stall and len(bests) > 21 and \
+                bests[-22] - bests[-1] <= 1e-12 * abs(bests[-22]):
+            break
 
 
 def _pattern_polish_ref(fb, retract, d, gen, start_scale=1e-2,
@@ -330,7 +338,8 @@ def _grassmann_retract(k, n):
     return retract
 
 
-def _minimize_ref(objective, shape, starts, retract, vectorized, seed):
+def _minimize_ref(objective, shape, starts, retract, vectorized, seed,
+                  stall):
     if vectorized:
         def fbatch(flat):
             return objective(flat.reshape(-1, *shape))
@@ -339,7 +348,7 @@ def _minimize_ref(objective, shape, starts, retract, vectorized, seed):
             return np.array([float(objective(row.reshape(shape)))
                              for row in flat])
     fb = _BestTrackerRef(fbatch)
-    _descend_ref(fb, starts, retract)
+    _descend_ref(fb, starts, retract, stall=stall)
     _pattern_polish_ref(fb, retract, starts.shape[1],
                         seed.derive("polish").generator())
     return fb.best_x.reshape(shape), fb.best_v
@@ -448,7 +457,7 @@ def test_minimizer_matches_per_row_reference_bit_for_bit(space, f, vectorized):
                                   vectorized=vectorized)
         starts = sphere_points(n, restarts, seed.generator())
         x_ref, v_ref = _minimize_ref(want_f, (n,), starts, _normalize_rows_ref,
-                                     vectorized, seed)
+                                     vectorized, seed, stall=True)
     else:
         n, k = space
         x, v = minimize_on_grassmannian(got_f, n, k, restarts, seed,
@@ -457,12 +466,60 @@ def test_minimizer_matches_per_row_reference_bit_for_bit(space, f, vectorized):
         x_ref, v_ref = _minimize_ref(want_f, (k, n),
                                      starts.reshape(restarts, k * n),
                                      _grassmann_retract(k, n), vectorized,
-                                     seed)
+                                     seed, stall=False)
     assert len(got) == len(want) > 100
     for a, b in zip(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
     assert v == v_ref
     assert np.array_equal(x, x_ref)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sphere_descent_ends_once_its_best_value_stalls(n):
+    starts = sphere_points(n, 6, RngSeed(6).generator())
+
+    def run(max_iter, stall):
+        rec = _Recorder(lambda x: _smooth(x) + 3.0)  # positive values
+        fb = _BestTracker(rec)
+        _descend(fb, starts, _normalize_rows, max_iter=max_iter, stall=stall)
+        return len(rec.batches), fb.best_v
+
+    calls, value = run(400, True)
+    assert calls < run(400, False)[0]
+    # a descent capped at i iterations is the first i iterations of the
+    # full one: best[i] is the best value after iteration i, and the
+    # stalled descent ran the iterations that make as many calls
+    best, i = [run(0, False)[1]], 0
+    while run(i, False)[0] < calls:
+        i += 1
+        best.append(run(i, False)[1])
+    assert run(i, False) == (calls, value)
+    window = DESCENT_STALL_ITERS + 1
+    gained = [best[j - window] - best[j] > DESCENT_STALL_REL * best[j - window]
+              for j in range(window, i + 1)]
+    # it ends on the first iteration whose window gained no more than the
+    # threshold, and within DESCENT_STALL_ITERS + 1 iterations of the last
+    # iteration that on its own gained more
+    assert gained == [True] * (len(gained) - 1) + [False]
+    last = max(j for j in range(1, i + 1)
+               if best[j - 1] - best[j] > DESCENT_STALL_REL * best[j - 1])
+    assert i - last <= window
+
+
+def test_grassmann_descent_keeps_its_batches_without_the_stall_stop():
+    n, k, restarts, seed = 5, 2, 6, RngSeed(9)
+    got_f, got = _recorded(_smooth, True)
+    minimize_on_grassmannian(got_f, n, k, restarts, seed, vectorized=True)
+    starts = grassmann_frames(n, k, restarts, seed.generator())
+    batches = {}
+    for stall in (False, True):
+        want_f, batches[stall] = _recorded(_smooth, True)
+        _minimize_ref(want_f, (k, n), starts.reshape(restarts, k * n),
+                      _grassmann_retract(k, n), True, seed, stall)
+    # the stop would have cut this descent short, and it is not applied
+    assert len(batches[True]) < len(batches[False]) == len(got)
+    for a, b in zip(got, batches[False]):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
