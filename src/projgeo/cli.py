@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bodies, positions, quermass, suite, svgplot
 from .bodies import BodySpec
-from .bodyops import to_polytope
+from .bodyops import origin_symmetric, to_polytope
 from .polytope import circumradius, inradius
 from .sampling import Estimate, RngSeed
 from .zonotope import Zonotope
@@ -92,7 +92,8 @@ def _cmd_compute(args) -> int:
     elif head == "surface":
         est = Estimate.of(body.surface_area())
     elif head == "inradius":
-        est = Estimate.of(inradius(to_polytope(body))[0])
+        radius, _ = inradius(to_polytope(body), origin_symmetric(body))
+        est = Estimate.of(radius)
     elif head == "circumradius":
         est = Estimate.of(circumradius(to_polytope(body)))
     elif head == "mean-width":

@@ -300,6 +300,7 @@ class Polytope:
         self._volume = float(dets[1].sum() / math.factorial(n))
         self._w3: float | None = None
         self._fan: _FaceFan | None = None
+        self._inball: tuple[float, np.ndarray] | None = None
 
     # -- derived data -------------------------------------------------------
 
@@ -537,19 +538,32 @@ class Polytope:
 # ---------------------------------------------------------------------------
 
 
-def inradius(p: Polytope) -> tuple[float, np.ndarray]:
-    """Largest inscribed ball: (radius, center), via the Chebyshev-center LP."""
-    f, n = p.facet_normals.shape
-    # max r  s.t.  U c + r <= b   →  min -r.
-    c_obj = np.zeros(n + 1)
-    c_obj[-1] = -1.0
-    a_ub = np.hstack([p.facet_normals, np.ones((f, 1))])
-    bounds = [(None, None)] * n + [(0.0, None)]
-    res = linprog(c_obj, A_ub=a_ub, b_ub=p.facet_offsets, bounds=bounds,
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"inradius LP failed: {res.message}")
-    return float(res.x[-1]), np.asarray(res.x[:n])
+def inradius(p: Polytope, symmetric: bool) -> tuple[float, np.ndarray]:
+    """Largest inscribed ball: (radius, center), cached on ``p``.
+
+    ``symmetric`` says whether p = -p (`bodyops.origin_symmetric`).  Then no
+    LP runs: if (c, r) is feasible so is (-c, r), hence their midpoint
+    (0, r), and the largest ball at 0 has radius min_i b_i.  Otherwise the
+    Chebyshev-center LP gives the ball.
+    """
+    if p._inball is None:
+        f, n = p.facet_normals.shape
+        if symmetric:
+            radius, center = float(p.facet_offsets.min()), np.zeros(n)
+        else:
+            # max r  s.t.  U c + r <= b   →  min -r.
+            c_obj = np.zeros(n + 1)
+            c_obj[-1] = -1.0
+            a_ub = np.hstack([p.facet_normals, np.ones((f, 1))])
+            bounds = [(None, None)] * n + [(0.0, None)]
+            res = linprog(c_obj, A_ub=a_ub, b_ub=p.facet_offsets,
+                          bounds=bounds, method="highs")
+            if not res.success:
+                raise RuntimeError(f"inradius LP failed: {res.message}")
+            radius, center = float(res.x[-1]), np.array(res.x[:n])
+        center.flags.writeable = False
+        p._inball = (radius, center)
+    return p._inball
 
 
 def circumradius(p: Polytope) -> float:

@@ -23,11 +23,11 @@ positioned body is to the defining fixed-point condition:
 The iterative solvers keep their per-step work small.  Loewner steps update
 the inverse scatter by Sherman-Morrison on the vertices of an
 origin-symmetric body (a centered ellipsoid) or on the lifted vertices
-otherwise.  John starts an origin-symmetric body from the ball of radius
-min_i b_i at 0, with no LP.  The edge-measure iteration transports facet
-normals instead of building hulls.  The sampled mean-width descent lays
-its support products out (vertices, directions) and reduces along the
-first axis.
+otherwise.  John starts from the inscribed ball `inradius` caches on the
+polytope, which an origin-symmetric body gets with no LP.  The
+edge-measure iteration transports facet normals instead of building
+hulls.  The sampled mean-width descent lays its support products out
+(vertices, directions) and reduces along the first axis.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from scipy.optimize import minimize, nnls
 
 from .bodyops import (Body, is_zonotope, origin_symmetric, support_points,
                       to_polytope, transform_body)
-from .polytope import (DegenerateInputError, Polytope,
-                       centroid_and_covariance, inradius)
+from .polytope import DegenerateInputError, centroid_and_covariance, inradius
 from .quermass import omega
 from .sampling import RngSeed, sphere_points
 
@@ -293,15 +292,6 @@ def _sym_to_vec(mat: np.ndarray) -> np.ndarray:
     return mat[iu] * weights
 
 
-def _inner_ball(poly: Polytope, symmetric: bool) -> tuple[float, np.ndarray]:
-    """Inradius and Chebyshev center.  An origin-symmetric body needs no LP:
-    if (c, r) is feasible so is (-c, r), hence their midpoint (0, r), and
-    the largest ball at 0 has radius min_i b_i."""
-    if symmetric:
-        return float(poly.facet_offsets.min()), np.zeros(poly.dim)
-    return inradius(poly)
-
-
 def john_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
     """Largest inscribed ellipsoid by sequential quadratic programming.
 
@@ -309,18 +299,20 @@ def john_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
     positive diagonal, so maximizing the volume is minimizing
     -sum log L_ii under the smooth facet constraints
     ||L^T u_i|| + <u_i, d> <= b_i.  The start is 0.9 r0 B_2^n at the
-    Chebyshev center, found by an LP; for origin-symmetric bodies the
-    center is 0 and r0 = min_i b_i without one, and the center stays
-    fixed at 0 throughout.  The reported residual is the relative norm of the
-    log-det gradient projected onto the active-facet cone (NNLS), i.e. a
-    KKT stationarity certificate computed independently of the solver.
+    Chebyshev center (`inradius`: an LP, shared with every other inradius
+    call on the polytope; for origin-symmetric bodies the center is 0 and
+    r0 = min_i b_i without one), and the center of an origin-symmetric
+    body stays fixed at 0 throughout.  The reported residual is the
+    relative norm of the log-det gradient projected onto the active-facet
+    cone (NNLS), i.e. a KKT stationarity certificate computed independently
+    of the solver.
     """
     poly = to_polytope(body)
     n = poly.dim
     normals = poly.facet_normals
     offsets = poly.facet_offsets
     symmetric = origin_symmetric(poly)
-    r0, center0 = _inner_ball(poly, symmetric)
+    r0, center0 = inradius(poly, symmetric)
     q = n * (n + 1) // 2
     il = np.tril_indices(n)
     diag_pos = np.where(il[0] == il[1])[0]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projgeo import bodies, checks, zonotope
+from projgeo import bodies, checks, polytope, zonotope
 from projgeo.bodyops import frame_shadow_panel, project_body, transform_body
 from projgeo.checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext,
                             SubCase, SuiteConfig, run_check)
@@ -255,8 +255,36 @@ def test_zonotope_inradius_is_its_least_facet_half_width(n, m):
     gens = bodies.random_zonotope(n, m, 2).build().generators
     ctx = BodyContext(bodies.from_generators(gens, np.linspace(-1.0, 2.0, n)),
                       CFG)
-    exact, _ = inradius(zonotope_to_polytope(ctx.body))
+    exact, _ = inradius(zonotope_to_polytope(ctx.body), False)  # the LP
     assert ctx.inradius() == pytest.approx(exact, rel=1e-12)
+
+
+def test_symmetry_is_tested_once_and_inradius_shares_one_lp(monkeypatch):
+    tests, lps = [], []
+    real_test, real_lp = checks.origin_symmetric, polytope.linprog
+    monkeypatch.setattr(checks, "origin_symmetric",
+                        lambda body: tests.append(body) or real_test(body))
+    monkeypatch.setattr(polytope, "linprog",
+                        lambda *a, **kw: lps.append(a) or real_lp(*a, **kw))
+    # a non-symmetric root: one test, shared by every position list; its
+    # positioned children read False untested and keep the LP
+    ctx = BodyContext(bodies.random_hull(3, 10, 1), CFG)
+    assert ctx.position_list(("john", "lowner")) == ["john"]
+    assert ctx.position_list(("lowner",)) == [] and len(tests) == 1
+    ctx.inradius()
+    ctx.positioned("john")  # starts from the LP the root solved
+    assert len(lps) == 1
+    child = ctx.positioned("isotropic")
+    assert not child.symmetric() and len(tests) == 1
+    assert child.inradius() > 0.0 and len(lps) == 2
+    # a symmetric root: its children are tested, and no LP runs
+    cube = BodyContext(bodies.cube(3), CFG)
+    for kind in ("min-surface", "isotropic", "john", "lowner"):
+        child = cube.positioned(kind)
+        assert child.symmetric()
+        assert child.inradius() == pytest.approx(
+            child.volume() ** (1.0 / 3.0) / 2.0, rel=1e-12)
+    assert len(tests) == 1 + 1 + 4 and len(lps) == 2
 
 
 def test_shadow_quermass_checks_pass_at_n4():

@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from projgeo import bodies, polytope
+from projgeo import bodies, polytope, positions
 from projgeo.bodyops import origin_symmetric, project_body, to_polytope, transform_body
 from projgeo.polytope import (_MERGE_ANGLE_TOL, _MERGE_OFFSET_TOL,
                               DegenerateInputError, Polytope, _gram_volumes,
                               circumradius, inradius, row_blocks)
 from projgeo.quermass import omega, quermassintegral
 from projgeo.sampling import RngSeed, sphere_points
-from projgeo.zonotope import zonotope_to_polytope
+from projgeo.zonotope import projection_body, zonotope_to_polytope
 
 
 def _cube(n=3):
@@ -86,14 +87,70 @@ def test_width_batch_matches_row_major_products(n):
 
 
 def test_inradius_and_circumradius():
-    r_cube, center = inradius(_cube())
+    # the LP route: the offset rule is checked against the LP below
+    r_cube, center = inradius(_cube(), False)
     assert r_cube == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(center, 0.0, atol=1e-9)
-    r_cross, _ = inradius(_cross())
+    r_cross, _ = inradius(_cross(), False)
     assert r_cross == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
     assert circumradius(_cube()) == pytest.approx(math.sqrt(3.0), rel=1e-12)
     assert circumradius(bodies.simplex(4).build()) == pytest.approx(
         1.0, rel=1e-9)
+
+
+def _chebyshev_lp(poly):
+    """Reference: the largest inscribed ball's radius by scipy's LP."""
+    f, n = poly.facet_normals.shape
+    res = linprog(np.r_[np.zeros(n), -1.0],
+                  A_ub=np.hstack([poly.facet_normals, np.ones((f, 1))]),
+                  b_ub=poly.facet_offsets,
+                  bounds=[(None, None)] * n + [(0.0, None)], method="highs")
+    assert res.success
+    return float(res.x[-1])
+
+
+def _symmetric_bodies(n):
+    """cube, cross and a projection body, each also at every position."""
+    pi_k = zonotope_to_polytope(projection_body(bodies.random_hull(n, n + 2, 1)
+                                                .build()))
+    for name, poly in (("cube", _cube(n)), ("cross", _cross(n)),
+                       ("projection-body", pi_k)):
+        yield name, poly
+        for kind in ("min-surface", "isotropic", "john", "lowner",
+                     "min-width"):
+            result, _ = positions.solve(kind, poly)
+            yield f"{name}@{kind}", result.apply(poly)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_symmetric_inradius_is_the_chebyshev_lp_without_one(monkeypatch, n):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the Chebyshev-center LP ran")
+
+    for name, poly in _symmetric_bodies(n):
+        assert origin_symmetric(poly), name
+        want = _chebyshev_lp(poly)
+        monkeypatch.setattr(polytope, "linprog", no_lp)
+        radius, center = inradius(poly, True)
+        monkeypatch.undo()
+        assert radius == pytest.approx(want, rel=1e-12, abs=0.0), name
+        assert np.array_equal(center, np.zeros(n))
+
+
+def test_a_second_inradius_call_solves_no_lp(monkeypatch):
+    calls = []
+    real = polytope.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "linprog", counted)
+    poly = bodies.random_hull(4, 10, 1).build()
+    first = inradius(poly, False)
+    assert inradius(poly, False) is first and len(calls) == 1
+    assert first[0] == pytest.approx(_chebyshev_lp(poly), rel=1e-12)
+    assert inradius(poly, True) is first and len(calls) == 1
 
 
 def test_cube_shadow_volumes():

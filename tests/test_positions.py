@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from projgeo import bodies
+from projgeo import bodies, polytope
 from projgeo.bodyops import transform_body
 from projgeo.polytope import Polytope, circumradius
 from projgeo import positions
@@ -286,12 +286,14 @@ def test_john_of_a_symmetric_body_solves_no_lp(monkeypatch, spec):
     def no_lp(*args, **kwargs):
         raise AssertionError("the Chebyshev-center LP ran")
 
-    monkeypatch.setattr(positions, "inradius", no_lp)
+    monkeypatch.setattr(polytope, "linprog", no_lp)
     result, ellipsoid = john_position(poly)
-    # the LP-started solve, for reference
-    monkeypatch.setattr(positions, "_inner_ball",
-                        lambda body, symmetric: real_inradius(body))
-    ref, ref_ellipsoid = john_position(poly)
+    monkeypatch.undo()
+    # the LP-started solve, for reference (on a fresh build of the same
+    # polytope, since the ball is cached)
+    monkeypatch.setattr(positions, "inradius",
+                        lambda body, symmetric: real_inradius(body, False))
+    ref, ref_ellipsoid = john_position(positions.to_polytope(spec.build()))
     assert result.converged
     assert np.abs(result.transform - ref.transform).max() <= 1e-12
     assert result.scale == pytest.approx(ref.scale, rel=1e-12, abs=0.0)
@@ -303,13 +305,13 @@ def test_john_of_a_non_symmetric_body_keeps_the_lp_start(monkeypatch):
     calls = []
     real_inradius = positions.inradius
 
-    def counted(poly):
-        calls.append(poly)
-        return real_inradius(poly)
+    def counted(poly, symmetric):
+        calls.append(symmetric)
+        return real_inradius(poly, symmetric)
 
     monkeypatch.setattr(positions, "inradius", counted)
     john_position(bodies.random_hull(3, 10, 1).build())
-    assert len(calls) == 1
+    assert calls == [False]
 
 
 # ---------------------------------------------------------------------------
