@@ -15,7 +15,9 @@ Prints:
     stderr changes, followed by each lhs/rhs value that moved and its
     signed relative change (B-A)/|A| (positive means the value rose);
   * every cell whose binding sub-case switched (the cell row repeats the
-    binding sub-case, so a switch is not a value change);
+    binding sub-case, so a switch is not a value change), with the
+    relative gap between the two sub-cases' ratios in B, which reads
+    about 1e-16 when they tie;
   * the largest relative lhs/rhs value change over all sub-cases (the cell
     row stands in only for cells without sub-cases);
   * the largest relative change of a sub-case ratio lhs/rhs, which a
@@ -141,7 +143,13 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
         bind_a = ca.get("detail", {}).get("binding_case")
         bind_b = cb.get("detail", {}).get("binding_case")
         if bind_a != bind_b:
-            switches.append(f"{_name(key)}: {bind_a} -> {bind_b}")
+            ratios = {c["label"]: c["ratio"]
+                      for c in cb.get("detail", {}).get("cases", [])}
+            gap = ""
+            if bind_a in ratios and bind_b in ratios:
+                gap = (f" (ratio gap "
+                       f"{_rel_change(ratios[bind_b], ratios[bind_a]):.2g})")
+            switches.append(f"{_name(key)}: {bind_a} -> {bind_b}{gap}")
         cell_worst = 0.0
         sides = []
         subs_a, subs_b = _cases(ca), _cases(cb)

@@ -49,6 +49,10 @@ POLISH_STEP0 = 0.25
 POLISH_STEP_MIN = 2e-3
 # Direction panels kept by _shared_directions (100 rows each for GHP).
 SHARED_DIRECTIONS_CACHE = 64
+# Live sub-cases whose relative margins lie within this of the least are
+# tied, and the first of them in evaluation order binds the cell, so that
+# roundoff does not pick among sub-cases equal in exact arithmetic.
+BINDING_TIE = 1e-12
 
 
 class SkipCheck(Exception):
@@ -1187,7 +1191,10 @@ def run_check(spec: CheckSpec, ctx: BodyContext) -> CheckResult:
         sub.resolve()
     status = _aggregate(subs)
     live = [s for s in subs if s.status != "skipped"]
-    binding = min(live, key=lambda s: s.rel_margin) if live else subs[0]
+    binding = subs[0]
+    if live:
+        least = min(s.rel_margin for s in live)
+        binding = next(s for s in live if s.rel_margin <= least + BINDING_TIE)
     detail = dict(detail)
     detail["cases"] = [s.to_dict() for s in subs]
     detail["binding_case"] = binding.label

@@ -204,7 +204,7 @@ def test_binding_case_switch_is_not_a_value_change(tmp_path):
     code, out = _run(tmp_path, a, b)
     assert code == 0
     assert "binding-case switches: 1" in out
-    assert "  T-QUER-2 cube n=3: p=1 -> p=2" in out
+    assert "  T-QUER-2 cube n=3: p=1 -> p=2 (ratio gap 0.33)" in out
     assert "T-QUER-2 cube n=3: largest relative lhs/rhs value change 0.0001" \
            in out
     assert ("largest relative lhs/rhs value change: 0.0001 (T-QUER-2 cube "

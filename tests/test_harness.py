@@ -468,6 +468,22 @@ def test_lowest_matches_a_stable_argsort_with_ties(draw):
                               np.argsort(values, kind="stable")[:k])
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_tied_positions_of_the_cube_bind_at_the_first(n):
+    # every classical position of the cube is a cube, so each index ties
+    # across the positions in exact arithmetic: roundoff must not pick
+    ctx = BodyContext(bodies.cube(n), CFG)
+    for check_id in ("T-HYPER-4", "T-HYPER-6", "T-QUER-4", "T-HIGHER-7"):
+        cell = run_check(CHECK_MAP[check_id], ctx)
+        binding = cell.detail["binding_case"]
+        assert binding.split(",")[0] == "min-surface", (check_id, binding)
+        index = binding.partition(", ")[2]
+        tied = [c["ratio"] for c in cell.detail["cases"]
+                if c["label"].partition(", ")[2] == index]
+        assert len(tied) >= 4
+        assert max(tied) - min(tied) <= 1e-14 * max(tied)
+
+
 def test_unknown_check_cells_report_errors_not_raises():
     # an evaluator crash must surface as status "error" with a traceback
     spec = CHECK_MAP["T-HYPER-1"]
