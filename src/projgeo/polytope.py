@@ -169,18 +169,20 @@ def _silhouette(xi: np.ndarray, rd: _RidgeData) -> np.ndarray:
     stacked GEMM rounds differently."""
     da = xi @ rd.normal_a.T
     db = xi @ rd.normal_b.T
-    prod = da * db
     # A boundary entry (da or db exactly 0) has prod == 0, so a batch whose
-    # prod has no zero has none.
-    edge = None if prod.all() else (da == 0.0) ^ (db == 0.0)
+    # prod has no zero has none; one that has a zero recomputes db, which
+    # the product overwrote.  The weight is 1, 1/2 or 0 and span >= 0, so
+    # span * weight has the bits of the selection it stands for.
+    prod = np.multiply(db, da, out=db)
+    weight = prod < 0.0
+    if not prod.all():
+        weight = weight + 0.5 * ((da == 0.0) ^ (xi @ rd.normal_b.T == 0.0))
     span = np.square(da, out=da)
     ob = xi @ rd.ortho_b.T
     span += np.square(ob, out=ob)
     np.sqrt(span, out=span)
-    sel = np.where(prod < 0.0, span, 0.0)
-    if edge is not None:
-        sel[edge] = 0.5 * span[edge]
-    return sel @ rd.volumes
+    span *= weight
+    return span @ rd.volumes
 
 
 class Polytope:
