@@ -303,6 +303,7 @@ class Polytope:
         self._w3: float | None = None
         self._fan: _FaceFan | None = None
         self._inball: tuple[float, np.ndarray] | None = None
+        self._symmetric: bool | None = None  # bodyops.origin_symmetric
 
     # -- derived data -------------------------------------------------------
 

@@ -272,6 +272,19 @@ def test_lowner_stops_on_a_residual_from_a_fresh_inverse(monkeypatch):
     assert levels.max() <= (1 + 1e-7) * 4
 
 
+def test_a_polytope_is_tested_for_symmetry_once(monkeypatch):
+    # John and Löwner read the flag `origin_symmetric` caches on the polytope
+    rounds = []
+    real_round = np.round
+    monkeypatch.setattr(np, "round",
+                        lambda *a, **kw: rounds.append(1) or real_round(*a, **kw))
+    for spec in (bodies.random_zonotope(3, 6, 1), bodies.random_hull(3, 10, 1)):
+        poly = positions.to_polytope(spec.build())
+        for solver in (john_position, lowner_position, john_position):
+            solver(poly)
+    assert len(rounds) == 2
+
+
 # ---------------------------------------------------------------------------
 # John: an origin-symmetric body starts from its own inradius
 
