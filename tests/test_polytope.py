@@ -19,7 +19,7 @@ from projgeo import bodies, polytope, positions
 from projgeo.bodyops import origin_symmetric, project_body, to_polytope, transform_body
 from projgeo.polytope import (_MERGE_ANGLE_TOL, _MERGE_OFFSET_TOL,
                               DegenerateInputError, Polytope, _gram_volumes,
-                              circumradius, inradius, row_blocks)
+                              _silhouette, circumradius, inradius, row_blocks)
 from projgeo.quermass import omega, quermassintegral
 from projgeo.sampling import RngSeed, sphere_points
 from projgeo.zonotope import projection_body, zonotope_to_polytope
@@ -542,6 +542,50 @@ def test_silhouette_kernel_matches_weighted_form_bit_for_bit(points):
         # the boundary weight 1/2 was exercised
         da, db = dirs @ rd.normal_a.T, dirs @ rd.normal_b.T
         assert ((da == 0.0) ^ (db == 0.0)).any()
+
+
+def _silhouette_where(xi, rd):
+    """The selection `_silhouette` replaces: np.where on prod < 0, then the
+    boundary entries set to half their span."""
+    da = xi @ rd.normal_a.T
+    db = xi @ rd.normal_b.T
+    prod = da * db
+    edge = None if prod.all() else (da == 0.0) ^ (db == 0.0)
+    span = np.square(da, out=da)
+    ob = xi @ rd.ortho_b.T
+    span += np.square(ob, out=ob)
+    np.sqrt(span, out=span)
+    sel = np.where(prod < 0.0, span, 0.0)
+    if edge is not None:
+        sel[edge] = 0.5 * span[edge]
+    return sel @ rd.volumes
+
+
+def _axis_and_diagonal_rows(n):
+    """Unit axis and face-diagonal directions, whose products with the
+    cube's facet normals include exact zeros."""
+    eye = np.eye(n)
+    diag = [(eye[i] + s * eye[j]) / np.sqrt(2.0)
+            for i in range(n) for j in range(i + 1, n) for s in (1.0, -1.0)]
+    return np.vstack([eye, -eye, np.array(diag)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_silhouette_weights_match_the_where_form_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    random = sphere_points(n, 64, rng)
+    for seed in (1, 2):
+        rd = bodies.random_hull(n, 12 + 4 * n, seed).build().ridges()
+        assert np.array_equal(_silhouette(random, rd),
+                              _silhouette_where(random, rd))
+    rd = bodies.cube(n).build().ridges()
+    special = _axis_and_diagonal_rows(n)
+    for xi in (special, np.vstack([random[:7], special]), random):
+        assert np.array_equal(_silhouette(xi, rd), _silhouette_where(xi, rd))
+    # the cube's axis rows meet boundary entries: the 1/2 weights ran
+    da = special @ rd.normal_a.T
+    db = special @ rd.normal_b.T
+    assert ((da == 0.0) ^ (db == 0.0)).any()
 
 
 # ---------------------------------------------------------------------------
