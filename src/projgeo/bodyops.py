@@ -97,18 +97,23 @@ def support_points(body: Body, directions: np.ndarray) -> np.ndarray:
     return body.vertices[idx]
 
 
+def symmetry_keys(verts: np.ndarray) -> np.ndarray:
+    """The vertices rounded to the symmetry tolerance: v and -v of a
+    symmetric vertex set get keys that are exact negatives."""
+    scale = max(float(np.abs(verts).max()), 1.0)
+    tol = SYMMETRY_TOL * scale
+    digits = int(-np.log10(tol)) if tol < 1.0 else 0
+    # + 0.0 turns -0.0 (a tiny negative coordinate, rounded) into 0.0
+    return np.round(verts, digits) + 0.0
+
+
 def origin_symmetric(body: Body) -> bool:
     """True when body = -body (vertex set closed under negation).  A
     polytope is tested once: the flag is cached on it."""
     if isinstance(body, Zonotope):
         return bool(np.max(np.abs(body.center)) <= SYMMETRY_TOL)
     if body._symmetric is None:
-        verts = body.vertices
-        scale = max(float(np.abs(verts).max()), 1.0)
-        tol = SYMMETRY_TOL * scale
-        digits = int(-np.log10(tol)) if tol < 1.0 else 0
-        # + 0.0 turns -0.0 (a tiny negative coordinate, rounded) into 0.0
-        r = np.round(verts, digits) + 0.0
+        r = symmetry_keys(body.vertices)
         body._symmetric = np.array_equal(np.unique(r, axis=0),
                                          np.unique(-r, axis=0))
     return body._symmetric

@@ -177,7 +177,7 @@ _POSITION_CERT = {
     "min-surface": 5e-5,
     "isotropic": 1e-7,
     "john": 2e-3,
-    "lowner": 1e-5,
+    "lowner": 1e-9,
     "min-width": 1e-9,  # edge-measure route; the sampled route has its flag
 }
 

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.optimize import minimize, nnls
 
 from .bodyops import (Body, is_zonotope, origin_symmetric, support_points,
-                      to_polytope, transform_body)
+                      symmetry_keys, to_polytope, transform_body)
 from .polytope import DegenerateInputError, centroid_and_covariance, inradius
 from .quermass import omega
 from .sampling import RngSeed, sphere_points
@@ -47,8 +47,10 @@ from .sampling import RngSeed, sphere_points
 MIN_SURFACE_TOL = 1e-6       # residual ||n M - I||_F that stops the iteration
 MIN_SURFACE_MAX_ITER = 500
 MIN_SURFACE_STEP_POWER = 0.5  # damping: the step is (n M)^power
-LOWNER_TOL = 1e-7            # relative violation of the Loewner condition
-LOWNER_MAX_ITER = 500_000
+LOWNER_TOL = 1e-12           # relative violation of the Loewner condition
+LOWNER_HANDOFF = 1e-2        # Frank-Wolfe residual at which Newton starts
+LOWNER_NEWTON_STEPS = 30     # Newton steps per attempt
+LOWNER_MAX_ITER = 10_000     # Frank-Wolfe and Newton steps
 JOHN_TOL = 1e-7              # relative KKT residual
 JOHN_MAX_ITER = 300          # SLSQP iterations
 EDGE_MEASURE_TOL = 1e-10     # residual ||n M - I||_F of the edge measure
@@ -199,50 +201,113 @@ def isotropic_position(body: Body) -> tuple[PositionResult, float]:
 # Loewner (smallest circumscribed ellipsoid)
 
 
+def _pair_rows(points: np.ndarray) -> np.ndarray:
+    """One vertex of each ± pair of an origin-symmetric vertex set: the one
+    whose first nonzero symmetry key (`symmetry_keys`) is positive."""
+    keys = symmetry_keys(points)
+    first = keys[np.arange(len(keys)), np.argmax(keys != 0.0, axis=1)]
+    return points[first > 0.0]
+
+
+def _lowner_newton(rows: np.ndarray, u: np.ndarray,
+                   d: int) -> tuple[np.ndarray | None, int]:
+    """Newton's method on the support levels M_i(u) = d, u_i > 0.
+
+    With G = Q_S S^{-1} Q_S^T on the support rows Q_S, the Jacobian of the
+    levels is -(G∘G), so a step solves (G∘G) δ = M - d (least squares: a
+    degenerate support leaves G∘G singular).  The step is damped so that
+    u stays >= 0, and a row whose weight reaches 0 leaves the support.
+    Returns the weights and the steps taken; the weights are None when the
+    support residual failed to fall below LOWNER_TOL.
+    """
+    u = u.copy()
+    prev, dropped, steps = np.inf, False, 0
+    while True:
+        s = np.flatnonzero(u)
+        q = rows[s]
+        try:
+            gram = q @ np.linalg.solve(q.T @ (q * u[s, None]), q.T)
+        except np.linalg.LinAlgError:
+            return None, steps
+        r = np.diagonal(gram) - d
+        err = float(np.abs(r).max()) / d
+        if not np.isfinite(err):
+            return None, steps
+        # done at a tenth of the tolerance, or once a step without a drop
+        # fails to lower the error (the roundoff floor, or divergence)
+        if err <= 0.1 * LOWNER_TOL or (err >= prev and not dropped) \
+                or steps == LOWNER_NEWTON_STEPS:
+            return (u / u.sum() if err <= LOWNER_TOL else None), steps
+        delta = np.linalg.lstsq(gram * gram, r, rcond=None)[0]
+        shrink = delta < 0.0
+        ratio = u[s[shrink]] / -delta[shrink]
+        t = min(1.0, float(ratio.min())) if ratio.size else 1.0
+        u[s] += t * delta
+        dropped = t < 1.0
+        if dropped:
+            u[s[shrink][np.argmin(ratio)]] = 0.0
+        np.maximum(u, 0.0, out=u)
+        prev = err
+        steps += 1
+
+
 def lowner_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
-    """Minimum-volume enclosing ellipsoid by Frank-Wolfe with away steps.
+    """Minimum-volume enclosing ellipsoid: Frank-Wolfe with away steps finds
+    the support, Newton's method solves it.
 
     The solver weighs rows q_i with u_i >= 0, sum u_i = 1.  For an
-    origin-symmetric body the rows are the vertices and d = n: its
-    ellipsoid is centered.  Otherwise they are the lifted vertices [v_i, 1]
-    and d = n + 1.  With S = sum u_i q_i q_i^T, the levels
-    M_i = q_i^T S^{-1} q_i and tol = LOWNER_TOL, the optimality certificate
-    is max_i M_i <= (1 + tol) d and min over the support M_i >= (1 - tol) d;
-    the residual is the larger relative violation.  A step
-    u <- a u + b e_j updates S^{-1} and every level by Sherman-Morrison,
-    so no step inverts S.  When the updated residual drops below tol,
-    S^{-1} and the levels are recomputed exactly, and the solver stops
-    only on that exact residual.  The returned position maps the ellipsoid
-    to the unit ball.
+    origin-symmetric body the rows are one vertex of each ± pair (both
+    weigh the same q q^T, and a duplicated row would make the Newton
+    matrix singular) and d = n: its ellipsoid is centered.  Otherwise they
+    are the lifted vertices [v_i, 1] and d = n + 1.  With
+    S = sum u_i q_i q_i^T and the levels M_i = q_i^T S^{-1} q_i, u is
+    optimal iff M_i <= d for every row and M_i = d on the support u_i > 0;
+    the residual is the larger relative violation, max_i M_i / d - 1 or
+    1 - min over the support M_i / d.  A Frank-Wolfe step u <- a u + b e_j
+    updates S^{-1} and every level by Sherman-Morrison, so no step inverts
+    S.  Once the residual is below LOWNER_HANDOFF, `_lowner_newton` meets
+    M_i = d on the support; then every level is recomputed from a fresh
+    inverse, and a row above d rejoins by the next Frank-Wolfe step.  If
+    Newton fails, Frank-Wolfe runs on to a tenth of the residual.  The
+    solver stops only on a residual from a fresh inverse <= LOWNER_TOL.
+    ``iterations`` counts Frank-Wolfe and Newton steps.  The returned
+    position maps the ellipsoid to the unit ball.
     """
     poly = to_polytope(body)
     points = poly.vertices
-    count, n = points.shape
+    n = poly.dim
     symmetric = origin_symmetric(poly)
-    rows = points if symmetric else np.hstack([points, np.ones((count, 1))])
-    d = rows.shape[1]
+    rows = (_pair_rows(points) if symmetric
+            else np.hstack([points, np.ones((len(points), 1))]))
+    count, d = rows.shape
     u = np.full(count, 1.0 / count)
 
     def exact() -> tuple[np.ndarray, np.ndarray]:
         inv = np.linalg.inv(rows.T @ (rows * u[:, None]))
         return inv, np.einsum("ij,jk,ik->i", rows, inv, rows)
 
-    def violations(levels: np.ndarray) -> tuple[int, int, float, float]:
+    inv, levels = exact()
+    fresh = True
+    handoff = LOWNER_HANDOFF
+    iterations = 0
+    while True:
         hi = int(np.argmax(levels))
         lo = int(np.argmin(np.where(u > 0, levels, np.inf)))
-        return hi, lo, float(levels[hi]) / d - 1.0, 1.0 - float(levels[lo]) / d
-
-    inv, levels = exact()
-    iterations = 0
-    residual = np.inf
-    for iterations in range(LOWNER_MAX_ITER):
-        hi, lo, eps_hi, eps_lo = violations(levels)
-        if max(eps_hi, eps_lo) < LOWNER_TOL:
-            inv, levels = exact()
-            hi, lo, eps_hi, eps_lo = violations(levels)
+        eps_hi = float(levels[hi]) / d - 1.0
+        eps_lo = 1.0 - float(levels[lo]) / d
         residual = max(eps_hi, eps_lo)
-        if residual < LOWNER_TOL:
+        if (fresh and residual <= LOWNER_TOL) or iterations >= LOWNER_MAX_ITER:
             break
+        if not fresh and residual < handoff:
+            solved, steps = _lowner_newton(rows, u, d)
+            iterations += steps
+            if solved is None:
+                handoff = 0.1 * residual
+            else:
+                u = solved
+            inv, levels = exact()
+            fresh = True
+            continue
         if eps_hi >= eps_lo:
             j, m = hi, float(levels[hi])
             lam = (m - d) / (d * (m - 1.0))
@@ -262,9 +327,11 @@ def lowner_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
         c = b / (a + b * m)
         levels = (levels - c * (w * w)) / a
         inv = (inv - c * np.outer(v, v)) / a
+        fresh = False
+        iterations += 1
     if symmetric:
         center = np.zeros(n)
-        shape = n * (points.T @ (points * u[:, None]))
+        shape = n * (rows.T @ (rows * u[:, None]))
     else:
         center = points.T @ u
         scatter_c = points.T @ (points * u[:, None]) - np.outer(center, center)
@@ -276,7 +343,7 @@ def lowner_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
     scale = float(np.linalg.det(whiten)) ** (1.0 / n)
     result = PositionResult(transform=whiten / scale, residual=float(residual),
                             objective=ellipsoid.volume(), iterations=iterations,
-                            converged=residual < LOWNER_TOL, scale=scale,
+                            converged=residual <= LOWNER_TOL, scale=scale,
                             shift=center)
     return result, ellipsoid
 

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
-from projgeo import bodies, polytope
+from projgeo import bodies, bodyops, polytope
 from projgeo.bodyops import transform_body
 from projgeo.polytope import Polytope, circumradius
 from projgeo import positions
@@ -218,26 +219,52 @@ def _lowner_levels(body, ellipsoid: Ellipsoid, lifted: bool) -> np.ndarray:
     return levels + 1.0 if lifted else levels
 
 
-@pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_lowner_centered_rows_match_lifted_rows(monkeypatch, n, seed):
-    # an origin-symmetric body's ellipsoid is centered, so its rows are the
-    # vertices (d = n); forcing the lifted rows (d = n + 1) gives the same
-    # ellipsoid
-    poly = positions.to_polytope(bodies.random_zonotope(n, n + 3, seed).build())
-    tol = positions.LOWNER_TOL
-    centered, ell_c = lowner_position(poly)
-    monkeypatch.setattr(positions, "origin_symmetric", lambda body: False)
-    lifted, ell_l = lowner_position(poly)
-    for result in (centered, lifted):
-        assert result.converged and result.residual < tol
-    assert np.array_equal(ell_c.center, np.zeros(n))
-    assert np.abs(ell_l.center).max() <= 1e-6 * np.abs(poly.vertices).max()
-    scale = np.abs(ell_c.shape).max()
-    assert np.abs(ell_c.shape - ell_l.shape).max() <= 1e-6 * scale
-    # every vertex satisfies the certificate's bound M_i <= (1 + tol) d
-    for ell, lifted_rows, d in ((ell_c, False, n), (ell_l, True, n + 1)):
-        assert _lowner_levels(poly, ell, lifted_rows).max() <= (1 + tol) * d
+def _lowner_support(body, ellipsoid: Ellipsoid, lifted: bool) -> np.ndarray:
+    """Weights u >= 0 on the vertices at level >= d (1 - 1e-6) with
+    sum u_i q_i q_i^T = S, by NNLS on the ellipsoid alone (S = shape / n
+    on centered rows; on lifted rows S = [[shape / n + c c^T, c], [c^T, 1]]
+    for the center c).  They exist iff the ellipsoid is the Loewner one."""
+    n = body.dim
+    c = ellipsoid.center
+    rows = body.vertices
+    scatter = ellipsoid.shape / n
+    if lifted:
+        rows = np.hstack([rows, np.ones((len(rows), 1))])
+        scatter = np.block([[scatter + np.outer(c, c), c[:, None]],
+                            [c[None, :], np.ones((1, 1))]])
+    d = rows.shape[1]
+    touching = _lowner_levels(body, ellipsoid, lifted) >= d * (1.0 - 1e-6)
+    outer = np.einsum("ij,ik->jki", rows[touching], rows[touching])
+    weights, rnorm = nnls(outer.reshape(d * d, -1), scatter.ravel())
+    assert rnorm <= 1e-12 * np.linalg.norm(scatter)
+    u = np.zeros(len(rows))
+    u[touching] = weights
+    return u
+
+
+def _assert_lowner_optimal(poly, lifted: bool) -> None:
+    """Read back from the returned ellipsoid: every level within
+    d (1 ± 1e-12) on the support and at most d (1 + 1e-12) off it."""
+    result, ellipsoid = lowner_position(poly)
+    tol = 1e-12
+    assert result.converged and result.residual <= tol
+    d = poly.dim + lifted
+    levels = _lowner_levels(poly, ellipsoid, lifted)
+    support = _lowner_support(poly, ellipsoid, lifted) > 0.0
+    assert support.sum() >= d
+    assert np.abs(levels[support] / d - 1.0).max() <= tol
+    assert levels.max() <= (1.0 + tol) * d
+    if not lifted:
+        assert np.array_equal(ellipsoid.center, np.zeros(poly.dim))
+
+
+@pytest.mark.parametrize("spec", [spec for n in (3, 4, 5)
+                                  for spec in bodies.corpus(n)],
+                         ids=lambda spec: f"{spec.name}-n{spec.dim}")
+def test_lowner_of_a_corpus_body_meets_the_optimality_conditions(spec):
+    # on centered rows when the body is origin-symmetric, else on lifted rows
+    poly = positions.to_polytope(spec.build())
+    _assert_lowner_optimal(poly, lifted=not positions.origin_symmetric(poly))
 
 
 @pytest.mark.parametrize("spec", [bodies.simplex(3),
@@ -246,43 +273,103 @@ def test_lowner_centered_rows_match_lifted_rows(monkeypatch, n, seed):
                          ids=lambda spec: f"{spec.name}-n{spec.dim}")
 def test_lowner_of_a_non_symmetric_body_runs_on_lifted_rows(spec):
     poly = spec.build()
+    assert not positions.origin_symmetric(poly)
+    _assert_lowner_optimal(poly, lifted=True)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("family", [bodies.cube, bodies.cross_polytope])
+def test_lowner_leaves_cube_and_cross_at_the_identity(family, n):
+    # the uniform start is optimal: no Frank-Wolfe or Newton step runs
+    result, _ = lowner_position(family(n).build())
+    assert result.iterations == 0 and result.converged
+    assert np.abs(result.transform - np.eye(n)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_lowner_centered_rows_match_lifted_rows(monkeypatch, n, seed):
+    # an origin-symmetric body's ellipsoid is centered, so its rows are one
+    # vertex of each ± pair (d = n); forcing the lifted rows (d = n + 1)
+    # gives the same ellipsoid
+    poly = positions.to_polytope(bodies.random_zonotope(n, n + 3, seed).build())
     tol = positions.LOWNER_TOL
-    result, ellipsoid = lowner_position(poly)
-    assert result.converged and result.residual < tol
-    levels = _lowner_levels(poly, ellipsoid, lifted=True)
-    assert levels.max() <= (1 + tol) * (poly.dim + 1)
+    centered, ell_c = lowner_position(poly)
+    monkeypatch.setattr(positions, "origin_symmetric", lambda body: False)
+    lifted, ell_l = lowner_position(poly)
+    for result in (centered, lifted):
+        assert result.converged and result.residual <= tol
+    assert np.array_equal(ell_c.center, np.zeros(n))
+    assert np.abs(ell_l.center).max() <= 1e-12 * np.abs(poly.vertices).max()
+    scale = np.abs(ell_c.shape).max()
+    assert np.abs(ell_c.shape - ell_l.shape).max() <= 1e-12 * scale
+    # every vertex satisfies the certificate's bound M_i <= (1 + tol) d
+    for ell, lifted_rows, d in ((ell_c, False, n), (ell_l, True, n + 1)):
+        assert _lowner_levels(poly, ell, lifted_rows).max() <= (1 + tol) * d
+
+
+@pytest.mark.parametrize("spec", [bodies.cube(4), bodies.cross_polytope(5),
+                                  bodies.random_zonotope(4, 7, 1)],
+                         ids=lambda spec: f"{spec.name}-n{spec.dim}")
+def test_lowner_keeps_one_row_of_each_pair(spec):
+    poly = positions.to_polytope(spec.build())
+    rows = positions._pair_rows(poly.vertices)
+    assert 2 * len(rows) == poly.n_vertices
+    # every vertex is a kept row or the negation of one
+    both = np.vstack([rows, -rows])
+    gaps = np.abs(poly.vertices[:, None, :] - both[None, :, :]).max(axis=2)
+    assert gaps.min(axis=1).max() <= 1e-12 * np.abs(poly.vertices).max()
 
 
 def test_lowner_stops_on_a_residual_from_a_fresh_inverse(monkeypatch):
-    # the last inverse is an exact one: count the exact solves against the
-    # iterations, and recheck the bound from the returned ellipsoid
-    inverses = []
+    # Frank-Wolfe steps update S^{-1} by Sherman-Morrison: S is inverted at
+    # the start and after each Newton solve only, and the solver stops on
+    # the levels of the last inverse, whose S is the returned ellipsoid's
+    scatters = []
     real_inv = np.linalg.inv
 
-    def counting(mat):
-        inverses.append(mat.shape)
+    def recording(mat):
+        scatters.append(mat.copy())
         return real_inv(mat)
 
     poly = positions.to_polytope(bodies.random_zonotope(4, 7, 1).build())
-    monkeypatch.setattr(np.linalg, "inv", counting)
+    monkeypatch.setattr(np.linalg, "inv", recording)
     result, ellipsoid = lowner_position(poly)
-    monkeypatch.setattr(np.linalg, "inv", real_inv)
-    assert 2 <= len(inverses) < result.iterations
-    levels = _lowner_levels(poly, ellipsoid, lifted=False)
-    assert levels.max() <= (1 + 1e-7) * 4
+    monkeypatch.undo()
+    assert 2 <= len(scatters) <= 4 < result.iterations
+    assert np.array_equal(ellipsoid.shape, 4 * scatters[-1])
+    levels = np.einsum("ij,jk,ik->i", poly.vertices, real_inv(scatters[-1]),
+                       poly.vertices)
+    assert result.residual <= positions.LOWNER_TOL
+    assert levels.max() <= (1 + positions.LOWNER_TOL) * 4
+
+
+def test_lowner_falls_back_to_frank_wolfe_when_newton_fails(monkeypatch):
+    # with every Newton attempt failing, Frank-Wolfe alone must meet the
+    # stop; its hand-off falls tenfold after each failure
+    poly = bodies.random_hull(3, 10, 1).build()
+    ref, ref_ellipsoid = lowner_position(poly)
+    attempts = []
+    monkeypatch.setattr(positions, "_lowner_newton",
+                        lambda rows, u, d: attempts.append(1) or (None, 0))
+    result, ellipsoid = lowner_position(poly)
+    assert result.converged and result.residual <= positions.LOWNER_TOL
+    assert len(attempts) >= 2 and result.iterations > ref.iterations
+    scale = np.abs(ref_ellipsoid.shape).max()
+    assert np.abs(ellipsoid.shape - ref_ellipsoid.shape).max() <= 1e-9 * scale
 
 
 def test_a_polytope_is_tested_for_symmetry_once(monkeypatch):
     # John and Löwner read the flag `origin_symmetric` caches on the polytope
-    rounds = []
-    real_round = np.round
-    monkeypatch.setattr(np, "round",
-                        lambda *a, **kw: rounds.append(1) or real_round(*a, **kw))
+    tests = []
+    real_keys = bodyops.symmetry_keys
+    monkeypatch.setattr(bodyops, "symmetry_keys",
+                        lambda verts: tests.append(1) or real_keys(verts))
     for spec in (bodies.random_zonotope(3, 6, 1), bodies.random_hull(3, 10, 1)):
         poly = positions.to_polytope(spec.build())
         for solver in (john_position, lowner_position, john_position):
             solver(poly)
-    assert len(rounds) == 2
+    assert len(tests) == 2
 
 
 # ---------------------------------------------------------------------------
