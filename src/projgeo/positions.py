@@ -20,14 +20,16 @@ positioned body is to the defining fixed-point condition:
   w(K) = n E[<xi, theta>^2 h(theta)] for every xi, estimated on its
   sample set (best effort).
 
-The iterative solvers keep their per-step work small.  Loewner steps update
-the inverse scatter by Sherman-Morrison on the vertices of an
-origin-symmetric body (a centered ellipsoid) or on the lifted vertices
-otherwise.  John starts from the inscribed ball `inradius` caches on the
-polytope, which an origin-symmetric body gets with no LP.  The
-edge-measure iteration transports facet normals instead of building
-hulls.  The sampled mean-width descent lays its support products out
-(vertices, directions) and reduces along the first axis.
+The iterative solvers keep their per-step work small.  Loewner's
+Frank-Wolfe steps update the inverse scatter by Sherman-Morrison on one
+vertex of each ± pair of an origin-symmetric body (a centered ellipsoid)
+or on the lifted vertices otherwise, until Newton's method solves the
+optimality conditions on the support they found.  John starts from the
+inscribed ball `inradius` caches on the polytope, which an
+origin-symmetric body gets with no LP.  The edge-measure iteration
+transports facet normals instead of building hulls.  The sampled
+mean-width descent lays its support products out (vertices, directions)
+and reduces along the first axis.
 """
 
 from __future__ import annotations
@@ -217,8 +219,8 @@ def _lowner_newton(rows: np.ndarray, u: np.ndarray,
     levels is -(G∘G), so a step solves (G∘G) δ = M - d (least squares: a
     degenerate support leaves G∘G singular).  The step is damped so that
     u stays >= 0, and a row whose weight reaches 0 leaves the support.
-    Returns the weights and the steps taken; the weights are None when the
-    support residual failed to fall below LOWNER_TOL.
+    Returns the weights, rescaled to sum 1, and the steps taken; the weights
+    are None when the support residual failed to fall below LOWNER_TOL.
     """
     u = u.copy()
     prev, dropped, steps = np.inf, False, 0
