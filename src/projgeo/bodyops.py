@@ -19,8 +19,6 @@ from .zonotope import Zonotope, zonotope_to_polytope
 
 Body = Union[Polytope, Zonotope]
 
-SYMMETRY_TOL = 1e-9  # coordinate tolerance of the origin-symmetry test
-
 
 def is_zonotope(body: Body) -> bool:
     return isinstance(body, Zonotope)
@@ -81,39 +79,3 @@ def project_body(body: Body, frame: np.ndarray) -> Body:
         return Zonotope(body.generators @ frame.T, frame @ body.center)
     return Polytope(body.vertices @ frame.T)
 
-
-def support_points(body: Body, directions: np.ndarray) -> np.ndarray:
-    """A maximizer of <x, theta> over the body for each row theta.
-
-    For vertex bodies this is an attaining vertex; for generator bodies the
-    sign combination sum_i sign(<g_i, theta>) g_i + center.  Ties are broken
-    arbitrarily, which is fine for the subgradient uses in this package.
-    """
-    directions = np.asarray(directions, dtype=float)
-    if isinstance(body, Zonotope):
-        signs = np.sign(directions @ body.generators.T)
-        return signs @ body.generators + body.center
-    idx = np.argmax(directions @ body.vertices.T, axis=1)
-    return body.vertices[idx]
-
-
-def symmetry_keys(verts: np.ndarray) -> np.ndarray:
-    """The vertices rounded to the symmetry tolerance: v and -v of a
-    symmetric vertex set get keys that are exact negatives."""
-    scale = max(float(np.abs(verts).max()), 1.0)
-    tol = SYMMETRY_TOL * scale
-    digits = int(-np.log10(tol)) if tol < 1.0 else 0
-    # + 0.0 turns -0.0 (a tiny negative coordinate, rounded) into 0.0
-    return np.round(verts, digits) + 0.0
-
-
-def origin_symmetric(body: Body) -> bool:
-    """True when body = -body (vertex set closed under negation).  A
-    polytope is tested once: the flag is cached on it."""
-    if isinstance(body, Zonotope):
-        return bool(np.max(np.abs(body.center)) <= SYMMETRY_TOL)
-    if body._symmetric is None:
-        r = symmetry_keys(body.vertices)
-        body._symmetric = np.array_equal(np.unique(r, axis=0),
-                                         np.unique(-r, axis=0))
-    return body._symmetric

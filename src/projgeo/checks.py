@@ -25,8 +25,8 @@ import numpy as np
 
 from . import positions
 from .bodies import BodySpec
-from .bodyops import (Body, frame_shadow_panel, is_zonotope, origin_symmetric,
-                      project_body, to_polytope)
+from .bodyops import (Body, frame_shadow_panel, is_zonotope, project_body,
+                      to_polytope)
 from .polytope import inradius
 from .quermass import b_constant, omega, quermassintegral, vrad
 from .sampling import (Estimate, RngSeed, grassmann_frames, mc_estimate,
@@ -241,22 +241,8 @@ class BodyContext:
                 # least width, attained at a facet normal
                 return float(self.body.width_batch(self.measure().normals).min()
                              / 2.0)
-            return inradius(to_polytope(self.body), self.symmetric())[0]
+            return inradius(to_polytope(self.body))[0]
         return self._memo("inradius", build)
-
-    def symmetric(self) -> bool:
-        """Whether the body is origin-symmetric (`origin_symmetric`).
-
-        A positioned child is tested only when its root is symmetric; a
-        child of a non-symmetric root reads False.  Only `inradius` reads a
-        child's flag, and False merely keeps the LP, whose answer is right
-        for any body.
-        """
-        def build():
-            if self.parent is not None and not self.parent.symmetric():
-                return False
-            return origin_symmetric(self.body)
-        return self._memo("symmetric", build)
 
     # The cost heuristics read ridge_count and n_vertices of vertex bodies
     # only: a zonotope over the conversion cap has no vertex polytope.
@@ -495,13 +481,10 @@ class BodyContext:
         return self._cache.get("position_record", {})
 
     def position_list(self, kinds: tuple[str, ...]) -> list[str]:
-        """The subset of ``kinds`` applicable to this body."""
-        out = []
-        for kind in kinds:
-            if kind == "lowner" and not self.symmetric():
-                continue
-            out.append(kind)
-        return out
+        """The subset of ``kinds`` applicable to this body: Löwner only for
+        an origin-symmetric one."""
+        return [kind for kind in kinds
+                if kind != "lowner" or self.body.symmetric]
 
 
 def _lowest(values: np.ndarray, k: int) -> np.ndarray:
@@ -772,7 +755,7 @@ def _check_minproj(ctx: BodyContext):
     min_shadow = ctx.min_shadow_volume()
     reported_c = min_shadow / (math.sqrt(n) * ctx.volume() ** ((n - 1.0) / n))
     detail = {"sqrt_n_constant": reported_c}
-    r_exact, _ = inradius(zonotope_to_polytope(zone), origin_symmetric(zone))
+    r_exact, _ = inradius(zonotope_to_polytope(zone))
     sub = SubCase("sphere minimum vs projection body inradius",
                   Estimate.of(min_shadow), Estimate.of(r_exact), "eq",
                   tol=1e-6, sigmas=0.0)

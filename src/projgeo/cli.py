@@ -23,10 +23,12 @@ import numpy as np
 
 from . import bodies, positions, quermass, suite, svgplot
 from .bodies import BodySpec
-from .bodyops import origin_symmetric, to_polytope
+from .bodyops import to_polytope
 from .polytope import circumradius, inradius
 from .sampling import Estimate, RngSeed
 from .zonotope import Zonotope
+
+MIN_SAMPLES = 4  # two antithetic width pairs: the least error bar
 
 
 def _g(x: float) -> str:
@@ -92,7 +94,7 @@ def _cmd_compute(args) -> int:
     elif head == "surface":
         est = Estimate.of(body.surface_area())
     elif head == "inradius":
-        radius, _ = inradius(to_polytope(body), origin_symmetric(body))
+        radius, _ = inradius(to_polytope(body))
         est = Estimate.of(radius)
     elif head == "circumradius":
         est = Estimate.of(circumradius(to_polytope(body)))
@@ -119,10 +121,8 @@ def _cmd_compute(args) -> int:
     else:
         raise ValueError(f"unknown quantity {args.quantity!r}")
 
-    if est.stderr > 0:
-        print(f"{_g(est.value)} ± {_g(est.stderr)}")
-    else:
-        print(_g(est.value))
+    print(_g(est.value) if est.exact
+          else f"{_g(est.value)} ± {_g(est.stderr)}")
     return 0
 
 
@@ -228,13 +228,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "inequalities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=20_000):
+    def common(p, samples: int | None = 20_000):
         p.add_argument("--dim", type=int, default=3,
                        help="ambient dimension (default 3)")
         p.add_argument("--seed", type=int, default=0,
                        help="master random seed (default 0)")
-        p.add_argument("--samples", type=int, default=samples,
-                       help=f"Monte Carlo budget (default {samples})")
+        if samples is not None:
+            p.add_argument("--samples", type=int, default=samples,
+                           help=f"Monte Carlo budget, at least {MIN_SAMPLES} "
+                                f"(default {samples})")
 
     p = sub.add_parser("bodies", help="list the default corpus")
     p.add_argument("--dim", type=int, default=3)
@@ -253,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compute)
 
     p = sub.add_parser("position", help="solve a classical position")
-    common(p)
+    common(p, samples=None)
     p.add_argument("--body", required=True)
     p.add_argument("--kind", required=True,
                    choices=["min-surface", "isotropic", "john", "lowner",
@@ -296,6 +298,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "samples", MIN_SAMPLES) < MIN_SAMPLES:
+            raise ValueError(f"--samples must be at least {MIN_SAMPLES}: two "
+                             "antithetic width pairs give the least error bar")
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError("--jobs must be at least 1")
         return args.fn(args)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -66,6 +67,7 @@ _MERGE_OFFSET_TOL = 1e-8
 # BLAS tiles); see the module notes.
 ROW_BLOCK_ENTRIES = 100_000
 ROW_TILE = 48
+SYMMETRY_TOL = 1e-9  # coordinate tolerance of the origin-symmetry test
 
 
 class DegenerateInputError(ValueError):
@@ -303,7 +305,6 @@ class Polytope:
         self._w3: float | None = None
         self._fan: _FaceFan | None = None
         self._inball: tuple[float, np.ndarray] | None = None
-        self._symmetric: bool | None = None  # bodyops.origin_symmetric
 
     # -- derived data -------------------------------------------------------
 
@@ -399,11 +400,14 @@ class Polytope:
                 else piece_vol)
         return _RidgeData(vols, ua, ub, ortho, angles, idx, key_of)
 
-    # -- support ------------------------------------------------------------
+    # -- symmetry and widths ------------------------------------------------
 
-    def support_batch(self, directions: np.ndarray) -> np.ndarray:
-        """h_K at each row of a (B, n) array (rows need not be unit)."""
-        return (np.asarray(directions, dtype=float) @ self.vertices.T).max(axis=1)
+    @cached_property
+    def symmetric(self) -> bool:
+        """True when K = -K: the vertex set, rounded by `symmetry_keys`, is
+        closed under negation.  Tested once per polytope."""
+        r = symmetry_keys(self.vertices)
+        return np.array_equal(np.unique(r, axis=0), np.unique(-r, axis=0))
 
     def width_batch(self, directions: np.ndarray) -> np.ndarray:
         d = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -541,17 +545,26 @@ class Polytope:
 # ---------------------------------------------------------------------------
 
 
-def inradius(p: Polytope, symmetric: bool) -> tuple[float, np.ndarray]:
+def symmetry_keys(verts: np.ndarray) -> np.ndarray:
+    """The vertices rounded to the symmetry tolerance: v and -v of a
+    symmetric vertex set get keys that are exact negatives."""
+    scale = max(float(np.abs(verts).max()), 1.0)
+    tol = SYMMETRY_TOL * scale
+    digits = int(-np.log10(tol)) if tol < 1.0 else 0
+    # + 0.0 turns -0.0 (a tiny negative coordinate, rounded) into 0.0
+    return np.round(verts, digits) + 0.0
+
+
+def inradius(p: Polytope) -> tuple[float, np.ndarray]:
     """Largest inscribed ball: (radius, center), cached on ``p``.
 
-    ``symmetric`` says whether p = -p (`bodyops.origin_symmetric`).  Then no
-    LP runs: if (c, r) is feasible so is (-c, r), hence their midpoint
-    (0, r), and the largest ball at 0 has radius min_i b_i.  Otherwise the
-    Chebyshev-center LP gives the ball.
+    When p = -p (`Polytope.symmetric`) no LP runs: if (c, r) is feasible
+    so is (-c, r), hence their midpoint (0, r), and the largest ball at 0
+    has radius min_i b_i.  Otherwise the Chebyshev-center LP gives the ball.
     """
     if p._inball is None:
         f, n = p.facet_normals.shape
-        if symmetric:
+        if p.symmetric:
             radius, center = float(p.facet_offsets.min()), np.zeros(n)
         else:
             # max r  s.t.  U c + r <= b   →  min -r.

@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize, nnls
 
-from .bodyops import (Body, is_zonotope, origin_symmetric, support_points,
-                      symmetry_keys, to_polytope, transform_body)
-from .polytope import DegenerateInputError, centroid_and_covariance, inradius
+from .bodyops import Body, is_zonotope, to_polytope, transform_body
+from .polytope import (DegenerateInputError, centroid_and_covariance, inradius,
+                       symmetry_keys)
 from .quermass import omega
 from .sampling import RngSeed, sphere_points
 
@@ -278,7 +278,7 @@ def lowner_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
     poly = to_polytope(body)
     points = poly.vertices
     n = poly.dim
-    symmetric = origin_symmetric(poly)
+    symmetric = poly.symmetric
     rows = (_pair_rows(points) if symmetric
             else np.hstack([points, np.ones((len(points), 1))]))
     count, d = rows.shape
@@ -380,8 +380,8 @@ def john_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
     n = poly.dim
     normals = poly.facet_normals
     offsets = poly.facet_offsets
-    symmetric = origin_symmetric(poly)
-    r0, center0 = inradius(poly, symmetric)
+    symmetric = poly.symmetric
+    r0, center0 = inradius(poly)
     q = n * (n + 1) // 2
     il = np.tril_indices(n)
     diag_pos = np.where(il[0] == il[1])[0]
@@ -452,10 +452,8 @@ def john_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
             au = mat @ u
             outer = np.outer(au, u)
             grad_con = _sym_to_vec(0.5 * (outer + outer.T) / max(lengths[i], 1e-300))
-            if symmetric:
-                cols.append(grad_con)
-            else:
-                cols.append(np.concatenate([grad_con, u]))
+            cols.append(grad_con if symmetric
+                        else np.concatenate([grad_con, u]))
         cmat = np.array(cols).T
         coef, _ = nnls(cmat, grad_full)
         proj = grad_full - cmat @ coef
@@ -539,42 +537,30 @@ def sampled_min_width_position(body: Body,
     with multiplicative exp-steps, which keeps det T = 1.  The residual is
     the sup-norm deviation of the first-order condition
     w(K) = n E[<xi, theta>^2 h_K(theta)] estimated on the same panel.
+    Supports are read from the vertices (`min_mean_width_position` sends
+    no zonotope here).
     """
     n = body.dim
     pairs = MIN_WIDTH_PAIRS
     thetas = sphere_points(n, pairs, seed.derive("min-width-panel").generator())
     transform = np.eye(n)
-    verts = None if is_zonotope(body) else body.vertices
+    verts = to_polytope(body).vertices
 
-    # A vertex body reads h(theta), h(-theta) = -min <theta, v> (negation is
-    # exact) and both support points from one product with its vertices;
-    # `seen` is that product, laid out (vertices, directions) so the extrema
-    # reduce along axis 0, or the directions for a generator body.
+    # the half widths (h(theta) + h(-theta)) / 2 and both support points
+    # come from one product with the vertices, laid out (vertices,
+    # directions) so the extrema reduce along axis 0
     def width_stats(t_mat: np.ndarray):
-        dirs = thetas @ t_mat
-        if verts is None:
-            seen = dirs
-            h_plus = body.support_batch(dirs)
-            h_minus = body.support_batch(-dirs)
-        else:
-            seen = verts @ dirs.T
-            h_plus = seen.max(axis=0)
-            h_minus = -seen.min(axis=0)
-        width = 0.5 * (h_plus + h_minus)
-        return float(width.mean()), seen, h_plus, h_minus
+        seen = verts @ (thetas @ t_mat).T
+        height = 0.5 * (seen.max(axis=0) - seen.min(axis=0))
+        return float(height.mean()), seen, height
 
-    def support_spread(seen: np.ndarray) -> np.ndarray:
-        """x(theta) - x(-theta) for the support points x of each theta."""
-        if verts is None:
-            return support_points(body, seen) - support_points(body, -seen)
-        return verts[seen.argmax(axis=0)] - verts[seen.argmin(axis=0)]
-
-    value, seen, h_plus, h_minus = width_stats(transform)
+    value, seen, height = width_stats(transform)
     history = [value]
     step = 0.1
     iterations = 0
     for iterations in range(1, MIN_WIDTH_MAX_ITER + 1):
-        pts = 0.5 * support_spread(seen)
+        # half of x(theta) - x(-theta) for the support points x of each theta
+        pts = 0.5 * (verts[seen.argmax(axis=0)] - verts[seen.argmin(axis=0)])
         moment = (transform @ pts.T) @ thetas / pairs
         grad = 0.5 * (moment + moment.T)
         grad -= np.trace(grad) / n * np.eye(n)
@@ -582,7 +568,6 @@ def sampled_min_width_position(body: Body,
         if gnorm * n / max(value, 1e-300) <= 1e-4:
             break
         direction = -grad / gnorm
-        accepted = False
         while step > 1e-10:
             eigval, eigvec = np.linalg.eigh(step * direction)
             mover = (eigvec * np.exp(eigval)) @ eigvec.T
@@ -590,15 +575,13 @@ def sampled_min_width_position(body: Body,
             cand_stats = width_stats(cand)
             if cand_stats[0] < value - 1e-12 * abs(value):
                 transform = cand
-                value, seen, h_plus, h_minus = cand_stats
+                value, seen, height = cand_stats
                 history.append(value)
                 step = min(step * 1.5, 1.0)
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:  # no step down the gradient lowered the width
             break
-    height = 0.5 * (h_plus + h_minus)
     outer = (thetas[:, :, None] * thetas[:, None, :])
     second = np.einsum("b,bij->ij", height, outer) / pairs
     deviation = n * second / max(value, 1e-300) - np.eye(n)

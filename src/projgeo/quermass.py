@@ -40,6 +40,15 @@ def vrad(body: Body) -> float:
     return (body.volume() / omega(n)) ** (1.0 / n)
 
 
+def _draws(samples: int | None, default: int, per_draw: int) -> int:
+    """The draws a budget of ``samples`` (None: ``default``) buys."""
+    draws = (default if samples is None else samples) // per_draw
+    if draws < 2:
+        raise ValueError(f"samples={samples} gives fewer than 2 Monte Carlo "
+                         f"draws of {per_draw} sample(s) each: no error bar")
+    return draws
+
+
 def quermassintegral(body: Body, p: int, samples: int | None = None,
                      seed: RngSeed = RngSeed(), method: str = "auto") -> Estimate:
     """The p-th quermassintegral V_{n-p}(K), indexed by codimension p.
@@ -50,7 +59,9 @@ def quermassintegral(body: Body, p: int, samples: int | None = None,
     (every p for generator bodies; p in {0, 1, 2, 3, n} for vertex bodies) and
     the rest is Monte Carlo Kubota averaging over random (n-p)-subspaces.
     ``method="mc"`` forces the Kubota route for 1 <= p <= n-1, which is
-    useful as a cross-check against the exact values.
+    useful as a cross-check against the exact values.  ``samples`` is the
+    Monte Carlo budget (None: the defaults); one that buys fewer than two
+    draws (a width pair is one) raises ValueError.
     """
     n = body.dim
     if not 0 <= p <= n:
@@ -73,10 +84,10 @@ def quermassintegral(body: Body, p: int, samples: int | None = None,
             return Estimate.of(body.quermass_exact_3codim())
     if j == 1:
         # omega_n times the mean width E h_K, from antithetic direction pairs
-        pairs = max(1, (samples or DEFAULT_SPHERE_SAMPLES) // 2)
+        pairs = _draws(samples, DEFAULT_SPHERE_SAMPLES, 2)
         dirs = sphere_points(n, pairs, seed.generator())
         return mc_estimate(body.width_batch(dirs) / 2.0).scaled(omega(n))
-    count = samples or DEFAULT_FRAME_SAMPLES
+    count = _draws(samples, DEFAULT_FRAME_SAMPLES, 1)
     frames = grassmann_frames(n, j, count, seed.generator())
     vols, _ = frame_shadow_panel(body, frames, want_surface=False)
     return mc_estimate(vols).scaled(omega(n) / omega(j))

@@ -27,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polytope import (BudgetError, Polytope, SurfaceAreaMeasure,
-                       by_row_blocks)
+from .polytope import (SYMMETRY_TOL, BudgetError, Polytope,
+                       SurfaceAreaMeasure, by_row_blocks)
 
 __all__ = [
     "Zonotope",
@@ -119,11 +119,12 @@ class Zonotope:
     def is_spanning(self) -> bool:
         return bool(np.linalg.matrix_rank(self.generators) == self.dim)
 
-    # -- support and widths --------------------------------------------------
+    @property
+    def symmetric(self) -> bool:
+        """True when Z = -Z, i.e. the center is 0 (no vertex form is built)."""
+        return bool(np.max(np.abs(self.center)) <= SYMMETRY_TOL)
 
-    def support_batch(self, directions: np.ndarray) -> np.ndarray:
-        d = np.atleast_2d(np.asarray(directions, dtype=float))
-        return d @ self.center + np.abs(d @ self.generators.T).sum(axis=1)
+    # -- widths ---------------------------------------------------------------
 
     def width_batch(self, directions: np.ndarray) -> np.ndarray:
         d = np.atleast_2d(np.asarray(directions, dtype=float))

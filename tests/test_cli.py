@@ -51,6 +51,42 @@ def test_compute_sampled_quantity_reports_error_bar(capsys):
     assert "±" in out or "+-" in out
 
 
+@pytest.mark.parametrize("args", [
+    ["compute", "--body", "random-hull(10,1)", "--dim", "6",
+     "--quantity", "mean-width", "--samples", "-4"],
+    ["compute", "--body", "random-hull(10,1)", "--dim", "6",
+     "--quantity", "mean-width", "--samples", "0"],
+    ["compute", "--body", "cube", "--quantity", "volume", "--samples", "3"],
+    ["verify", "--corpus", "CORPUS", "--ids", "CK-IDENT", "--samples", "0"],
+    ["verify", "--corpus", "CORPUS", "--ids", "CK-IDENT", "--jobs", "0"],
+    ["search", "--id", "GHP", "--family", "random-hull", "--budget", "1",
+     "--samples", "2"]])
+def test_budgets_without_an_error_bar_are_usage_errors(tmp_path, capsys, args):
+    corpus_file = tmp_path / "tiny.json"
+    corpus_file.write_text(json.dumps(["cube"]))
+    args = [str(corpus_file) if a == "CORPUS" else a for a in args]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_compute_prints_an_error_bar_on_every_estimate(capsys):
+    # the least budget: two width pairs
+    assert main(["compute", "--body", "random-hull(10,1)", "--dim", "6",
+                 "--quantity", "mean-width", "--samples", "4"]) == 0
+    assert " ± " in capsys.readouterr().out
+
+
+def test_position_has_no_samples_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["position", "--body", "cube", "--kind", "john",
+              "--samples", "10"])
+    assert err.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_compute_rejects_unknown_quantity(capsys):
     assert main(["compute", "--body", "cube", "--dim", "3",
                  "--quantity", "nonsense"]) == 2

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from projgeo import bodies, checks, polytope, zonotope
+from projgeo import bodies, bodyops, checks, polytope, positions, zonotope
 from projgeo.bodyops import frame_shadow_panel, project_body, transform_body
 from projgeo.checks import (CHECK_IDS, CHECK_MAP, CHECKS, BodyContext,
                             SubCase, SuiteConfig, run_check)
@@ -255,36 +256,73 @@ def test_zonotope_inradius_is_its_least_facet_half_width(n, m):
     gens = bodies.random_zonotope(n, m, 2).build().generators
     ctx = BodyContext(bodies.from_generators(gens, np.linspace(-1.0, 2.0, n)),
                       CFG)
-    exact, _ = inradius(zonotope_to_polytope(ctx.body), False)  # the LP
-    assert ctx.inradius() == pytest.approx(exact, rel=1e-12)
+    poly = zonotope_to_polytope(ctx.body)
+    f, n = poly.facet_normals.shape
+    lp = linprog(np.r_[np.zeros(n), -1.0],  # the Chebyshev-center LP
+                 A_ub=np.hstack([poly.facet_normals, np.ones((f, 1))]),
+                 b_ub=poly.facet_offsets,
+                 bounds=[(None, None)] * n + [(0.0, None)], method="highs")
+    assert lp.success
+    assert ctx.inradius() == pytest.approx(lp.x[-1], rel=1e-12)
+
+
+def _count_symmetry_tests(monkeypatch) -> list:
+    """Record the vertex array of every vertex-set symmetry test."""
+    tested = []
+    real_keys = polytope.symmetry_keys
+    monkeypatch.setattr(polytope, "symmetry_keys",
+                        lambda verts: tested.append(verts) or real_keys(verts))
+    return tested
 
 
 def test_symmetry_is_tested_once_and_inradius_shares_one_lp(monkeypatch):
-    tests, lps = [], []
-    real_test, real_lp = checks.origin_symmetric, polytope.linprog
-    monkeypatch.setattr(checks, "origin_symmetric",
-                        lambda body: tests.append(body) or real_test(body))
+    tests, lps = _count_symmetry_tests(monkeypatch), []
+    real_lp = polytope.linprog
     monkeypatch.setattr(polytope, "linprog",
                         lambda *a, **kw: lps.append(a) or real_lp(*a, **kw))
-    # a non-symmetric root: one test, shared by every position list; its
-    # positioned children read False untested and keep the LP
+    # a non-symmetric root: one test, shared by every position list and
+    # both ellipsoid solves; its positioned children are tested on their own
     ctx = BodyContext(bodies.random_hull(3, 10, 1), CFG)
     assert ctx.position_list(("john", "lowner")) == ["john"]
     assert ctx.position_list(("lowner",)) == [] and len(tests) == 1
     ctx.inradius()
     ctx.positioned("john")  # starts from the LP the root solved
-    assert len(lps) == 1
+    assert len(lps) == 1 and len(tests) == 1
     child = ctx.positioned("isotropic")
-    assert not child.symmetric() and len(tests) == 1
+    assert not child.body.symmetric and len(tests) == 2
     assert child.inradius() > 0.0 and len(lps) == 2
-    # a symmetric root: its children are tested, and no LP runs
+    # a symmetric root: it and its children are tested, and no LP runs
     cube = BodyContext(bodies.cube(3), CFG)
     for kind in ("min-surface", "isotropic", "john", "lowner"):
         child = cube.positioned(kind)
-        assert child.symmetric()
+        assert child.body.symmetric
         assert child.inradius() == pytest.approx(
             child.volume() ** (1.0 / 3.0) / 2.0, rel=1e-12)
-    assert len(tests) == 1 + 1 + 4 and len(lps) == 2
+    assert len(tests) == 2 + 1 + 4 and len(lps) == 2
+
+
+@pytest.mark.parametrize("spec", [bodies.cube(3), bodies.random_hull(3, 10, 1),
+                                  bodies.random_zonotope(3, 6, 1),
+                                  bodies.random_hull(4, 12, 2)],
+                         ids=lambda spec: f"{spec.name}-n{spec.dim}")
+def test_each_polytope_runs_one_symmetry_test(monkeypatch, spec):
+    tests = _count_symmetry_tests(monkeypatch)
+    ctx = BodyContext(spec, CFG)
+    for _ in range(2):
+        kinds = ctx.position_list(("john", "lowner"))
+        ctx.inradius()
+        poly = bodyops.to_polytope(ctx.body)
+        inradius(poly)
+        for kind in ("john", "lowner"):
+            positions.solve(kind, ctx.body)
+        for kind in kinds:
+            child = ctx.positioned(kind)
+            child.inradius()
+            child.position_list(("lowner",))
+            positions.john_position(child.body)
+    # one test per polytope: the root's vertex form and each child's
+    assert len({id(verts) for verts in tests}) == len(tests)
+    assert len(tests) == 1 + len(kinds)
 
 
 def test_shadow_quermass_checks_pass_at_n4():

@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from projgeo import bodies, polytope, positions
-from projgeo.bodyops import origin_symmetric, project_body, to_polytope, transform_body
+from projgeo.bodyops import project_body, to_polytope, transform_body
 from projgeo.polytope import (_MERGE_ANGLE_TOL, _MERGE_OFFSET_TOL,
                               DegenerateInputError, Polytope, _gram_volumes,
                               _silhouette, circumradius, inradius, row_blocks)
@@ -50,22 +50,16 @@ def test_cross_volume_and_surface():
                                                rel=1e-12)
 
 
-def test_support_batch_matches_scalar():
-    body = bodies.random_hull(3, 12, 5).build()
-    dirs = sphere_points(3, 50, RngSeed(11).generator())
-    batch = body.support_batch(dirs)
-    singles = [body.support_batch(d[None])[0] for d in dirs]
-    assert np.allclose(batch, singles, rtol=1e-12)
-
-
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_width_is_nonnegative_and_even(seed):
     body = bodies.random_hull(3, 10, seed % 97).build()
     theta = sphere_points(3, 1, RngSeed(seed).generator())[0]
-    w = body.support_batch(np.stack([theta, -theta])).sum()
+    prods = body.vertices @ theta
+    w = prods.max() - prods.min()
     assert w >= 0.0
     assert body.width_batch(theta[None])[0] == pytest.approx(w, rel=1e-12)
+    assert body.width_batch(-theta[None])[0] == pytest.approx(w, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -87,26 +81,26 @@ def test_width_batch_matches_row_major_products(n):
 
 
 def test_inradius_and_circumradius():
-    # the LP route: the offset rule is checked against the LP below
-    r_cube, center = inradius(_cube(), False)
-    assert r_cube == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(center, 0.0, atol=1e-9)
-    r_cross, _ = inradius(_cross(), False)
-    assert r_cross == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
+    # the LP route, and the offset rule these symmetric bodies take
+    for radius, center in (_chebyshev_ball(_cube()), inradius(_cube())):
+        assert radius == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(center, 0.0, atol=1e-9)
+    for radius, _ in (_chebyshev_ball(_cross()), inradius(_cross())):
+        assert radius == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
     assert circumradius(_cube()) == pytest.approx(math.sqrt(3.0), rel=1e-12)
     assert circumradius(bodies.simplex(4).build()) == pytest.approx(
         1.0, rel=1e-9)
 
 
-def _chebyshev_lp(poly):
-    """Reference: the largest inscribed ball's radius by scipy's LP."""
+def _chebyshev_ball(poly):
+    """Reference: the largest inscribed ball (radius, center) by scipy's LP."""
     f, n = poly.facet_normals.shape
     res = linprog(np.r_[np.zeros(n), -1.0],
                   A_ub=np.hstack([poly.facet_normals, np.ones((f, 1))]),
                   b_ub=poly.facet_offsets,
                   bounds=[(None, None)] * n + [(0.0, None)], method="highs")
     assert res.success
-    return float(res.x[-1])
+    return float(res.x[-1]), res.x[:n]
 
 
 def _symmetric_bodies(n):
@@ -128,10 +122,10 @@ def test_symmetric_inradius_is_the_chebyshev_lp_without_one(monkeypatch, n):
         raise AssertionError("the Chebyshev-center LP ran")
 
     for name, poly in _symmetric_bodies(n):
-        assert origin_symmetric(poly), name
-        want = _chebyshev_lp(poly)
+        assert poly.symmetric, name
+        want = _chebyshev_ball(poly)[0]
         monkeypatch.setattr(polytope, "linprog", no_lp)
-        radius, center = inradius(poly, True)
+        radius, center = inradius(poly)
         monkeypatch.undo()
         assert radius == pytest.approx(want, rel=1e-12, abs=0.0), name
         assert np.array_equal(center, np.zeros(n))
@@ -147,10 +141,10 @@ def test_a_second_inradius_call_solves_no_lp(monkeypatch):
 
     monkeypatch.setattr(polytope, "linprog", counted)
     poly = bodies.random_hull(4, 10, 1).build()
-    first = inradius(poly, False)
-    assert inradius(poly, False) is first and len(calls) == 1
-    assert first[0] == pytest.approx(_chebyshev_lp(poly), rel=1e-12)
-    assert inradius(poly, True) is first and len(calls) == 1
+    first = inradius(poly)
+    assert inradius(poly) is first and len(calls) == 1
+    assert first[0] == pytest.approx(_chebyshev_ball(poly)[0], rel=1e-12)
+    assert not poly.symmetric and inradius(poly) is first and len(calls) == 1
 
 
 def test_cube_shadow_volumes():
@@ -256,7 +250,7 @@ def test_origin_symmetric_matches_loop_reference(n):
         for shift in (0.0, -1e-12, 0.25):
             moved = Polytope(body.vertices + shift * np.arange(1, n + 1))
             want = _origin_symmetric_loop(moved)
-            assert origin_symmetric(moved) == want, (spec.name, shift)
+            assert moved.symmetric == want, (spec.name, shift)
             seen.add(want)
     assert seen == {True, False}
 

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
-from projgeo import bodies, bodyops, polytope
+from projgeo import bodies, polytope
 from projgeo.bodyops import transform_body
 from projgeo.polytope import Polytope, circumradius
 from projgeo import positions
@@ -264,7 +264,7 @@ def _assert_lowner_optimal(poly, lifted: bool) -> None:
 def test_lowner_of_a_corpus_body_meets_the_optimality_conditions(spec):
     # on centered rows when the body is origin-symmetric, else on lifted rows
     poly = positions.to_polytope(spec.build())
-    _assert_lowner_optimal(poly, lifted=not positions.origin_symmetric(poly))
+    _assert_lowner_optimal(poly, lifted=not poly.symmetric)
 
 
 @pytest.mark.parametrize("spec", [bodies.simplex(3),
@@ -273,7 +273,7 @@ def test_lowner_of_a_corpus_body_meets_the_optimality_conditions(spec):
                          ids=lambda spec: f"{spec.name}-n{spec.dim}")
 def test_lowner_of_a_non_symmetric_body_runs_on_lifted_rows(spec):
     poly = spec.build()
-    assert not positions.origin_symmetric(poly)
+    assert not poly.symmetric
     _assert_lowner_optimal(poly, lifted=True)
 
 
@@ -295,7 +295,7 @@ def test_lowner_centered_rows_match_lifted_rows(monkeypatch, n, seed):
     poly = positions.to_polytope(bodies.random_zonotope(n, n + 3, seed).build())
     tol = positions.LOWNER_TOL
     centered, ell_c = lowner_position(poly)
-    monkeypatch.setattr(positions, "origin_symmetric", lambda body: False)
+    monkeypatch.setattr(poly, "symmetric", False)
     lifted, ell_l = lowner_position(poly)
     for result in (centered, lifted):
         assert result.converged and result.residual <= tol
@@ -360,10 +360,10 @@ def test_lowner_falls_back_to_frank_wolfe_when_newton_fails(monkeypatch):
 
 
 def test_a_polytope_is_tested_for_symmetry_once(monkeypatch):
-    # John and Löwner read the flag `origin_symmetric` caches on the polytope
+    # John and Löwner read the flag `Polytope.symmetric` caches
     tests = []
-    real_keys = bodyops.symmetry_keys
-    monkeypatch.setattr(bodyops, "symmetry_keys",
+    real_keys = polytope.symmetry_keys
+    monkeypatch.setattr(polytope, "symmetry_keys",
                         lambda verts: tests.append(1) or real_keys(verts))
     for spec in (bodies.random_zonotope(3, 6, 1), bodies.random_hull(3, 10, 1)):
         poly = positions.to_polytope(spec.build())
@@ -376,12 +376,22 @@ def test_a_polytope_is_tested_for_symmetry_once(monkeypatch):
 # John: an origin-symmetric body starts from its own inradius
 
 
+def _chebyshev_ball(poly):
+    """Reference: the largest inscribed ball (radius, center) by scipy's LP."""
+    f, n = poly.facet_normals.shape
+    res = linprog(np.r_[np.zeros(n), -1.0],
+                  A_ub=np.hstack([poly.facet_normals, np.ones((f, 1))]),
+                  b_ub=poly.facet_offsets,
+                  bounds=[(None, None)] * n + [(0.0, None)], method="highs")
+    assert res.success
+    return float(res.x[-1]), res.x[:n]
+
+
 @pytest.mark.parametrize("spec", [bodies.cube(3), bodies.cross_polytope(3)]
                          + [bodies.random_zonotope(3, 6, s) for s in (1, 3, 5)],
                          ids=lambda spec: spec.name)
 def test_john_of_a_symmetric_body_solves_no_lp(monkeypatch, spec):
     poly = positions.to_polytope(spec.build())
-    real_inradius = positions.inradius
 
     def no_lp(*args, **kwargs):
         raise AssertionError("the Chebyshev-center LP ran")
@@ -389,11 +399,9 @@ def test_john_of_a_symmetric_body_solves_no_lp(monkeypatch, spec):
     monkeypatch.setattr(polytope, "linprog", no_lp)
     result, ellipsoid = john_position(poly)
     monkeypatch.undo()
-    # the LP-started solve, for reference (on a fresh build of the same
-    # polytope, since the ball is cached)
-    monkeypatch.setattr(positions, "inradius",
-                        lambda body, symmetric: real_inradius(body, False))
-    ref, ref_ellipsoid = john_position(positions.to_polytope(spec.build()))
+    # the LP-started solve, for reference
+    monkeypatch.setattr(positions, "inradius", _chebyshev_ball)
+    ref, ref_ellipsoid = john_position(poly)
     assert result.converged
     assert np.abs(result.transform - ref.transform).max() <= 1e-12
     assert result.scale == pytest.approx(ref.scale, rel=1e-12, abs=0.0)
@@ -403,15 +411,12 @@ def test_john_of_a_symmetric_body_solves_no_lp(monkeypatch, spec):
 
 def test_john_of_a_non_symmetric_body_keeps_the_lp_start(monkeypatch):
     calls = []
-    real_inradius = positions.inradius
-
-    def counted(poly, symmetric):
-        calls.append(symmetric)
-        return real_inradius(poly, symmetric)
-
-    monkeypatch.setattr(positions, "inradius", counted)
-    john_position(bodies.random_hull(3, 10, 1).build())
-    assert calls == [False]
+    real_lp = polytope.linprog
+    monkeypatch.setattr(polytope, "linprog",
+                        lambda *a, **kw: calls.append(a) or real_lp(*a, **kw))
+    poly = bodies.random_hull(3, 10, 1).build()
+    john_position(poly)
+    assert not poly.symmetric and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

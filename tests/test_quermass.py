@@ -71,6 +71,24 @@ def test_quermassintegral_rejects_bad_codimension():
         quermassintegral(q3, -1)
 
 
+@pytest.mark.parametrize("p, samples", [(2, -4), (2, 0), (2, 3), (1, 1),
+                                        (1, 0)])
+def test_quermassintegral_rejects_budgets_without_an_error_bar(p, samples):
+    # p = n - 1 draws width pairs (two samples each), p = 1 draws 2-frames
+    q3 = bodies.cube(3).build()
+    with pytest.raises(ValueError, match="fewer than 2"):
+        quermassintegral(q3, p, samples=samples, method="mc")
+
+
+@pytest.mark.parametrize("p, samples, draws", [(2, 4, 2), (2, 5, 2),
+                                               (1, 2, 2), (2, None, 10_000),
+                                               (1, None, 2_500)])
+def test_quermassintegral_draws_what_its_budget_buys(p, samples, draws):
+    est = quermassintegral(bodies.cube(3).build(), p, samples=samples,
+                           method="mc")
+    assert est.n_samples == draws and est.stderr > 0.0
+
+
 def _q(body, k):
     """Q_k = (V_k / omega_n)^{1/k}, with V_k the quermassintegral W_{n-k}."""
     n = body.dim

@@ -25,8 +25,18 @@ def test_cube_zonotope_basics():
     z = _zcube()
     assert z.volume() == pytest.approx(8.0, rel=1e-12)
     assert z.surface_area() == pytest.approx(24.0, rel=1e-12)
-    assert z.support_batch(np.eye(3))[0] == pytest.approx(1.0)
     assert z.width_batch(np.eye(3))[0] == pytest.approx(2.0)
+
+
+def test_symmetry_reads_the_center_and_builds_no_vertex_form():
+    # 13 generators: over the conversion cap, so a vertex form would raise
+    z = bodies.random_zonotope(3, 13, 1).build()
+    assert z.symmetric and z._polytope is None
+    ctx = BodyContext(bodies.random_zonotope(3, 13, 1), SuiteConfig())
+    assert ctx.position_list(("john", "lowner")) == ["john", "lowner"]
+    assert ctx.body._polytope is None
+    moved = Zonotope(z.generators, np.full(3, 0.5))
+    assert not moved.symmetric and moved._polytope is None
 
 
 def test_zonotope_volume_matches_hull():
@@ -68,8 +78,9 @@ def test_shadows_match_polytope_twin():
 
 def test_projection_body_of_cube():
     pi_q3 = projection_body(_zcube())
-    # h_{Pi K}(xi) = |P_{xi^perp} K| = 4 at coordinate directions
-    assert np.allclose(pi_q3.support_batch(np.eye(3)), 4.0, rtol=1e-12)
+    # h_{Pi K}(xi) = |P_{xi^perp} K| = 4 at coordinate directions, so the
+    # centered Pi K is 8 wide there
+    assert np.allclose(pi_q3.width_batch(np.eye(3)), 8.0, rtol=1e-12)
     assert pi_q3.volume() == pytest.approx(512.0, rel=1e-10)
 
 
@@ -79,20 +90,8 @@ def test_merge_parallel_preserves_support():
     merged = z.merge_parallel()
     assert merged.n_generators == 4
     dirs = sphere_points(3, 40, RngSeed(12).generator())
-    assert np.allclose(z.support_batch(dirs), merged.support_batch(dirs),
+    assert np.allclose(z.width_batch(dirs), merged.width_batch(dirs),
                        rtol=1e-12)
-
-
-@given(seed=st.integers(0, 5000))
-@settings(max_examples=20, deadline=None)
-def test_support_is_positively_homogeneous_and_even(seed):
-    gens = RngSeed(seed).derive("hom").generator().standard_normal((5, 3))
-    z = Zonotope(gens)
-    theta = sphere_points(3, 1, RngSeed(seed).derive("dir").generator())[0]
-    h = z.support_batch(theta[None])[0]
-    assert z.support_batch(3.0 * theta[None])[0] == pytest.approx(3.0 * h)
-    # zonotopes centered at the origin are symmetric
-    assert z.support_batch(-theta[None])[0] == pytest.approx(h, rel=1e-12)
 
 
 def test_frame_shadow_volumes_match_projection():
