@@ -53,6 +53,13 @@ SHARED_DIRECTIONS_CACHE = 64
 # tied, and the first of them in evaluation order binds the cell, so that
 # roundoff does not pick among sub-cases equal in exact arithmetic.
 BINDING_TIE = 1e-12
+# The two relative allowances of le/ge sub-cases; every other sub-case
+# resolves at tol 0.  ZON-VOL's polar volume is a Monte Carlo mean that reads
+# the cube's equality case up to 0.3% high; ROADMAP item 7's exact |Pi* K|
+# deletes this.
+ZON_VOL_POLAR_TOL = 0.05
+# BALL-EQ claims near-equality: ball-approx is a polytope, not a zonoid.
+BALL_EQ_TOL = 0.05
 
 
 class SkipCheck(Exception):
@@ -75,7 +82,7 @@ class SubCase:
     lhs: Estimate
     rhs: Estimate
     direction: str  # "le" | "ge" | "eq"
-    tol: float
+    tol: float = 0.0  # relative; nonzero only for a named allowance
     sigmas: float = 3.0
     status: str = field(default="", init=False)
     margin: float = field(default=0.0, init=False)
@@ -167,7 +174,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class SuiteConfig:
     samples: int = 20_000
-    tol: float = 0.05
     seed: int = 0
 
 
@@ -571,7 +577,7 @@ def _check_ghp(ctx: BodyContext):
     lhs = Estimate.of(quotients[worst])
     n = ctx.n
     rhs = Estimate.of(2.0 * (n - 1) / n * ctx.surface() / ctx.volume())
-    sub = SubCase("worst of 100 directions", lhs, rhs, "le", tol=0.0)
+    sub = SubCase("worst of 100 directions", lhs, rhs, "le")
     detail = {"quotient_min": float(quotients.min()),
               "quotient_max": float(quotients.max()),
               "directions": 100}
@@ -585,7 +591,7 @@ def _check_t_hyper_1(ctx: BodyContext):
               / (n * omega(n) ** (1.0 / n)))
     rhs = Estimate.of(factor * ctx.surface())
     detail = {"min_surface_quotient": ctx.partial(), "constant_factor": factor}
-    return [SubCase("min shadow surface", lhs, rhs, "le", tol=0.0)], detail
+    return [SubCase("min shadow surface", lhs, rhs, "le")], detail
 
 
 def _check_t_lower_min(ctx: BodyContext):
@@ -597,7 +603,7 @@ def _check_t_lower_min(ctx: BodyContext):
     const = ((n - 1) * omega(n) ** (1.0 / (n - 1))
              / (4.0 * n ** ((n - 2.0) / (n - 1)) * quotient ** (1.0 / (n - 1))))
     rhs = Estimate.of(const * surf)
-    sub = SubCase("at the minimal-surface fixed point", lhs, rhs, "ge", tol=0.0)
+    sub = SubCase("at the minimal-surface fixed point", lhs, rhs, "ge")
     detail = {"surface_quotient": quotient,
               "position": child.position_record()}
     return [sub], detail
@@ -608,10 +614,9 @@ def _check_t_hyper_2(ctx: BodyContext):
     lhs = Estimate.of(ctx.volume() ** (1.0 / n) * ctx.min_shadow_surface())
     surf = ctx.surface()
     subs = [
-        SubCase("sharp form", lhs, Estimate.of(b_constant(n) * surf), "le",
-                tol=0.0),
+        SubCase("sharp form", lhs, Estimate.of(b_constant(n) * surf), "le"),
         SubCase("doubled form", lhs, Estimate.of(2.0 * b_constant(n) * surf),
-                "le", tol=0.0),
+                "le"),
     ]
     detail = {"equality_gap": 1.0 - lhs.value / (b_constant(n) * surf)}
     return subs, detail
@@ -622,7 +627,7 @@ def _check_t_hyper_3(ctx: BodyContext):
     lhs = ctx.mean_shadow_surface().scaled(ctx.volume())
     const = 2.0 * b_constant(n) / (n * omega(n) ** (1.0 / n))
     rhs = Estimate.of(const * ctx.surface() ** 2)
-    return [SubCase("mean shadow surface", lhs, rhs, "le", tol=ctx.cfg.tol)], {}
+    return [SubCase("mean shadow surface", lhs, rhs, "le")], {}
 
 
 _UPPER_POSITIONS = ("min-surface", "isotropic", "john", "lowner")
@@ -665,7 +670,7 @@ def _check_t_hyper_5(ctx: BodyContext):
     lhs = ctx.mean_shadow_surface()
     const = (n - 1) * omega(n - 1) / (n * omega(n)) ** ((n - 2.0) / (n - 1))
     rhs = Estimate.of(const * ctx.surface() ** ((n - 2.0) / (n - 1)))
-    return [SubCase("mean shadow surface", lhs, rhs, "ge", tol=ctx.cfg.tol)], {}
+    return [SubCase("mean shadow surface", lhs, rhs, "ge")], {}
 
 
 def _check_t_hyper_6(ctx: BodyContext):
@@ -685,7 +690,7 @@ def _check_l_zon_1(ctx: BodyContext):
     lhs = Estimate.of(ctx.min_shadow_volume())
     rhs = Estimate.of(n * b_constant(n) / (n - 1)
                       * ctx.volume() ** ((n - 1.0) / n))
-    return [SubCase("min shadow volume", lhs, rhs, "le", tol=0.0)], {}
+    return [SubCase("min shadow volume", lhs, rhs, "le")], {}
 
 
 def _check_t_zon_2(ctx: BodyContext):
@@ -705,7 +710,7 @@ def _check_t_zon_2(ctx: BodyContext):
         lhs = Estimate.of(value)
         rhs = Estimate.of(n * b_constant(n) ** (n - k) / k
                           * ctx.volume() ** (k / n))
-        subs.append(SubCase(f"k={k}", lhs, rhs, "le", tol=0.0))
+        subs.append(SubCase(f"k={k}", lhs, rhs, "le"))
     return subs, {"methods": methods}
 
 
@@ -720,11 +725,10 @@ def _check_zon_vol(ctx: BodyContext):
         # the volume-one copy: |Pi(tK)| = t^{n(n-1)} |Pi K| with t^n = 1/|K|
         pivol = Estimate.of(zone.volume() * vol ** (1 - n))
         subs.append(SubCase("projection body volume, lower",
-                            Estimate.of((part / n) ** n), pivol, "le",
-                            tol=ctx.cfg.tol))
+                            Estimate.of((part / n) ** n), pivol, "le"))
         upper = omega(n) * (omega(n - 1) * part / (n * omega(n))) ** n
         subs.append(SubCase("projection body volume, upper",
-                            pivol, Estimate.of(upper), "le", tol=ctx.cfg.tol))
+                            pivol, Estimate.of(upper), "le"))
         budget_note = None
     else:
         budget_note = (f"projection body has {m} generators; exact volume "
@@ -735,9 +739,11 @@ def _check_zon_vol(ctx: BodyContext):
     lower = omega(n) * (n * omega(n) / (omega(n - 1) * part)) ** n
     upper = 4.0 ** n * n ** n / (math.factorial(n) * part ** n)
     subs.append(SubCase("polar projection body volume, lower",
-                        Estimate.of(lower), polar, "le", tol=ctx.cfg.tol))
+                        Estimate.of(lower), polar, "le",
+                        tol=ZON_VOL_POLAR_TOL))
     subs.append(SubCase("polar projection body volume, upper",
-                        polar, Estimate.of(upper), "le", tol=ctx.cfg.tol))
+                        polar, Estimate.of(upper), "le",
+                        tol=ZON_VOL_POLAR_TOL))
     detail = {"min_surface_quotient": part, "generators": m}
     if budget_note:
         detail["note"] = budget_note
@@ -773,9 +779,9 @@ def _check_alek(ctx: BodyContext):
     subs = []
     for k in range(1, n - 1):
         subs.append(SubCase(f"Q_{k} >= Q_{k + 1}", q_values[k],
-                            q_values[k + 1], "ge", tol=0.0))
+                            q_values[k + 1], "ge"))
     subs.append(SubCase(f"Q_{n - 1} >= vrad", q_values[n - 1],
-                        Estimate.of(vrad(ctx.body)), "ge", tol=0.0))
+                        Estimate.of(vrad(ctx.body)), "ge"))
     detail = {"chain": {f"Q_{k}": q.value for k, q in sorted(q_values.items())},
               "vrad": vrad(ctx.body), "mean_width": q_values[1].value}
     return subs, detail
@@ -784,8 +790,7 @@ def _check_alek(ctx: BodyContext):
 def _check_s_inradius(ctx: BodyContext):
     lhs = Estimate.of(ctx.surface())
     rhs = Estimate.of(ctx.n * ctx.volume() / ctx.inradius())
-    return [SubCase("surface vs volume over inradius", lhs, rhs, "le",
-                    tol=0.0)], {}
+    return [SubCase("surface vs volume over inradius", lhs, rhs, "le")], {}
 
 
 def _check_t_quer_1(ctx: BodyContext):
@@ -798,12 +803,10 @@ def _check_t_quer_1(ctx: BodyContext):
         lhs = Estimate.of(vol ** (1.0 / n) * min_val)
         vnp = ctx.quermass(p)
         const = (p + 1) * omega(n - 1) * part / (n * omega(n))
-        subs.append(SubCase(f"p={p}", lhs, vnp.scaled(const), "le",
-                            tol=ctx.cfg.tol))
+        subs.append(SubCase(f"p={p}", lhs, vnp.scaled(const), "le"))
         if ctx.is_zonoid:
             subs.append(SubCase(f"p={p}, zonoid constant", lhs,
-                                vnp.scaled((p + 1) * b_constant(n)), "le",
-                                tol=ctx.cfg.tol))
+                                vnp.scaled((p + 1) * b_constant(n)), "le"))
         methods[f"p={p}"] = method
     return subs, {"methods": methods, "min_surface_quotient": part}
 
@@ -818,7 +821,7 @@ def _check_t_quer_2(ctx: BodyContext):
         const = ((p + 1) * omega(n - 1) / (n * omega(n))
                  * surf / vol ** ((n - 1.0) / n))
         subs.append(SubCase(f"p={p}", lhs, ctx.quermass(p).scaled(const),
-                            "le", tol=ctx.cfg.tol))
+                            "le"))
         methods[f"p={p}"] = method
     return subs, {"methods": methods}
 
@@ -830,7 +833,7 @@ def _check_t_quer_3(ctx: BodyContext):
         mean, method = ctx.shadow_quermass_mean(p)
         expo = (n - 1.0 - p) / (n - p)
         rhs = ctx.quermass(p).powered(expo).scaled(omega(n - 1) / omega(n) ** expo)
-        subs.append(SubCase(f"p={p}", mean, rhs, "ge", tol=ctx.cfg.tol))
+        subs.append(SubCase(f"p={p}", mean, rhs, "ge"))
         # the mean is (omega_{n-1}/omega_n) V_{n-1-p}(K) by Kubota, so this
         # sub-case divided by omega_{n-1} reads Q_{n-1-p}(K) >= Q_{n-p}(K)
         methods[f"p={p}"] = (f"{method}; Aleksandrov inequality "
@@ -853,7 +856,7 @@ def _check_t_quer_4(ctx: BodyContext):
             expo = (n - 1.0 - p) / (n - p)
             const = omega(n - 1) * c0 ** (p / (n - p)) / omega(n) ** expo
             rhs = child.quermass(p).scaled(const)
-            subs.append(SubCase(f"p={p}", lhs, rhs, "ge", tol=ctx.cfg.tol))
+            subs.append(SubCase(f"p={p}", lhs, rhs, "ge"))
             reported[f"p={p}"] = method
         return subs, reported
     return _at_positions(ctx, _UPPER_POSITIONS, evaluate)
@@ -891,8 +894,7 @@ def _check_fgm(ctx: BodyContext):
                        key=lambda q: q.value)
             lhs = ctx.quermass(p).scaled(1.0 / vol)
             rhs = best.scaled(1.0 / math.comb(n - k + p, n - k))
-            subs.append(SubCase(f"k={k}, p={p}", lhs, rhs, "ge",
-                                tol=ctx.cfg.tol))
+            subs.append(SubCase(f"k={k}, p={p}", lhs, rhs, "ge"))
     return subs, {"frames_per_subspace_dim": 50}
 
 
@@ -906,7 +908,7 @@ def _check_l_higher_1(ctx: BodyContext):
         quotients = surfs / vols
         worst = float(quotients.max())
         rhs = Estimate.of(n / (k * (n - k + 1.0)) * worst)
-        subs.append(SubCase(f"k={k}", lhs, rhs, "ge", tol=0.0))
+        subs.append(SubCase(f"k={k}", lhs, rhs, "ge"))
     return subs, {"frames_per_subspace_dim": 50}
 
 
@@ -931,7 +933,7 @@ def _check_t_higher_2(ctx: BodyContext):
             methods[f"k={k}"] = f"Grassmann minimizer, d = {k * n}"
         lhs = Estimate.of(vol ** ((n - k) / n) * value)
         rhs = Estimate.of((n - k + 1.0) * b_constant(n) ** (n - k) * surf)
-        subs.append(SubCase(f"k={k}", lhs, rhs, "le", tol=0.0))
+        subs.append(SubCase(f"k={k}", lhs, rhs, "le"))
     return subs, {"methods": methods}
 
 
@@ -944,7 +946,7 @@ def _check_t_higher_5(ctx: BodyContext):
         # p_k = E_F |P_F K| / |K|^{k/n} = (omega_k/omega_n) W_{n-k}(K) / |K|^{k/n}
         pk = ctx.quermass(n - k).scaled(omega(k) / omega(n) * vol ** (-k / n))
         rhs = pk.scaled(k * (n - k + 1.0) / n * surf)
-        subs.append(SubCase(f"k={k}", lhs, rhs, "le", tol=ctx.cfg.tol))
+        subs.append(SubCase(f"k={k}", lhs, rhs, "le"))
     return subs, {}
 
 
@@ -959,7 +961,7 @@ def _check_t_higher_6(ctx: BodyContext):
         lhs = ctx.mean_frame_surface(k)
         const = k * omega(k) / (n * omega(n)) ** ((k - 1.0) / (n - 1))
         rhs = Estimate.of(const * surf ** ((k - 1.0) / (n - 1)))
-        subs.append(SubCase(f"k={k}", lhs, rhs, "ge", tol=ctx.cfg.tol))
+        subs.append(SubCase(f"k={k}", lhs, rhs, "ge"))
     return subs, {}
 
 
@@ -998,7 +1000,7 @@ def _check_ck_ident(ctx: BodyContext):
     mean_shadow = mc_estimate(ctx.shadow_vols())
     kubota = mean_shadow.scaled(n * omega(n) / omega(n - 1))
     subs = [SubCase("surface from mean shadow volume", kubota, surf, "eq",
-                    tol=0.0, sigmas=4.0)]
+                    sigmas=4.0)]
     mean_surface = mc_estimate(ctx.shadow_surfs())
     if n == 3:
         half = min(ctx.cfg.samples, SPHERE_PANEL_MAX) // 2
@@ -1010,7 +1012,7 @@ def _check_ck_ident(ctx: BodyContext):
         lower = mc_estimate(vols)
     fubini = lower.scaled((n - 1.0) * omega(n - 1) / omega(n - 2))
     subs.append(SubCase("mean shadow surface from codimension-2 shadows",
-                        mean_surface, fubini, "eq", tol=0.0, sigmas=4.0))
+                        mean_surface, fubini, "eq", sigmas=4.0))
     return subs, {}
 
 
@@ -1019,7 +1021,7 @@ def _check_ball_eq(ctx: BodyContext):
     lhs = Estimate.of(ctx.volume() ** (1.0 / n) * ctx.min_shadow_surface())
     rhs = Estimate.of(b_constant(n) * ctx.surface())
     sub = SubCase("sharp zonoid bound at a ball approximant", lhs, rhs, "le",
-                  tol=ctx.cfg.tol)
+                  tol=BALL_EQ_TOL)
     detail = {"equality_gap": 1.0 - lhs.value / rhs.value}
     return [sub], detail
 

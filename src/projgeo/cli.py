@@ -162,8 +162,7 @@ def _cmd_verify(args) -> int:
     corpus = _load_corpus(args.corpus, args.dim)
     ids = args.ids.split(",") if args.ids else None
     report = suite.run_suite(corpus, ids=ids, seed=args.seed, out=args.out,
-                             jobs=args.jobs, samples=args.samples,
-                             tol=args.tol)
+                             jobs=args.jobs, samples=args.samples)
     summary = report["summary"]
     for res in report["results"]:
         if res["status"] in ("fail", "error", "inconclusive"):
@@ -268,9 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default="default",
                    help="'default' or a JSON file with body names/specs")
     p.add_argument("--ids", help="comma-separated check ids (default: all)")
-    p.add_argument("--tol", type=float, default=0.05,
-                   help="relative tolerance for measured-constant bounds "
-                        "(default 0.05)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel bodies (report bytes are unaffected)")
     p.add_argument("--out", help="report JSON path (CSV written next to it)")

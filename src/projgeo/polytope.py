@@ -405,9 +405,11 @@ class Polytope:
     @cached_property
     def symmetric(self) -> bool:
         """True when K = -K: the vertex set, rounded by `symmetry_keys`, is
-        closed under negation.  Tested once per polytope."""
+        closed under negation.  Tested once per polytope; the coordinate
+        extremes, which K = -K makes negatives, are compared before sorting."""
         r = symmetry_keys(self.vertices)
-        return np.array_equal(np.unique(r, axis=0), np.unique(-r, axis=0))
+        return (np.array_equal(r.max(axis=0), -r.min(axis=0))
+                and np.array_equal(np.unique(r, axis=0), np.unique(-r, axis=0)))
 
     def width_batch(self, directions: np.ndarray) -> np.ndarray:
         d = np.atleast_2d(np.asarray(directions, dtype=float))

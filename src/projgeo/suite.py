@@ -62,11 +62,10 @@ def _evaluate_body(spec: BodySpec, check_specs, cfg: SuiteConfig):
 
 
 def _evaluate_job(args):
-    """Process-pool entry point: rebuild the inputs from primitives."""
-    spec_dict, ids, samples, tol, seed = args
-    spec = BodySpec.from_dict(spec_dict)
-    cfg = SuiteConfig(samples=samples, tol=tol, seed=seed)
-    return _evaluate_body(spec, [CHECK_MAP[i] for i in ids], cfg)
+    """Process-pool entry point: rebuild the body spec and checks."""
+    spec_dict, ids, cfg = args
+    return _evaluate_body(BodySpec.from_dict(spec_dict),
+                          [CHECK_MAP[i] for i in ids], cfg)
 
 
 def _summarize(results: list[CheckResult]) -> dict:
@@ -96,7 +95,7 @@ def _summarize(results: list[CheckResult]) -> dict:
 
 
 def run_suite(corpus, ids=None, seed: int = 0, out=None, *, jobs: int = 1,
-              samples: int = 20_000, tol: float = 0.05) -> dict:
+              samples: int = 20_000) -> dict:
     """Evaluate checks x corpus and return (and optionally write) a report.
 
     ``corpus`` is a list of :class:`BodySpec`; ``ids`` selects catalog
@@ -113,7 +112,7 @@ def run_suite(corpus, ids=None, seed: int = 0, out=None, *, jobs: int = 1,
     if unknown:
         raise ValueError(f"unknown check ids: {unknown}")
     check_specs = [CHECK_MAP[i] for i in ids]
-    cfg = SuiteConfig(samples=samples, tol=tol, seed=seed)
+    cfg = SuiteConfig(samples=samples, seed=seed)
 
     corpus = list(corpus)
     if jobs > 1:
@@ -123,7 +122,7 @@ def run_suite(corpus, ids=None, seed: int = 0, out=None, *, jobs: int = 1,
         with ProcessPoolExecutor(max_workers=jobs, mp_context=mp_ctx) as pool:
             per_body = list(pool.map(
                 _evaluate_job,
-                [(spec.to_dict(), list(ids), samples, tol, seed)
+                [(spec.to_dict(), list(ids), cfg)
                  for spec in corpus]))
     else:
         per_body = [_evaluate_body(spec, check_specs, cfg)
@@ -136,7 +135,6 @@ def run_suite(corpus, ids=None, seed: int = 0, out=None, *, jobs: int = 1,
         "config": {
             "seed": seed,
             "samples": samples,
-            "tol": tol,
             "ids": list(ids),
             "corpus": [spec.to_dict() for spec in corpus],
         },

@@ -22,7 +22,7 @@ from projgeo.sampling import RngSeed
 from projgeo.suite import run_suite
 from projgeo.zonotope import zonotope_to_polytope
 
-CFG = SuiteConfig(samples=20_000, tol=0.05, seed=0)
+CFG = SuiteConfig(samples=20_000, seed=0)
 
 
 def _cell(check_id, spec, cfg=CFG):

@@ -87,6 +87,14 @@ def test_position_has_no_samples_flag(capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+def test_verify_has_no_tol_flag(capsys):
+    # exact sides resolve at tolerance 0; no user value loosens a bound
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--tol", "0.05"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_compute_rejects_unknown_quantity(capsys):
     assert main(["compute", "--body", "cube", "--dim", "3",
                  "--quantity", "nonsense"]) == 2

@@ -21,7 +21,7 @@ from projgeo.suite import SEARCH_IDS, extremizer_search, run_suite
 from projgeo.svgplot import render
 from projgeo.zonotope import Zonotope, zonotope_to_polytope
 
-CFG = SuiteConfig(samples=20_000, tol=0.05, seed=0)
+CFG = SuiteConfig(samples=20_000, seed=0)
 
 
 def _cell(check_id: str, spec) -> "CheckResult":
@@ -744,8 +744,13 @@ def _tiny_corpus():
     return [bodies.cube(3), bodies.random_zonotope(3, 6, 1)]
 
 
-def test_suite_report_shape_and_ratio_sanity():
-    report = run_suite(_tiny_corpus(), seed=0)
+@pytest.fixture(scope="module")
+def tiny_report():
+    return run_suite(_tiny_corpus(), seed=0)
+
+
+def test_suite_report_shape_and_ratio_sanity(tiny_report):
+    report = tiny_report
     assert report["summary"]["ok"]
     counts = report["summary"]["counts"]
     assert counts["fail"] == 0 and counts["error"] == 0
@@ -762,6 +767,23 @@ def test_suite_report_shape_and_ratio_sanity():
             rel_sd /= max(abs(case["rhs"]["value"]), 1e-300)
             tol = case["tol"]
             assert 0.0 < case["ratio"] <= 1.0 + tol + 3.0 * rel_sd + 1e-12
+
+
+def test_only_named_allowances_carry_a_tolerance(tiny_report):
+    # exact sides resolve at tol 0 and sampled ones by their 3-sigma rule;
+    # a nonzero tol is an eq tolerance or one of the two named allowances
+    named = {"ZON-VOL": checks.ZON_VOL_POLAR_TOL, "BALL-EQ": checks.BALL_EQ_TOL}
+    allowed = []
+    for cell in tiny_report["results"]:
+        for case in cell["detail"].get("cases", []):
+            if case["tol"] == 0.0 or case["direction"] == "eq":
+                continue
+            assert case["tol"] == named.get(cell["id"]), (cell["id"], case)
+            if cell["id"] == "ZON-VOL":
+                assert case["label"].startswith("polar"), case["label"]
+            allowed.append(cell["id"])
+    assert "tol" not in tiny_report["config"]
+    assert allowed.count("ZON-VOL") == 2 * len(_tiny_corpus())
 
 
 def test_suite_rejects_unknown_ids():
@@ -840,8 +862,7 @@ def test_ghp_panel_cache_leaves_search_traces_unchanged():
 
 def test_ghp_panel_is_read_only_and_keyed_by_body_and_seed():
     def draw(spec, seed):
-        ctx = BodyContext(spec, SuiteConfig(samples=20_000, tol=0.05,
-                                            seed=seed))
+        ctx = BodyContext(spec, SuiteConfig(samples=20_000, seed=seed))
         dirs = checks._shared_directions(3, 100, ctx.rng("GHP"))
         fresh = sphere_points(3, 100, ctx.rng("GHP").generator())
         assert np.array_equal(dirs, fresh)
