@@ -34,6 +34,8 @@ Prints:
   * every position record (`detail.positions.<kind>.position`) whose
     residual changed, per cell and kind (a record present in only one
     report counts as changed);
+  * the largest position-record residual of each kind in A and in B, on
+    one line, so a solver or certificate change reads at a glance;
   * every top-level key other than `results` (such as `note`, `config`
     and `summary`) whose value differs or that only one report has.
 
@@ -109,6 +111,16 @@ def _residuals(cell: dict) -> dict:
     kinds = cell.get("detail", {}).get("positions", {})
     return {kind: entry["position"].get("residual")
             for kind, entry in kinds.items() if "position" in entry}
+
+
+def _largest_residuals(cells: dict) -> dict:
+    """The largest position-record residual of each kind over the cells."""
+    largest = {}
+    for cell in cells.values():
+        for kind, residual in _residuals(cell).items():
+            if residual is not None:
+                largest[kind] = max(largest.get(kind, residual), residual)
+    return largest
 
 
 def compare(a: dict, b: dict, out=sys.stdout) -> int:
@@ -226,6 +238,12 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
     section("sub-case sides that became exact", flips[True])
     section("sub-case sides that stopped being exact", flips[False])
     section("position-record residuals that changed", residuals)
+    large = _largest_residuals(cells_a), _largest_residuals(cells_b)
+    kinds = sorted(large[0].keys() | large[1].keys())
+    print("largest position-record residual per kind (A -> B): "
+          + (", ".join(kind + " " + " -> ".join(
+              f"{side[kind]:.3g}" if kind in side else "(absent)"
+              for side in large) for kind in kinds) or "none"), file=out)
     section("top-level keys other than results that differ",
             sorted(k for k in a.keys() | b.keys()
                    if k != "results" and a.get(k) != b.get(k)))

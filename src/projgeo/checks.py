@@ -58,7 +58,8 @@ BINDING_TIE = 1e-12
 # the cube's equality case up to 0.3% high; ROADMAP item 7's exact |Pi* K|
 # deletes this.
 ZON_VOL_POLAR_TOL = 0.05
-# BALL-EQ claims near-equality: ball-approx is a polytope, not a zonoid.
+# BALL-EQ claims near-equality, on both sides of the bound: ball-approx is a
+# polytope, not a zonoid.
 BALL_EQ_TOL = 0.05
 
 
@@ -180,9 +181,9 @@ class SuiteConfig:
 # residual certificates a position solve must meet before a positioned
 # check is allowed to run on its output
 _POSITION_CERT = {
-    "min-surface": 5e-5,
+    "min-surface": positions.MIN_SURFACE_TOL,
     "isotropic": 1e-7,
-    "john": 2e-3,
+    "john": 1e-9,
     "lowner": 1e-9,
     "min-width": 1e-9,  # edge-measure route; the sampled route has its flag
 }
@@ -1020,10 +1021,12 @@ def _check_ball_eq(ctx: BodyContext):
     n = ctx.n
     lhs = Estimate.of(ctx.volume() ** (1.0 / n) * ctx.min_shadow_surface())
     rhs = Estimate.of(b_constant(n) * ctx.surface())
-    sub = SubCase("sharp zonoid bound at a ball approximant", lhs, rhs, "le",
-                  tol=BALL_EQ_TOL)
+    subs = [SubCase("sharp zonoid bound at a ball approximant", lhs, rhs,
+                    "le", tol=BALL_EQ_TOL),
+            SubCase("sharp zonoid bound nearly attained at a ball approximant",
+                    lhs, rhs, "ge", tol=BALL_EQ_TOL)]
     detail = {"equality_gap": 1.0 - lhs.value / rhs.value}
-    return [sub], detail
+    return subs, detail
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ positioned body is to the defining fixed-point condition:
 * isotropic: the covariance of the volume-1 body is L^2 I, computed in closed
   form from the exact covariance (residual is roundoff);
 * John / Loewner: largest inscribed / smallest circumscribed ellipsoid, the
-  residual is the relative KKT stationarity / the relative violation of
-  the Loewner optimality condition, read from a freshly inverted scatter;
+  residual is the largest relative violation of John's KKT conditions,
+  read from the returned ellipsoid and multipliers / the relative
+  violation of the Loewner optimality condition, read from a freshly
+  inverted scatter;
 * minimal mean width: the edge measure M = sum_e |e| g_e e^ e^T / sum_e
   |e| g_e (unit edge directions e^, normalized external angles g_e) is
   isotropic, residual = ||n M - I||_F; exact for zonotopes at every n and
@@ -24,9 +26,10 @@ The iterative solvers keep their per-step work small.  Loewner's
 Frank-Wolfe steps update the inverse scatter by Sherman-Morrison on one
 vertex of each ± pair of an origin-symmetric body (a centered ellipsoid)
 or on the lifted vertices otherwise, until Newton's method solves the
-optimality conditions on the support they found.  John starts from the
-inscribed ball `inradius` caches on the polytope, which an
-origin-symmetric body gets with no LP.  The edge-measure iteration
+optimality conditions on the support they found.  John's interior-point
+Newton matrix is diagonal plus a rank-n(n+1)/2 term, solved by Woodbury
+in time linear in the facet count; it starts from the polytope's interior
+point, so it runs no LP.  The edge-measure iteration
 transports facet normals instead of building hulls.  The sampled
 mean-width descent lays its support products out (vertices, directions)
 and reduces along the first axis.
@@ -37,10 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, nnls
 
 from .bodyops import Body, is_zonotope, to_polytope, transform_body
-from .polytope import (DegenerateInputError, centroid_and_covariance, inradius,
+from .polytope import (DegenerateInputError, centroid_and_covariance,
                        symmetry_keys)
 from .quermass import omega
 from .sampling import RngSeed, sphere_points
@@ -53,8 +55,9 @@ LOWNER_TOL = 1e-12           # relative violation of the Loewner condition
 LOWNER_HANDOFF = 1e-2        # Frank-Wolfe residual at which Newton starts
 LOWNER_NEWTON_STEPS = 30     # Newton steps per attempt
 LOWNER_MAX_ITER = 10_000     # Frank-Wolfe and Newton steps
-JOHN_TOL = 1e-7              # relative KKT residual
-JOHN_MAX_ITER = 300          # SLSQP iterations
+JOHN_TOL = 1e-11             # relative KKT residual (`_john_kkt`)
+JOHN_MAX_ITER = 100          # interior-point steps
+JOHN_STEP = 0.99             # fraction of the step to the boundary y, s > 0
 EDGE_MEASURE_TOL = 1e-10     # residual ||n M - I||_F of the edge measure
 EDGE_MEASURE_MAX_ITER = 200
 MIN_WIDTH_PAIRS = 1000       # sampled route: antithetic direction pairs
@@ -203,12 +206,12 @@ def isotropic_position(body: Body) -> tuple[PositionResult, float]:
 # Loewner (smallest circumscribed ellipsoid)
 
 
-def _pair_rows(points: np.ndarray) -> np.ndarray:
-    """One vertex of each ± pair of an origin-symmetric vertex set: the one
+def _pair_mask(points: np.ndarray) -> np.ndarray:
+    """One point of each ± pair of an origin-symmetric point set: the one
     whose first nonzero symmetry key (`symmetry_keys`) is positive."""
     keys = symmetry_keys(points)
     first = keys[np.arange(len(keys)), np.argmax(keys != 0.0, axis=1)]
-    return points[first > 0.0]
+    return first > 0.0
 
 
 def _lowner_newton(rows: np.ndarray, u: np.ndarray,
@@ -279,7 +282,7 @@ def lowner_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
     points = poly.vertices
     n = poly.dim
     symmetric = poly.symmetric
-    rows = (_pair_rows(points) if symmetric
+    rows = (points[_pair_mask(points)] if symmetric
             else np.hstack([points, np.ones((len(points), 1))]))
     count, d = rows.shape
     u = np.full(count, 1.0 / count)
@@ -354,121 +357,175 @@ def lowner_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
 # John (largest inscribed ellipsoid)
 
 
-def _sym_to_vec(mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
+def _john_kkt(normals: np.ndarray, offsets: np.ndarray, root: np.ndarray,
+              center: np.ndarray, lam: np.ndarray, centered: bool) -> float:
+    """Largest relative violation of the KKT conditions of
+    max log det E s.t. ||E a_i|| + <a_i, c> <= b_i at the ellipsoid with
+    SPD shape root ``root`` = E and center c, under the multipliers λ.
+
+    With h_i = ||E a_i||, s_i = b_i - h_i - <a_i, c> and y_i = λ_i / h_i the
+    conditions are E (Σ y_i a_i a_i^T) E = I (shape stationarity),
+    Σ λ_i a_i = 0 (center stationarity, read as ||E Σ λ_i a_i||; dropped
+    when the center is held at 0), Σ λ_i s_i = 0, s >= 0 and λ >= 0.
+    Each is read relative to Σ λ_i h_i (= n at the optimum) or, for s, to
+    h_i, so the residual is invariant under affine maps and under
+    rescaling a row (a_i, b_i).
+    """
+    n = center.shape[0]
+    moved = normals @ root
+    h = np.sqrt(np.einsum("ij,ij->i", moved, moved))
+    slack = offsets - h - normals @ center
+    total = float(lam @ h)
+    stationary = moved.T @ (moved * (lam / h)[:, None]) - np.eye(n)
+    return max(float(np.abs(np.linalg.eigvalsh(stationary)).max()),
+               0.0 if centered else float(np.linalg.norm(moved.T @ lam)) / total,
+               abs(float(lam @ slack)) / total,
+               float((-slack / h).max()),
+               float((-lam * h).max()) / total)
+
+
+def _john_newton(rows: np.ndarray, centered: bool
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Primal-dual interior-point solve of max log det E s.t.
+    ||E r_i|| + <r_i, c> <= 1 (Zhang & Gao, SIAM J. Optim. 14, 2003).
+
+    The dual weights y > 0 carry the shape, E^2 = M^{-1} with
+    M = Σ y_i r_i r_i^T = L L^T, and h_i = ||E r_i|| = ||L^{-1} r_i||; the
+    multipliers are λ_i = y_i h_i.  Newton's method with Mehrotra's
+    predictor-corrector drives the residuals of Σ y_i h_i r_i = 0 (skipped
+    when ``centered``: c stays 0), <r_i, c> + h_i + s_i = 1 and
+    y_i s_i = σμ to 0, keeping y, s > 0 by a step of JOHN_STEP of the way
+    to their boundary.  Since dh = -½ H^{-1} (Q∘Q) dy for
+    Q = R M^{-1} R^T, eliminating ds leaves G dy = H (R dc + r̂) with
+    G = diag(h s / y) + ½ Q∘Q, and then an n x n system for dc.
+    Q∘Q = V V^T has rank n(n+1)/2: V_i is the packed b_i b_i^T of
+    b_i = L^{-1} r_i, so G is solved by Woodbury in O(F n^4), not O(F^3).
+    The start is c = 0 and a constant y with every h_i <= 1/2.  The solve
+    stops once the center residual ||L^{-1} Σ λ_i r_i|| / Σ λ_i h_i, the
+    relative complementarity Σ λ_i s_i / Σ λ_i h_i and the relative
+    infeasibility max_i -s_i / h_i, on the true slacks
+    s_i = 1 - <r_i, c> - h_i, are all <= JOHN_TOL.  Returns y, c, L^{-1},
+    h and the steps taken.
+    """
+    count, n = rows.shape
     iu = np.triu_indices(n)
-    weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    return mat[iu] * weights
+    packed = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    c = np.zeros(n)
+    b = rows @ np.linalg.inv(np.linalg.cholesky(rows.T @ rows)).T
+    y = np.full(count, 4.0 * float(np.einsum("ij,ij->i", b, b).max()))
+    s = None
+    steps = 0
+    while True:
+        m = rows.T @ (rows * y[:, None])
+        linv = np.linalg.inv(np.linalg.cholesky(m))
+        b = rows @ linv.T
+        h = np.sqrt(np.einsum("ij,ij->i", b, b))
+        if s is None:
+            s = 1.0 - h
+        r2 = rows @ c + s + h - 1.0
+        lam = y * h
+        total = float(lam @ h)
+        r1 = rows.T @ lam
+        residual = max(
+            0.0 if centered else float(np.linalg.norm(linv @ r1)) / total,
+            abs(float(lam @ (s - r2))) / total,
+            float(((r2 - s) / h).max()))
+        if residual <= JOHN_TOL or steps == JOHN_MAX_ITER:
+            return y, c, linv, h, steps
+        v = b[:, iu[0]] * b[:, iu[1]] * packed
+        d = h * s / y
+        vd = v / d[:, None]
+        cap = 2.0 * np.eye(len(packed)) + v.T @ vd
+
+        def woodbury(x: np.ndarray) -> np.ndarray:
+            dx = x / d[:, None]
+            return dx - vd @ np.linalg.solve(cap, v.T @ dx)
+
+        def g_solve(x: np.ndarray) -> np.ndarray:
+            # near the optimum d spans many decades, and Woodbury's
+            # difference loses the touching rows; one refinement step
+            # against G = diag(d) + ½ V V^T restores them
+            z = woodbury(x)
+            return z + woodbury(x - d[:, None] * z - 0.5 * v @ (v.T @ z))
+
+        if not centered:
+            gha = g_solve(h[:, None] * rows)
+            hs = h + s
+            schur = rows.T @ (hs[:, None] * gha) - m
+
+        def newton(r3: np.ndarray):
+            rhat = r2 - r3 / y
+            g = g_solve((h * rhat)[:, None])[:, 0]
+            if centered:
+                dc, dy = np.zeros(n), g
+            else:
+                dc = np.linalg.solve(schur, rows.T @ (y * rhat - hs * g) - r1)
+                dy = gha @ dc + g
+            return dc, dy, -(r3 + s * dy) / y
+
+        def to_boundary(dy: np.ndarray, ds: np.ndarray) -> float:
+            ratios = np.concatenate([y[dy < 0.0] / -dy[dy < 0.0],
+                                     s[ds < 0.0] / -ds[ds < 0.0], [1.0]])
+            return float(ratios.min())
+
+        mu = float(y @ s) / count
+        _, dy, ds = newton(y * s)
+        t = to_boundary(dy, ds)
+        sigma = (float((y + t * dy) @ (s + t * ds)) / count / mu) ** 3
+        dc, dy, ds = newton(y * s + dy * ds - sigma * mu)
+        t = JOHN_STEP * to_boundary(dy, ds)
+        c = c + t * dc
+        y = y + t * dy
+        s = s + t * ds
+        steps += 1
 
 
 def john_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
-    """Largest inscribed ellipsoid by sequential quadratic programming.
+    """Largest inscribed ellipsoid by a primal-dual interior-point solve.
 
-    The ellipsoid L B_2^n + d is parametrized by a lower-triangular L with
-    positive diagonal, so maximizing the volume is minimizing
-    -sum log L_ii under the smooth facet constraints
-    ||L^T u_i|| + <u_i, d> <= b_i.  The start is 0.9 r0 B_2^n at the
-    Chebyshev center (`inradius`: an LP, shared with every other inradius
-    call on the polytope; for origin-symmetric bodies the center is 0 and
-    r0 = min_i b_i without one), and the center of an origin-symmetric
-    body stays fixed at 0 throughout.  The reported residual is the
-    relative norm of the log-det gradient projected onto the active-facet
-    cone (NNLS), i.e. a KKT stationarity certificate computed independently
-    of the solver.
+    The solve (`_john_newton`) runs in the frame x' = C^{-1/2} (x - o) that
+    whitens the vertex covariance C about the origin o, which is 0 for an
+    origin-symmetric body and `Polytope.interior_point` otherwise, on the
+    facet rows r_i = C^{1/2} u_i / (b_i - <u_i, o>) with offsets 1.  John's
+    ellipsoid is affine-equivariant, so it maps back as
+    shape = C^{1/2} M^{-1} C^{1/2} and center = C^{1/2} c + o.  An
+    origin-symmetric body keeps one facet of each ± pair (`_pair_mask` on
+    u_i / b_i; both rows weigh the same r r^T) and its center stays at 0.
+    No LP runs: the start is the origin o.  The reported residual is
+    `_john_kkt`, recomputed in the body's own frame from the returned
+    shape and center and the multipliers λ_i = y_i h_i / (b_i - <u_i, o>),
+    over every facet (0 on the other facet of each pair).
     """
     poly = to_polytope(body)
     n = poly.dim
     normals = poly.facet_normals
     offsets = poly.facet_offsets
     symmetric = poly.symmetric
-    r0, center0 = inradius(poly)
-    q = n * (n + 1) // 2
-    il = np.tril_indices(n)
-    diag_pos = np.where(il[0] == il[1])[0]
-    free_center = 0 if symmetric else n
-
-    def unpack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        low = np.zeros((n, n))
-        low[il] = x[:q]
-        cen = np.zeros(n) if symmetric else x[q:]
-        return low, cen
-
-    def objective(x: np.ndarray) -> float:
-        return -float(np.sum(np.log(x[:q][diag_pos])))
-
-    def objective_grad(x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.size)
-        g[diag_pos] = -1.0 / x[:q][diag_pos]
-        return g
-
-    def constraints(x: np.ndarray) -> np.ndarray:
-        low, cen = unpack(x)
-        return offsets - normals @ cen - np.linalg.norm(normals @ low, axis=1)
-
-    def constraints_jac(x: np.ndarray) -> np.ndarray:
-        low, cen = unpack(x)
-        prods = normals @ low
-        lens = np.maximum(np.linalg.norm(prods, axis=1), 1e-300)
-        full = normals[:, :, None] * (prods / lens[:, None])[:, None, :]
-        jac = np.zeros((normals.shape[0], x.size))
-        jac[:, :q] = -full[:, il[0], il[1]]
-        if not symmetric:
-            jac[:, q:] = -normals
-        return jac
-
-    x0 = np.zeros(q + free_center)
-    x0[:q] = (0.9 * r0) * np.eye(n)[il]
-    if not symmetric:
-        x0[q:] = center0
-    lower = np.full(x0.size, -np.inf)
-    lower[diag_pos] = 1e-9 * r0
-    solve = minimize(
-        objective, x0, jac=objective_grad, method="SLSQP",
-        constraints=[{"type": "ineq", "fun": constraints,
-                      "jac": constraints_jac}],
-        bounds=list(zip(lower, np.full(x0.size, np.inf))),
-        options={"maxiter": JOHN_MAX_ITER, "ftol": 1e-14})
-    low, d = unpack(solve.x)
-
-    # SPD square root of the shape so the certificate and the returned
-    # transform are parametrization-free
-    shape = low @ low.T
-    eigval, eigvec = np.linalg.eigh(shape)
-    mat = (eigvec * np.sqrt(np.clip(eigval, 1e-300, None))) @ eigvec.T
-
-    inv = np.linalg.inv(mat)
-    grad_full = np.concatenate(
-        [_sym_to_vec(0.5 * (inv + inv.T)), np.zeros(free_center)])
-    lengths = np.linalg.norm(normals @ mat, axis=1)
-    slack = offsets - lengths - normals @ d
-    # absolute activation threshold: offsets of facets through the origin
-    # vanish, so a relative-to-offset test would drop them from the cone
-    body_scale = max(float(np.abs(offsets).max()), r0)
-    active = slack <= 1e-6 * body_scale
-    if np.any(active):
-        cols = []
-        for i in np.flatnonzero(active):
-            u = normals[i]
-            au = mat @ u
-            outer = np.outer(au, u)
-            grad_con = _sym_to_vec(0.5 * (outer + outer.T) / max(lengths[i], 1e-300))
-            cols.append(grad_con if symmetric
-                        else np.concatenate([grad_con, u]))
-        cmat = np.array(cols).T
-        coef, _ = nnls(cmat, grad_full)
-        proj = grad_full - cmat @ coef
-    else:
-        proj = grad_full
-    gnorm = float(np.linalg.norm(grad_full))
-    residual = float(np.linalg.norm(proj)) / max(gnorm, 1e-300)
-
-    ellipsoid = Ellipsoid(shape=shape, center=d)
-    det = abs(float(np.linalg.det(inv)))
-    result = PositionResult(transform=inv / det ** (1.0 / n), residual=residual,
-                            objective=ellipsoid.volume(),
-                            iterations=int(solve.nit),
+    origin = np.zeros(n) if symmetric else poly.interior_point
+    _, spread, basis = np.linalg.svd(poly.vertices - origin,
+                                     full_matrices=False)
+    frame = (basis.T * (spread / np.sqrt(poly.n_vertices))) @ basis
+    room = offsets - normals @ origin
+    keep = (_pair_mask(normals / offsets[:, None]) if symmetric
+            else np.ones(len(offsets), dtype=bool))
+    rows = (normals[keep] @ frame) / room[keep, None]
+    y, c, linv, h, iterations = _john_newton(rows, centered=symmetric)
+    lam = np.zeros(len(offsets))
+    lam[keep] = y * h / room[keep]
+    # shape = F F^T for F = C^{1/2} L^{-T}; its SPD square root comes from
+    # the SVD of F, which keeps the small axes of a thin body accurate
+    # where an eigendecomposition of the shape (cond F^2) would not
+    left, radii, _ = np.linalg.svd(frame @ linv.T)
+    center = np.zeros(n) if symmetric else frame @ c + origin
+    residual = _john_kkt(normals, offsets, (left * radii) @ left.T, center,
+                         lam, symmetric)
+    ellipsoid = Ellipsoid(shape=(left * radii ** 2) @ left.T, center=center)
+    scale = float(np.prod(radii)) ** (-1.0 / n)
+    result = PositionResult(transform=(left / radii) @ left.T / scale,
+                            residual=residual, objective=ellipsoid.volume(),
+                            iterations=iterations,
                             converged=residual <= JOHN_TOL,
-                            scale=det ** (1.0 / n), shift=d)
+                            scale=scale, shift=center)
     return result, ellipsoid
 
 

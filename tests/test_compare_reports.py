@@ -262,6 +262,30 @@ def test_changed_position_residuals_are_listed_per_cell_and_kind(tmp_path):
     assert "verdicts: unchanged" in out
 
 
+def test_largest_position_residual_per_kind_reads_in_one_line(tmp_path):
+    code, out = _run(tmp_path, _report(), _report())
+    assert ("largest position-record residual per kind (A -> B): none"
+            in out.splitlines())
+    a, b = _positioned(0.03, 4e-11)
+    # a second positioned cell holds A's larger John residual
+    for report, john in ((a, 2e-3), (b, 1e-12)):
+        other = json.loads(json.dumps(report["results"][-1]))
+        other["body"] = "cross"
+        other["detail"]["positions"]["john"]["position"]["residual"] = john
+        report["results"].append(other)
+    del b["results"][-1]["detail"]["positions"]["min-width"]
+    code, out = _run(tmp_path, a, b)
+    assert code == 0
+    assert ("largest position-record residual per kind (A -> B): "
+            "john 0.002 -> 1e-08, min-width 0.03 -> 4e-11"
+            in out.splitlines())
+    del b["results"][-2]["detail"]["positions"]["min-width"]
+    code, out = _run(tmp_path, a, b)
+    assert ("largest position-record residual per kind (A -> B): "
+            "john 0.002 -> 1e-08, min-width 0.03 -> (absent)"
+            in out.splitlines())
+
+
 def test_top_level_key_changes_are_listed_without_changing_the_exit(tmp_path):
     a = {**_report(), "note": "old", "config": {"n": 3},
          "summary": {"cells": 3}}

@@ -784,6 +784,11 @@ def test_only_named_allowances_carry_a_tolerance(tiny_report):
             allowed.append(cell["id"])
     assert "tol" not in tiny_report["config"]
     assert allowed.count("ZON-VOL") == 2 * len(_tiny_corpus())
+    # BALL-EQ's allowance bounds both sides of its near-equality
+    ball = run_suite([bodies.ball_approx(3, 100)], ids=["BALL-EQ"], seed=0)
+    cases = ball["results"][0]["detail"]["cases"]
+    assert [(case["direction"], case["tol"], case["status"]) for case in cases] \
+        == [("le", checks.BALL_EQ_TOL, "pass"), ("ge", checks.BALL_EQ_TOL, "pass")]
 
 
 def test_suite_rejects_unknown_ids():

@@ -1,10 +1,11 @@
 """Classical positions: fixed points, certificates, and recovery tests."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog, nnls
+from scipy.optimize import minimize, nnls
 
 from projgeo import bodies, polytope
 from projgeo.bodyops import transform_body
@@ -313,7 +314,7 @@ def test_lowner_centered_rows_match_lifted_rows(monkeypatch, n, seed):
                          ids=lambda spec: f"{spec.name}-n{spec.dim}")
 def test_lowner_keeps_one_row_of_each_pair(spec):
     poly = positions.to_polytope(spec.build())
-    rows = positions._pair_rows(poly.vertices)
+    rows = poly.vertices[positions._pair_mask(poly.vertices)]
     assert 2 * len(rows) == poly.n_vertices
     # every vertex is a kept row or the negation of one
     both = np.vstack([rows, -rows])
@@ -373,18 +374,154 @@ def test_a_polytope_is_tested_for_symmetry_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# John: an origin-symmetric body starts from its own inradius
+# John: the interior-point solve against an SLSQP reference
 
 
-def _chebyshev_ball(poly):
-    """Reference: the largest inscribed ball (radius, center) by scipy's LP."""
-    f, n = poly.facet_normals.shape
-    res = linprog(np.r_[np.zeros(n), -1.0],
-                  A_ub=np.hstack([poly.facet_normals, np.ones((f, 1))]),
-                  b_ub=poly.facet_offsets,
-                  bounds=[(None, None)] * n + [(0.0, None)], method="highs")
-    assert res.success
-    return float(res.x[-1]), res.x[:n]
+def _svec(mat: np.ndarray) -> np.ndarray:
+    iu = np.triu_indices(mat.shape[0])
+    return mat[iu] * np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+
+
+def _reference_john(poly) -> Ellipsoid:
+    """Reference: the largest inscribed ellipsoid L B_2^n + d by SLSQP over
+    every facet.  L is lower triangular, the objective -sum log L_ii, the
+    constraints ||L^T u_i|| + <u_i, d> <= b_i, and the start 0.9 times the
+    largest inscribed ball (`polytope.inradius`, an LP unless the body is
+    origin-symmetric); an origin-symmetric body keeps d = 0."""
+    n = poly.dim
+    normals, offsets = poly.facet_normals, poly.facet_offsets
+    symmetric = poly.symmetric
+    r0, center0 = polytope.inradius(poly)
+    q = n * (n + 1) // 2
+    il = np.tril_indices(n)
+    diag = np.flatnonzero(il[0] == il[1])
+
+    def unpack(x):
+        low = np.zeros((n, n))
+        low[il] = x[:q]
+        return low, (np.zeros(n) if symmetric else x[q:])
+
+    def objective_grad(x):
+        grad = np.zeros(x.size)
+        grad[diag] = -1.0 / x[diag]
+        return grad
+
+    def constraints(x):
+        low, center = unpack(x)
+        return (offsets - normals @ center
+                - np.linalg.norm(normals @ low, axis=1))
+
+    def constraints_jac(x):
+        low, _ = unpack(x)
+        prods = normals @ low
+        unit = prods / np.linalg.norm(prods, axis=1)[:, None]
+        full = normals[:, :, None] * unit[:, None, :]
+        jac = np.zeros((len(normals), x.size))
+        jac[:, :q] = -full[:, il[0], il[1]]
+        if not symmetric:
+            jac[:, q:] = -normals
+        return jac
+
+    x0 = np.zeros(q + (0 if symmetric else n))
+    x0[:q] = 0.9 * r0 * np.eye(n)[il]
+    if not symmetric:
+        x0[q:] = center0
+    lower = np.full(x0.size, -np.inf)
+    lower[diag] = 1e-9 * r0
+    res = minimize(lambda x: -float(np.sum(np.log(x[diag]))), x0,
+                   jac=objective_grad, method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": constraints,
+                                 "jac": constraints_jac}],
+                   bounds=list(zip(lower, np.full(x0.size, np.inf))),
+                   options={"maxiter": 300, "ftol": 1e-14})
+    low, center = unpack(res.x)
+    return Ellipsoid(shape=low @ low.T, center=center)
+
+
+def _nnls_residual(poly, ellipsoid: Ellipsoid) -> float:
+    """A KKT certificate independent of either solver: the relative norm of
+    the log-det gradient left after projecting it (NNLS) onto the cone of
+    the constraint gradients of the facets within 1e-6 of touching."""
+    normals, offsets = poly.facet_normals, poly.facet_offsets
+    symmetric = poly.symmetric
+    eigval, eigvec = np.linalg.eigh(ellipsoid.shape)
+    root = (eigvec * np.sqrt(eigval)) @ eigvec.T
+    grad = _svec(np.linalg.inv(root))
+    if not symmetric:
+        grad = np.concatenate([grad, np.zeros(poly.dim)])
+    lengths = np.linalg.norm(normals @ root, axis=1)
+    slack = offsets - lengths - normals @ ellipsoid.center
+    # absolute: the offsets of facets through the origin vanish
+    scale = max(float(np.abs(offsets).max()), polytope.inradius(poly)[0])
+    cols = []
+    for i in np.flatnonzero(slack <= 1e-6 * scale):
+        outer = np.outer(root @ normals[i], normals[i])
+        col = _svec(0.5 * (outer + outer.T) / lengths[i])
+        cols.append(col if symmetric else np.concatenate([col, normals[i]]))
+    cmat = np.array(cols).T
+    coef, _ = nnls(cmat, grad)
+    return float(np.linalg.norm(grad - cmat @ coef) / np.linalg.norm(grad))
+
+
+def _assert_john_matches_reference(poly) -> tuple:
+    result, ellipsoid = john_position(poly)
+    assert result.converged and result.residual <= 1e-9
+    assert _nnls_residual(poly, ellipsoid) <= 1e-9
+    ref = _reference_john(poly)
+    assert ellipsoid.volume() == pytest.approx(ref.volume(), rel=1e-8, abs=0.0)
+    return result, ellipsoid, ref
+
+
+@pytest.mark.parametrize("spec", [spec for n in (3, 4)
+                                  for spec in bodies.corpus(n)],
+                         ids=lambda spec: f"{spec.name}-n{spec.dim}")
+def test_john_of_a_corpus_body_matches_the_slsqp_reference(spec):
+    _assert_john_matches_reference(positions.to_polytope(spec.build()))
+
+
+def _jittered_cube(n: int, seed: int) -> Polytope:
+    cube = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+    rng = np.random.default_rng(seed)
+    return Polytope(cube + 1e-13 * rng.standard_normal(cube.shape))
+
+
+@pytest.mark.parametrize(("n", "seed"), [(3, 0), (4, 0), (4, 1), (5, 0), (5, 1)])
+def test_john_of_a_jittered_cube_is_the_unit_ball(n, seed):
+    # at n >= 4 the jitter leaves sliver facets along the ridges
+    # (test_polytope), nearly parallel to the cube's own
+    poly = _jittered_cube(n, seed)
+    _, ellipsoid, _ = _assert_john_matches_reference(poly)
+    assert ellipsoid.volume() == pytest.approx(omega(n), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("stretch", [1e2, 1e4])
+@pytest.mark.parametrize("spec", [bodies.simplex(3), bodies.random_hull(3, 10, 1),
+                                  bodies.random_hull(4, 12, 1),
+                                  bodies.random_zonotope(4, 7, 1)],
+                         ids=lambda spec: f"{spec.name}-n{spec.dim}")
+def test_john_is_affine_equivariant(spec, stretch):
+    # John(T K) = T John(K); the solve whitens the vertex covariance, so a
+    # stretched body is solved in the same frame as the body itself
+    body = positions.to_polytope(spec.build())
+    n = body.dim
+    linear = np.diag([stretch] + [1.0] * (n - 1))
+    image = positions.to_polytope(transform_body(body, linear))
+    assert image.n_facets == body.n_facets
+    _, ellipsoid = john_position(body)
+    result, moved = john_position(image)
+    assert result.converged and result.residual <= 1e-9
+    assert moved.volume() == pytest.approx(stretch * ellipsoid.volume(),
+                                           rel=1e-9, abs=0.0)
+    back = np.diag(1.0 / np.diag(linear))
+    scale = np.abs(ellipsoid.shape).max()
+    assert np.abs(back @ moved.shape @ back
+                  - ellipsoid.shape).max() <= 1e-9 * scale
+    assert np.abs(back @ moved.center
+                  - ellipsoid.center).max() <= 1e-9 * np.sqrt(scale)
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("the Chebyshev-center LP ran")
 
 
 @pytest.mark.parametrize("spec", [bodies.cube(3), bodies.cross_polytope(3)]
@@ -392,31 +529,43 @@ def _chebyshev_ball(poly):
                          ids=lambda spec: spec.name)
 def test_john_of_a_symmetric_body_solves_no_lp(monkeypatch, spec):
     poly = positions.to_polytope(spec.build())
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("the Chebyshev-center LP ran")
-
-    monkeypatch.setattr(polytope, "linprog", no_lp)
+    monkeypatch.setattr(polytope, "linprog", _no_lp)
     result, ellipsoid = john_position(poly)
-    monkeypatch.undo()
-    # the LP-started solve, for reference
-    monkeypatch.setattr(positions, "inradius", _chebyshev_ball)
-    ref, ref_ellipsoid = john_position(poly)
-    assert result.converged
-    assert np.abs(result.transform - ref.transform).max() <= 1e-12
-    assert result.scale == pytest.approx(ref.scale, rel=1e-12, abs=0.0)
-    scale = np.abs(ref_ellipsoid.shape).max()
-    assert np.abs(ellipsoid.shape - ref_ellipsoid.shape).max() <= 1e-12 * scale
+    assert poly.symmetric and result.converged
+    assert np.array_equal(ellipsoid.center, np.zeros(3))
+    ref = _reference_john(poly)
+    assert ellipsoid.volume() == pytest.approx(ref.volume(), rel=1e-8, abs=0.0)
+    scale = np.abs(ref.shape).max()
+    assert np.abs(ellipsoid.shape - ref.shape).max() <= 1e-6 * scale
 
 
-def test_john_of_a_non_symmetric_body_keeps_the_lp_start(monkeypatch):
+@pytest.mark.parametrize("spec", [bodies.simplex(3), bodies.random_hull(3, 10, 1),
+                                  bodies.random_hull(4, 12, 1)],
+                         ids=lambda spec: f"{spec.name}-n{spec.dim}")
+def test_john_of_a_non_symmetric_body_solves_no_lp(monkeypatch, spec):
+    # the solve starts from `Polytope.interior_point`, not the Chebyshev ball
+    poly = spec.build()
+    monkeypatch.setattr(polytope, "linprog", _no_lp)
+    result, _ = john_position(poly)
+    assert not poly.symmetric and result.converged
+    assert poly._inball is None
+
+
+def test_john_certificate_sees_a_perturbed_ellipsoid(monkeypatch):
+    # the residual is read from the returned ellipsoid and multipliers: a
+    # relative change of 1e-6 in any of them shows
     calls = []
-    real_lp = polytope.linprog
-    monkeypatch.setattr(polytope, "linprog",
-                        lambda *a, **kw: calls.append(a) or real_lp(*a, **kw))
-    poly = bodies.random_hull(3, 10, 1).build()
-    john_position(poly)
-    assert not poly.symmetric and len(calls) == 1
+    real = positions._john_kkt
+    monkeypatch.setattr(positions, "_john_kkt",
+                        lambda *args: calls.append(args) or real(*args))
+    result, _ = john_position(bodies.random_hull(4, 12, 1).build())
+    normals, offsets, root, center, lam, centered = calls[0]
+    assert not centered and real(*calls[0]) == result.residual <= 1e-9
+    for changed in ((root * (1.0 + 1e-6), center, lam),
+                    (root * (1.0 - 1e-6), center, lam),
+                    (root, center + 1e-6 * root[:, 0], lam),
+                    (root, center, lam * (1.0 + 1e-6))):
+        assert real(normals, offsets, *changed, False) >= 1e-7
 
 
 # ---------------------------------------------------------------------------
