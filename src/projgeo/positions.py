@@ -412,16 +412,15 @@ def _john_newton(rows: np.ndarray, centered: bool
     packed = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
     c = np.zeros(n)
     b = rows @ np.linalg.inv(np.linalg.cholesky(rows.T @ rows)).T
-    y = np.full(count, 4.0 * float(np.einsum("ij,ij->i", b, b).max()))
-    s = None
+    leverage = np.einsum("ij,ij->i", b, b)  # h_i^2 at y = 1
+    y = np.full(count, 4.0 * float(leverage.max()))
+    s = 1.0 - np.sqrt(leverage / y)
     steps = 0
     while True:
         m = rows.T @ (rows * y[:, None])
         linv = np.linalg.inv(np.linalg.cholesky(m))
         b = rows @ linv.T
         h = np.sqrt(np.einsum("ij,ij->i", b, b))
-        if s is None:
-            s = 1.0 - h
         r2 = rows @ c + s + h - 1.0
         lam = y * h
         total = float(lam @ h)
