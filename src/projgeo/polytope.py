@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
@@ -68,6 +67,10 @@ _MERGE_OFFSET_TOL = 1e-8
 ROW_BLOCK_ENTRIES = 100_000
 ROW_TILE = 48
 SYMMETRY_TOL = 1e-9  # coordinate tolerance of the origin-symmetry test
+# The inradius walk's certificate, feasibility over max(1, max_i |b_i|), and
+# the size below which its multipliers, rates and projected objective are 0.
+INRADIUS_TOL = 1e-12
+INRADIUS_MAX_ITER = 200  # active-set steps of the inradius walk
 
 
 class DegenerateInputError(ValueError):
@@ -560,28 +563,94 @@ def symmetry_keys(verts: np.ndarray) -> np.ndarray:
 def inradius(p: Polytope) -> tuple[float, np.ndarray]:
     """Largest inscribed ball: (radius, center), cached on ``p``.
 
-    When p = -p (`Polytope.symmetric`) no LP runs: if (c, r) is feasible
+    When p = -p (`Polytope.symmetric`) no walk runs: if (c, r) is feasible
     so is (-c, r), hence their midpoint (0, r), and the largest ball at 0
-    has radius min_i b_i.  Otherwise the Chebyshev-center LP gives the ball.
+    has radius min_i b_i.  Otherwise `_inball_walk` solves the
+    Chebyshev-center LP max r s.t. ⟨u_i, c⟩ + r ≤ b_i exactly and
+    certifies its ball: feasible to ``INRADIUS_TOL``·max(1, max|b_i|),
+    with multipliers λ ≥ 0 on its tight facets (Σλ_i u_i = 0, Σλ_i = 1).
     """
     if p._inball is None:
-        f, n = p.facet_normals.shape
+        n = p.dim
         if p.symmetric:
             radius, center = float(p.facet_offsets.min()), np.zeros(n)
         else:
-            # max r  s.t.  U c + r <= b   →  min -r.
-            c_obj = np.zeros(n + 1)
-            c_obj[-1] = -1.0
-            a_ub = np.hstack([p.facet_normals, np.ones((f, 1))])
-            bounds = [(None, None)] * n + [(0.0, None)]
-            res = linprog(c_obj, A_ub=a_ub, b_ub=p.facet_offsets,
-                          bounds=bounds, method="highs")
-            if not res.success:
-                raise RuntimeError(f"inradius LP failed: {res.message}")
-            radius, center = float(res.x[-1]), np.array(res.x[:n])
+            x, _, _ = _inball_walk(p.facet_normals, p.facet_offsets,
+                                   p.interior_point)
+            radius, center = float(x[-1]), x[:n]
         center.flags.writeable = False
         p._inball = (radius, center)
     return p._inball
+
+
+def _inball_walk(normals: np.ndarray, offsets: np.ndarray,
+                 start: np.ndarray):
+    """Primal active-set (simplex) walk for max r s.t. A x ≤ b, with
+    x = (c, r) and the rows a_i = (u_i, 1) of A.
+
+    It starts at (start, min slack), feasible, with that facet in the
+    working set W.  Below a vertex it steps along e_{n+1} projected onto
+    the null space of A_W; a ratio test adds the blocking facet.  Where
+    that projection vanishes, e_{n+1} = A_Wᵀλ: the walk stops if λ ≥ 0 and
+    otherwise drops the facet of least index with λ_j < 0 (Bland's rule,
+    so degenerate vertices cannot cycle) and steps along the edge that
+    leaves it.  The rows of A_W stay independent, since a blocking row
+    has ⟨a_i, d⟩ > 0 for a d in their null space.  Multipliers and rates
+    within ``INRADIUS_TOL`` of 0 count as 0.  Returns (x, W, λ) with every
+    λ_j > 0 and x re-solved from A_W x = b_W; a ball that is not certified
+    or a walk past ``INRADIUS_MAX_ITER`` steps raises RuntimeError.
+    """
+    f, n = normals.shape
+    a = np.hstack([normals, np.ones((f, 1))])
+    slack = offsets - normals @ start
+    rows = [int(np.argmin(slack))]
+    x = np.append(start, slack[rows[0]])
+    for _ in range(INRADIUS_MAX_ITER):
+        if len(rows) <= n:
+            q, r = np.linalg.qr(a[rows].T)  # A_Wᵀ = QR
+            d = -(q @ q[-1])
+            d[-1] += 1.0  # e_{n+1} less its projection Q Qᵀ e_{n+1}
+            stationary = math.sqrt(d @ d) <= INRADIUS_TOL
+            if stationary:
+                pinv = q @ np.linalg.inv(r).T
+        else:  # at a vertex
+            stationary, pinv = True, np.linalg.inv(a[rows])
+        if stationary:
+            # A_W A_W⁺ = I, so λ = (A_W⁺)ᵀe_{n+1} solves A_Wᵀλ = e_{n+1}
+            lam = pinv[-1]
+            drop = [k for k in range(len(rows)) if lam[k] < -INRADIUS_TOL]
+            if not drop:
+                zero = lam <= INRADIUS_TOL
+                if zero.any():
+                    # a degenerate optimum: the facets that are tight with a
+                    # zero multiplier leave, so λ > 0 is not rounding's sign
+                    rows = [i for i, z in zip(rows, zero) if not z]
+                    continue
+                x = x + pinv @ (offsets[rows] - a[rows] @ x)
+                worst = float((a @ x - offsets).max())
+                if worst > INRADIUS_TOL * max(1.0, np.abs(offsets).max()):
+                    raise RuntimeError(
+                        f"inradius walk ended {worst:.3g} outside a facet")
+                return x, np.array(rows), lam
+            k = min(drop, key=rows.__getitem__)
+            # the edge that leaves row k: A_W d = -e_k, so ⟨e, d⟩ = -λ_k > 0
+            d = -pinv[:, k]
+            del rows[k]
+        # a rate within rounding of 0 (a row that A_W already spans) blocks
+        # nothing: adding it would make A_W singular
+        d /= math.sqrt(d @ d)
+        rate = a @ d
+        rate[rows] = 0.0
+        block = np.flatnonzero(rate > INRADIUS_TOL)
+        if block.size == 0:
+            raise RuntimeError("inradius walk found no blocking facet")
+        gap = np.maximum(offsets[block] - a[block] @ x, 0.0) / rate[block]
+        # np.argmin takes the first, the least facet index, of a tie
+        i = int(np.argmin(gap))
+        x = x + gap[i] * d
+        rows.append(int(block[i]))
+    raise RuntimeError(
+        f"inradius walk passed {INRADIUS_MAX_ITER} steps uncertified")
 
 
 def circumradius(p: Polytope) -> float:

@@ -277,8 +277,8 @@ def _count_symmetry_tests(monkeypatch) -> list:
 
 def test_symmetry_is_tested_once_and_inradius_shares_one_lp(monkeypatch):
     tests, lps = _count_symmetry_tests(monkeypatch), []
-    real_lp = polytope.linprog
-    monkeypatch.setattr(polytope, "linprog",
+    real_lp = polytope._inball_walk
+    monkeypatch.setattr(polytope, "_inball_walk",
                         lambda *a, **kw: lps.append(a) or real_lp(*a, **kw))
     # a non-symmetric root: one test, shared by every position list and
     # both ellipsoid solves; its positioned children are tested on their own
@@ -286,12 +286,12 @@ def test_symmetry_is_tested_once_and_inradius_shares_one_lp(monkeypatch):
     assert ctx.position_list(("john", "lowner")) == ["john"]
     assert ctx.position_list(("lowner",)) == [] and len(tests) == 1
     ctx.inradius()
-    ctx.positioned("john")  # starts from the LP the root solved
+    ctx.positioned("john")  # runs no walk: it starts at the vertex mean
     assert len(lps) == 1 and len(tests) == 1
     child = ctx.positioned("isotropic")
     assert not child.body.symmetric and len(tests) == 2
     assert child.inradius() > 0.0 and len(lps) == 2
-    # a symmetric root: it and its children are tested, and no LP runs
+    # a symmetric root: it and its children are tested, and no walk runs
     cube = BodyContext(bodies.cube(3), CFG)
     for kind in ("min-surface", "isotropic", "john", "lowner"):
         child = cube.positioned(kind)

@@ -119,12 +119,12 @@ def _symmetric_bodies(n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_symmetric_inradius_is_the_chebyshev_lp_without_one(monkeypatch, n):
     def no_lp(*args, **kwargs):
-        raise AssertionError("the Chebyshev-center LP ran")
+        raise AssertionError("the Chebyshev-center walk ran")
 
     for name, poly in _symmetric_bodies(n):
         assert poly.symmetric, name
         want = _chebyshev_ball(poly)[0]
-        monkeypatch.setattr(polytope, "linprog", no_lp)
+        monkeypatch.setattr(polytope, "_inball_walk", no_lp)
         radius, center = inradius(poly)
         monkeypatch.undo()
         assert radius == pytest.approx(want, rel=1e-12, abs=0.0), name
@@ -133,18 +133,99 @@ def test_symmetric_inradius_is_the_chebyshev_lp_without_one(monkeypatch, n):
 
 def test_a_second_inradius_call_solves_no_lp(monkeypatch):
     calls = []
-    real = polytope.linprog
+    real = polytope._inball_walk
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(polytope, "linprog", counted)
+    monkeypatch.setattr(polytope, "_inball_walk", counted)
     poly = bodies.random_hull(4, 10, 1).build()
     first = inradius(poly)
     assert inradius(poly) is first and len(calls) == 1
     assert first[0] == pytest.approx(_chebyshev_ball(poly)[0], rel=1e-12)
     assert not poly.symmetric and inradius(poly) is first and len(calls) == 1
+
+
+def _walk_certificate(poly):
+    """The walk's ball on ``poly`` with its certificate checked; returns its
+    radius and the HiGHS reference radius where HiGHS's own ball is
+    feasible to 1e-12 (else None)."""
+    f, n = poly.facet_normals.shape
+    a = np.hstack([poly.facet_normals, np.ones((f, 1))])
+    b = poly.facet_offsets
+    x, rows, lam = polytope._inball_walk(poly.facet_normals, b,
+                                         poly.interior_point)
+    scale = max(1.0, float(np.abs(b).max()))
+    assert (a @ x - b).max() <= 1e-12 * scale
+    assert np.abs(a[rows] @ x - b[rows]).max() <= 1e-12 * scale
+    # λ ≥ 0 on the tight facets, Σλ_i u_i = 0 and Σλ_i = 1
+    assert (lam >= 0.0).all() and len(set(rows.tolist())) == rows.size
+    assert np.abs(lam @ a[rows] - np.eye(n + 1)[n]).max() <= 1e-12
+    radius, center = _chebyshev_ball(poly)
+    highs_feasible = (a @ np.r_[center, radius] - b).max() <= 1e-12 * scale
+    return float(x[-1]), radius if highs_feasible else None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_inradius_walk_is_certified_on_the_corpus_and_its_positions(n):
+    for spec in bodies.corpus(n):
+        body = spec.build()
+        tagged = [("", body)] + [
+            (kind, positions.solve(kind, body)[0].apply(body))
+            for kind in ("min-surface", "isotropic", "john")]
+        for kind, image in tagged:
+            poly = to_polytope(image)
+            radius, highs = _walk_certificate(poly)
+            if highs is not None:
+                assert radius == pytest.approx(highs, rel=1e-12, abs=0.0), (
+                    spec.name, kind)
+            if kind == "john":
+                # the John ellipsoid of the image is the unit ball
+                for r in (radius, inradius(poly)[0]):
+                    assert abs(r - 1.0) <= 1e-9 and r <= 1.0 + 1e-12, (
+                        spec.name, r)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_inradius_walk_is_certified_on_stretched_hulls(n):
+    stretch = np.diag([1e4] + [1.0] * (n - 1))
+    for seed in range(1, 4):
+        hull = bodies.random_hull(n, 3 * n, seed).build()
+        poly = transform_body(hull, stretch)
+        radius, highs = _walk_certificate(poly)
+        assert highs is not None
+        assert radius == pytest.approx(highs, rel=1e-12, abs=0.0)
+        assert inradius(poly)[0] == radius
+
+
+def _degenerate_bodies(n):
+    """Bodies with more than n+1 facets tight at the largest ball, or no
+    unique center, each with its inradius (the jittered cubes pass the
+    symmetry test, so only the walk itself runs on them)."""
+    cube = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+    yield "shifted cube", Polytope(cube + np.eye(n)[0] * 0.3), 1.0
+    yield "box [0,2]x[0,1]^(n-1)", Polytope(
+        (cube + 1.0) * np.r_[1.0, np.full(n - 1, 0.5)]), 0.5
+    yield "regular simplex", bodies.simplex(n).build(), 1.0 / n
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        yield f"jittered cube {seed}", Polytope(
+            cube + 1e-13 * rng.standard_normal(cube.shape)), 1.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_inradius_walk_ends_certified_on_degenerate_optima(n):
+    for name, poly, want in _degenerate_bodies(n):
+        radius, _ = _walk_certificate(poly)
+        assert radius == pytest.approx(want, rel=1e-12, abs=0.0), name
+        assert inradius(poly)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_an_inradius_walk_past_its_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(polytope, "INRADIUS_MAX_ITER", 3)
+    with pytest.raises(RuntimeError, match="passed 3 steps"):
+        inradius(bodies.random_hull(4, 12, 1).build())
 
 
 def test_cube_shadow_volumes():
