@@ -174,8 +174,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    samples: int = 20_000
+    samples: int = 20_000  # sphere-panel directions, at most SPHERE_PANEL_MAX
     seed: int = 0
+
+    def __post_init__(self):
+        if self.samples > SPHERE_PANEL_MAX:
+            raise ValueError(f"samples must be at most {SPHERE_PANEL_MAX}, "
+                             f"the largest sphere panel, not {self.samples}")
 
 
 # residual certificates a position solve must meet before a positioned
@@ -275,7 +280,7 @@ class BodyContext:
         def build():
             ridges = 0 if self.is_zonoid else self.ridge_count()
             count = (4096 if ridges > 20_000 else 8000 if ridges > 8_000
-                     else min(self.cfg.samples, SPHERE_PANEL_MAX))
+                     else self.cfg.samples)
             return sphere_points(self.n, count, self.rng("sphere-panel").generator())
         return self._memo("sphere_panel", build)
 
@@ -471,7 +476,7 @@ class BodyContext:
                     raise PositionCertificateError(
                         f"min-width position did not converge for {self.key} "
                         f"(residual {result.residual:.3g})")
-            elif result.residual > cert:
+            elif not result.residual <= cert:  # NaN fails too
                 raise PositionCertificateError(
                     f"{kind} position residual {result.residual:.3g} exceeds "
                     f"certificate {cert:.1g} for {self.key}")
@@ -1004,7 +1009,7 @@ def _check_ck_ident(ctx: BodyContext):
                     sigmas=4.0)]
     mean_surface = mc_estimate(ctx.shadow_surfs())
     if n == 3:
-        half = min(ctx.cfg.samples, SPHERE_PANEL_MAX) // 2
+        half = ctx.cfg.samples // 2
         dirs = sphere_points(n, half, ctx.rng("width-panel").generator())
         lower = mc_estimate(ctx.body.width_batch(dirs))
     else:

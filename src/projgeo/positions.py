@@ -22,17 +22,15 @@ positioned body is to the defining fixed-point condition:
   w(K) = n E[<xi, theta>^2 h(theta)] for every xi, estimated on its
   sample set (best effort).
 
-The iterative solvers keep their per-step work small.  Loewner's
-Frank-Wolfe steps update the inverse scatter by Sherman-Morrison on one
-vertex of each ± pair of an origin-symmetric body (a centered ellipsoid)
-or on the lifted vertices otherwise, until Newton's method solves the
-optimality conditions on the support they found.  John's interior-point
-Newton matrix is diagonal plus a rank-n(n+1)/2 term, solved by Woodbury
-in time linear in the facet count; it starts from the polytope's interior
-point, so it runs no LP.  The edge-measure iteration
-transports facet normals instead of building hulls.  The sampled
-mean-width descent lays its support products out (vertices, directions)
-and reduces along the first axis.
+The iterative solvers keep their per-step work small.  John's
+interior-point Newton matrix is diagonal plus a rank-n(n+1)/2 term, solved
+by Woodbury in time linear in the row count; it starts from the polytope's
+interior point, so it runs no LP.  Loewner's ellipsoid is the polar of
+the one the same solve finds on the vertex rows, and Newton's method on
+its optimality conditions finishes it on the support found.  The
+edge-measure iteration transports facet normals instead of building
+hulls.  The sampled mean-width descent lays its support products out
+(vertices, directions) and reduces along the first axis.
 """
 
 from __future__ import annotations
@@ -52,9 +50,7 @@ MIN_SURFACE_TOL = 1e-6       # residual ||n M - I||_F that stops the iteration
 MIN_SURFACE_MAX_ITER = 500
 MIN_SURFACE_STEP_POWER = 0.5  # damping: the step is (n M)^power
 LOWNER_TOL = 1e-12           # relative violation of the Loewner condition
-LOWNER_HANDOFF = 1e-2        # Frank-Wolfe residual at which Newton starts
 LOWNER_NEWTON_STEPS = 30     # Newton steps per attempt
-LOWNER_MAX_ITER = 10_000     # Frank-Wolfe and Newton steps
 JOHN_TOL = 1e-11             # relative KKT residual (`_john_kkt`)
 JOHN_MAX_ITER = 100          # interior-point steps
 JOHN_STEP = 0.99             # fraction of the step to the boundary y, s > 0
@@ -257,8 +253,8 @@ def _lowner_newton(rows: np.ndarray, u: np.ndarray,
 
 
 def lowner_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
-    """Minimum-volume enclosing ellipsoid: Frank-Wolfe with away steps finds
-    the support, Newton's method solves it.
+    """Minimum-volume enclosing ellipsoid: John's interior-point solve on
+    the polar finds the support, Newton's method solves it.
 
     The solver weighs rows q_i with u_i >= 0, sum u_i = 1.  For an
     origin-symmetric body the rows are one vertex of each ± pair (both
@@ -268,14 +264,19 @@ def lowner_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
     S = sum u_i q_i q_i^T and the levels M_i = q_i^T S^{-1} q_i, u is
     optimal iff M_i <= d for every row and M_i = d on the support u_i > 0;
     the residual is the larger relative violation, max_i M_i / d - 1 or
-    1 - min over the support M_i / d.  A Frank-Wolfe step u <- a u + b e_j
-    updates S^{-1} and every level by Sherman-Morrison, so no step inverts
-    S.  Once the residual is below LOWNER_HANDOFF, `_lowner_newton` meets
-    M_i = d on the support; then every level is recomputed from a fresh
-    inverse, and a row above d rejoins by the next Frank-Wolfe step.  If
-    Newton fails, Frank-Wolfe runs on to a tenth of the residual.  The
-    solver stops only on a residual from a fresh inverse <= LOWNER_TOL.
-    ``iterations`` counts Frank-Wolfe and Newton steps.  The returned
+    1 - min over the support M_i / d.  By polarity the smallest centered
+    ellipsoid around the rows is the polar of the largest one inside
+    {x : |<q_i, x>| <= 1}, which `_john_newton` solves: its weights
+    u_i = y_i h_i^2 / d sum to 1 (Σ y_i h_i^2 = tr I = d).  The rows with
+    slack 1 - h_i <= sqrt(JOHN_TOL) are the support; `_lowner_newton` meets
+    M_i = d on it from u rescaled to sum 1.  Both solves read the
+    orthonormal factor Q of the rows (rows = Q R): the levels, hence u, do
+    not change under q -> R^{-T} q, and on the raw rows of a body stretched
+    1e4 along a rotated axis the interior-point solve diverges.  Every level
+    is then recomputed from a fresh inverse of S on the rows themselves.  If
+    Newton fails, the support weights are returned with that residual,
+    uncertified.  ``converged`` means the residual is <= LOWNER_TOL.
+    ``iterations`` counts interior-point and Newton steps.  The returned
     position maps the ellipsoid to the unit ball.
     """
     poly = to_polytope(body)
@@ -284,69 +285,28 @@ def lowner_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
     symmetric = poly.symmetric
     rows = (points[_pair_mask(points)] if symmetric
             else np.hstack([points, np.ones((len(points), 1))]))
-    count, d = rows.shape
-    u = np.full(count, 1.0 / count)
-
-    def exact() -> tuple[np.ndarray, np.ndarray]:
-        inv = np.linalg.inv(rows.T @ (rows * u[:, None]))
-        return inv, np.einsum("ij,jk,ik->i", rows, inv, rows)
-
-    inv, levels = exact()
-    fresh = True
-    handoff = LOWNER_HANDOFF
-    iterations = 0
-    while True:
-        hi = int(np.argmax(levels))
-        lo = int(np.argmin(np.where(u > 0, levels, np.inf)))
-        eps_hi = float(levels[hi]) / d - 1.0
-        eps_lo = 1.0 - float(levels[lo]) / d
-        residual = max(eps_hi, eps_lo)
-        if (fresh and residual <= LOWNER_TOL) or iterations >= LOWNER_MAX_ITER:
-            break
-        if not fresh and residual < handoff:
-            solved, steps = _lowner_newton(rows, u, d)
-            iterations += steps
-            if solved is None:
-                handoff = 0.1 * residual
-            else:
-                u = solved
-            inv, levels = exact()
-            fresh = True
-            continue
-        if eps_hi >= eps_lo:
-            j, m = hi, float(levels[hi])
-            lam = (m - d) / (d * (m - 1.0))
-            a, b = 1.0 - lam, lam
-        else:
-            # at a level <= 1 (possible on centered rows only) the log-det
-            # rises all the way to dropping the row
-            j, m = lo, float(levels[lo])
-            lam = float(u[lo] / (1.0 - u[lo]))
-            if m > 1.0:
-                lam = min(lam, (d - m) / (d * (m - 1.0)))
-            a, b = 1.0 + lam, -lam
-        u *= a
-        u[j] = max(u[j] + b, 0.0)  # a > 0, so only u[j] can fall below 0
-        v = inv @ rows[j]
-        w = rows @ v
-        c = b / (a + b * m)
-        levels = (levels - c * (w * w)) / a
-        inv = (inv - c * np.outer(v, v)) / a
-        fresh = False
-        iterations += 1
-    if symmetric:
-        center = np.zeros(n)
-        shape = n * (rows.T @ (rows * u[:, None]))
-    else:
-        center = points.T @ u
-        scatter_c = points.T @ (points * u[:, None]) - np.outer(center, center)
-        shape = n * scatter_c
+    d = rows.shape[1]
+    orth = np.linalg.qr(rows)[0]
+    y, _, _, h, iterations = _john_newton(orth, centered=True)
+    u = np.where(1.0 - h <= np.sqrt(JOHN_TOL), y * h * h / d, 0.0)
+    u /= u.sum()
+    solved, steps = _lowner_newton(orth, u, d)
+    iterations += steps
+    if solved is not None:
+        u = solved
+    scatter = rows.T @ (rows * u[:, None])
+    levels = np.einsum("ij,jk,ik->i", rows, np.linalg.inv(scatter), rows)
+    residual = max(float(levels.max()) / d - 1.0,
+                   1.0 - float(levels[u > 0].min()) / d)
+    # a lifted scatter is [[Σ u v v^T, c], [c^T, 1]], c = Σ u v the center
+    center = np.zeros(n) if symmetric else scatter[:n, n]
+    shape = n * (scatter[:n, :n] - np.outer(center, center))
     ellipsoid = Ellipsoid(shape=shape, center=center)
     eigval, eigvec = np.linalg.eigh(shape)
     eigval = np.clip(eigval, 1e-300, None)
     whiten = (eigvec * eigval ** -0.5) @ eigvec.T
     scale = float(np.linalg.det(whiten)) ** (1.0 / n)
-    result = PositionResult(transform=whiten / scale, residual=float(residual),
+    result = PositionResult(transform=whiten / scale, residual=residual,
                             objective=ellipsoid.volume(), iterations=iterations,
                             converged=residual <= LOWNER_TOL, scale=scale,
                             shift=center)
@@ -405,7 +365,9 @@ def _john_newton(rows: np.ndarray, centered: bool
     relative complementarity Σ λ_i s_i / Σ λ_i h_i and the relative
     infeasibility max_i -s_i / h_i, on the true slacks
     s_i = 1 - <r_i, c> - h_i, are all <= JOHN_TOL.  Returns y, c, L^{-1},
-    h and the steps taken.
+    h and the steps taken.  `john_position` passes facet rows;
+    `lowner_position` passes vertex rows with ``centered`` set, whose
+    ellipsoid is the polar of the Loewner one.
     """
     count, n = rows.shape
     iu = np.triu_indices(n)

@@ -59,6 +59,9 @@ def test_compute_sampled_quantity_reports_error_bar(capsys):
     ["compute", "--body", "cube", "--quantity", "volume", "--samples", "3"],
     ["verify", "--corpus", "CORPUS", "--ids", "CK-IDENT", "--samples", "0"],
     ["verify", "--corpus", "CORPUS", "--ids", "CK-IDENT", "--jobs", "0"],
+    ["verify", "--corpus", "CORPUS", "--ids", "CK-IDENT", "--samples", "40000"],
+    ["search", "--id", "GHP", "--family", "random-hull", "--budget", "1",
+     "--samples", "40000"],
     ["search", "--id", "GHP", "--family", "random-hull", "--budget", "1",
      "--samples", "2"]])
 def test_budgets_without_an_error_bar_are_usage_errors(tmp_path, capsys, args):

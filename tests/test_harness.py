@@ -796,6 +796,15 @@ def test_suite_rejects_unknown_ids():
         run_suite(_tiny_corpus(), ids=["NOT-A-CHECK"])
 
 
+def test_suite_rejects_more_samples_than_a_sphere_panel_holds():
+    # the panels would cap the budget while the report echoed it
+    cap = checks.SPHERE_PANEL_MAX
+    with pytest.raises(ValueError, match=f"at most {cap}"):
+        run_suite(_tiny_corpus(), ids=["CK-IDENT"], samples=cap + 1)
+    report = run_suite([bodies.cube(3)], ids=["CK-IDENT"], samples=cap)
+    assert report["config"]["samples"] == cap
+
+
 def test_suite_reports_are_deterministic(tmp_path):
     ids = ["T-HYPER-1", "MINPROJ", "ZON-VOL-ID", "ALEK"]
     out_a = tmp_path / "a.json"

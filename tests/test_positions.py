@@ -1,5 +1,6 @@
 """Classical positions: fixed points, certificates, and recovery tests."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, nnls
 
-from projgeo import bodies, polytope
+from projgeo import bodies, checks, polytope
 from projgeo.bodyops import transform_body
 from projgeo.polytope import Polytope, circumradius
 from projgeo import positions
@@ -207,7 +208,7 @@ def test_zonotope_is_hulled_once_across_the_position_solves(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Löwner: rank-one steps on centered or lifted rows
+# Löwner: the polar interior-point solve on centered or lifted rows
 
 
 def _lowner_levels(body, ellipsoid: Ellipsoid, lifted: bool) -> np.ndarray:
@@ -281,9 +282,8 @@ def test_lowner_of_a_non_symmetric_body_runs_on_lifted_rows(spec):
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("family", [bodies.cube, bodies.cross_polytope])
 def test_lowner_leaves_cube_and_cross_at_the_identity(family, n):
-    # the uniform start is optimal: no Frank-Wolfe or Newton step runs
     result, _ = lowner_position(family(n).build())
-    assert result.iterations == 0 and result.converged
+    assert result.converged
     assert np.abs(result.transform - np.eye(n)).max() <= 1e-14
 
 
@@ -323,9 +323,8 @@ def test_lowner_keeps_one_row_of_each_pair(spec):
 
 
 def test_lowner_stops_on_a_residual_from_a_fresh_inverse(monkeypatch):
-    # Frank-Wolfe steps update S^{-1} by Sherman-Morrison: S is inverted at
-    # the start and after each Newton solve only, and the solver stops on
-    # the levels of the last inverse, whose S is the returned ellipsoid's
+    # the solver stops on the levels of the last inverse, whose S is the
+    # returned ellipsoid's
     scatters = []
     real_inv = np.linalg.inv
 
@@ -337,7 +336,6 @@ def test_lowner_stops_on_a_residual_from_a_fresh_inverse(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", recording)
     result, ellipsoid = lowner_position(poly)
     monkeypatch.undo()
-    assert 2 <= len(scatters) <= 4 < result.iterations
     assert np.array_equal(ellipsoid.shape, 4 * scatters[-1])
     levels = np.einsum("ij,jk,ik->i", poly.vertices, real_inv(scatters[-1]),
                        poly.vertices)
@@ -345,19 +343,115 @@ def test_lowner_stops_on_a_residual_from_a_fresh_inverse(monkeypatch):
     assert levels.max() <= (1 + positions.LOWNER_TOL) * 4
 
 
-def test_lowner_falls_back_to_frank_wolfe_when_newton_fails(monkeypatch):
-    # with every Newton attempt failing, Frank-Wolfe alone must meet the
-    # stop; its hand-off falls tenfold after each failure
-    poly = bodies.random_hull(3, 10, 1).build()
-    ref, ref_ellipsoid = lowner_position(poly)
-    attempts = []
-    monkeypatch.setattr(positions, "_lowner_newton",
-                        lambda rows, u, d: attempts.append(1) or (None, 0))
-    result, ellipsoid = lowner_position(poly)
-    assert result.converged and result.residual <= positions.LOWNER_TOL
-    assert len(attempts) >= 2 and result.iterations > ref.iterations
-    scale = np.abs(ref_ellipsoid.shape).max()
-    assert np.abs(ellipsoid.shape - ref_ellipsoid.shape).max() <= 1e-9 * scale
+@pytest.mark.parametrize(("john_tol", "certified"), [(positions.JOHN_TOL, True),
+                                                     (1e-4, False)])
+def test_lowner_reports_a_failed_newton_finish(monkeypatch, john_tol,
+                                               certified):
+    # without the Newton finish the support weights of the interior-point
+    # solve are returned uncertified, with their own residual; the check's
+    # 1e-9 certificate then decides (a looser interior-point stop leaves
+    # them above it)
+    spec = bodies.random_zonotope(4, 7, 1)
+    monkeypatch.setattr(positions, "_lowner_newton", lambda rows, u, d: (None, 0))
+    monkeypatch.setattr(positions, "JOHN_TOL", john_tol)
+    result, _ = lowner_position(spec.build())
+    assert not result.converged and result.residual > positions.LOWNER_TOL
+    cert = checks._POSITION_CERT["lowner"]
+    assert (result.residual <= cert) == certified
+    ctx = checks.BodyContext(spec, checks.SuiteConfig())
+    if certified:
+        assert ctx.positioned("lowner").residual == result.residual
+    else:
+        with pytest.raises(checks.PositionCertificateError, match="lowner"):
+            ctx.positioned("lowner")
+
+
+def test_a_nan_position_residual_fails_the_certificate(monkeypatch):
+    real = positions.lowner_position
+
+    def nan_residual(body):
+        result, ellipsoid = real(body)
+        return dataclasses.replace(result, residual=math.nan), ellipsoid
+
+    monkeypatch.setattr(positions, "lowner_position", nan_residual)
+    ctx = checks.BodyContext(bodies.cube(3), checks.SuiteConfig())
+    with pytest.raises(checks.PositionCertificateError, match="nan"):
+        ctx.positioned("lowner")
+
+
+@pytest.mark.parametrize("stretch", [1e2, 1e4])
+@pytest.mark.parametrize("spec", [bodies.simplex(3), bodies.random_hull(3, 10, 1),
+                                  bodies.random_hull(4, 12, 1),
+                                  bodies.random_zonotope(4, 7, 1)],
+                         ids=lambda spec: f"{spec.name}-n{spec.dim}")
+def test_lowner_is_affine_equivariant(spec, stretch):
+    # Löwner(T K) = T Löwner(K), each optimal at 1e-12
+    body = positions.to_polytope(spec.build())
+    n = body.dim
+    linear = np.diag([stretch] + [1.0] * (n - 1))
+    image = positions.to_polytope(transform_body(body, linear))
+    assert image.n_vertices == body.n_vertices
+    _assert_lowner_optimal(image, lifted=not image.symmetric)
+    _, ellipsoid = lowner_position(body)
+    _, moved = lowner_position(image)
+    back = np.diag(1.0 / np.diag(linear))
+    scale = np.abs(ellipsoid.shape).max()
+    assert np.abs(back @ moved.shape @ back
+                  - ellipsoid.shape).max() <= 1e-12 * scale
+    assert np.abs(back @ moved.center
+                  - ellipsoid.center).max() <= 1e-12 * np.sqrt(scale)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lowner_of_a_jittered_cube_is_the_circumscribed_ball(n):
+    poly = _jittered_cube(n, 0)
+    _assert_lowner_optimal(poly, lifted=not poly.symmetric)
+    _, ellipsoid = lowner_position(poly)
+    assert ellipsoid.radii() == pytest.approx([math.sqrt(n)] * n, rel=1e-12)
+
+
+def _random_lowner_points(n: int, seed: int) -> np.ndarray:
+    """Gaussian points, on the sphere every fifth seed, with their ±
+    closure every third seed, stretched by diag(1, ..., 1e4) every other
+    seed."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((3 * n + seed % 7, n))
+    if seed % 5 == 0:
+        points /= np.linalg.norm(points, axis=1)[:, None]
+    if seed % 3 == 0:
+        points = np.vstack([points, -points])
+    if seed % 2 == 0:
+        points *= np.logspace(0, 4, n)
+    return points
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("seed", range(20))
+def test_lowner_of_a_random_body_is_certified(n, seed):
+    poly = Polytope(_random_lowner_points(n, seed))
+    assert poly.symmetric == (seed % 3 == 0)
+    _assert_lowner_optimal(poly, lifted=not poly.symmetric)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 2, 4])
+def test_lowner_of_a_rotated_thin_body_is_the_rotated_ellipsoid(n, seed):
+    # the stretch of the sweep above along rotated axes: the solve reads
+    # an orthonormal frame of the rows, so it meets the same ellipsoid.
+    # Its residual is read in the body's frame, where a float shape of
+    # condition 1e8 knows its short axes to about 1e-8 only.
+    points = _random_lowner_points(n, seed)
+    rng = np.random.default_rng(100 + seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    result, ellipsoid = lowner_position(Polytope(points))
+    moved_result, moved = lowner_position(Polytope(points @ basis.T))
+    assert moved_result.residual <= 1e-7
+    assert moved_result.iterations <= 2 * result.iterations
+    scale = np.abs(ellipsoid.shape).max()
+    assert np.abs(basis.T @ moved.shape @ basis
+                  - ellipsoid.shape).max() <= 1e-11 * scale
+    assert np.abs(basis.T @ moved.center
+                  - ellipsoid.center).max() <= 1e-11 * np.sqrt(scale)
 
 
 def test_a_polytope_is_tested_for_symmetry_once(monkeypatch):
