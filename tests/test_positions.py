@@ -244,7 +244,7 @@ def _lowner_support(body, ellipsoid: Ellipsoid, lifted: bool) -> np.ndarray:
     return u
 
 
-def _assert_lowner_optimal(poly, lifted: bool) -> None:
+def _assert_lowner_optimal(poly, lifted: bool) -> tuple:
     """Read back from the returned ellipsoid: every level within
     d (1 ± 1e-12) on the support and at most d (1 + 1e-12) off it."""
     result, ellipsoid = lowner_position(poly)
@@ -258,6 +258,7 @@ def _assert_lowner_optimal(poly, lifted: bool) -> None:
     assert levels.max() <= (1.0 + tol) * d
     if not lifted:
         assert np.array_equal(ellipsoid.center, np.zeros(poly.dim))
+    return result, ellipsoid
 
 
 @pytest.mark.parametrize("spec", [spec for n in (3, 4, 5)
@@ -391,9 +392,8 @@ def test_lowner_is_affine_equivariant(spec, stretch):
     linear = np.diag([stretch] + [1.0] * (n - 1))
     image = positions.to_polytope(transform_body(body, linear))
     assert image.n_vertices == body.n_vertices
-    _assert_lowner_optimal(image, lifted=not image.symmetric)
+    _, moved = _assert_lowner_optimal(image, lifted=not image.symmetric)
     _, ellipsoid = lowner_position(body)
-    _, moved = lowner_position(image)
     back = np.diag(1.0 / np.diag(linear))
     scale = np.abs(ellipsoid.shape).max()
     assert np.abs(back @ moved.shape @ back
@@ -405,8 +405,7 @@ def test_lowner_is_affine_equivariant(spec, stretch):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_lowner_of_a_jittered_cube_is_the_circumscribed_ball(n):
     poly = _jittered_cube(n, 0)
-    _assert_lowner_optimal(poly, lifted=not poly.symmetric)
-    _, ellipsoid = lowner_position(poly)
+    _, ellipsoid = _assert_lowner_optimal(poly, lifted=not poly.symmetric)
     assert ellipsoid.radii() == pytest.approx([math.sqrt(n)] * n, rel=1e-12)
 
 
