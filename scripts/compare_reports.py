@@ -36,6 +36,9 @@ Prints:
     report counts as changed);
   * the largest position-record residual of each kind in A and in B, on
     one line, so a solver or certificate change reads at a glance;
+  * the largest relative change of a position record's `objective` per
+    kind, over the records both reports have, on the next line, so a
+    position that moved while its objective did not reads at a glance;
   * every top-level key other than `results` (such as `note`, `config`
     and `summary`) whose value differs or that only one report has.
 
@@ -106,10 +109,10 @@ def _name(key) -> str:
     return f"{check} {body} n={n}"
 
 
-def _residuals(cell: dict) -> dict:
-    """Position-record residual of each kind in the cell's detail."""
+def _records(cell: dict, field: str = "residual") -> dict:
+    """The position-record ``field`` of each kind in the cell's detail."""
     kinds = cell.get("detail", {}).get("positions", {})
-    return {kind: entry["position"].get("residual")
+    return {kind: entry["position"].get(field)
             for kind, entry in kinds.items() if "position" in entry}
 
 
@@ -117,7 +120,7 @@ def _largest_residuals(cells: dict) -> dict:
     """The largest position-record residual of each kind over the cells."""
     largest = {}
     for cell in cells.values():
-        for kind, residual in _residuals(cell).items():
+        for kind, residual in _records(cell).items():
             if residual is not None:
                 largest[kind] = max(largest.get(kind, residual), residual)
     return largest
@@ -139,6 +142,7 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
     rel_widened = []
     flips = {True: [], False: []}  # keyed by the new exact flag
     residuals = []
+    objectives = {}  # kind -> largest relative objective change
     worst = (0.0, "none")
     worst_ratio = (0.0, "none")
     rose, dropped = 0, 0
@@ -147,11 +151,16 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
         ca, cb = cells_a[key], cells_b[key]
         if ca["status"] != cb["status"]:
             status_changes.append(f"{_name(key)}: {ca['status']} -> {cb['status']}")
-        res_a, res_b = _residuals(ca), _residuals(cb)
+        res_a, res_b = _records(ca), _records(cb)
         for kind in [*res_a, *(k for k in res_b if k not in res_a)]:
             ra, rb = res_a.get(kind, "(absent)"), res_b.get(kind, "(absent)")
             if ra != rb:
                 residuals.append(f"{_name(key)} [{kind}]: {ra!r} -> {rb!r}")
+        obj_a, obj_b = _records(ca, "objective"), _records(cb, "objective")
+        for kind in obj_a.keys() & obj_b.keys():
+            if obj_a[kind] is not None and obj_b[kind] is not None:
+                objectives[kind] = max(objectives.get(kind, 0.0),
+                                       _rel_change(obj_a[kind], obj_b[kind]))
         bind_a = ca.get("detail", {}).get("binding_case")
         bind_b = cb.get("detail", {}).get("binding_case")
         if bind_a != bind_b:
@@ -244,6 +253,9 @@ def compare(a: dict, b: dict, out=sys.stdout) -> int:
           + (", ".join(kind + " " + " -> ".join(
               f"{side[kind]:.3g}" if kind in side else "(absent)"
               for side in large) for kind in kinds) or "none"), file=out)
+    print("largest relative position-record objective change per kind: "
+          + (", ".join(f"{kind} {objectives[kind]:.3g}"
+                       for kind in sorted(objectives)) or "none"), file=out)
     section("top-level keys other than results that differ",
             sorted(k for k in a.keys() | b.keys()
                    if k != "results" and a.get(k) != b.get(k)))

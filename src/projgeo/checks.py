@@ -186,7 +186,7 @@ class SuiteConfig:
 # residual certificates a position solve must meet before a positioned
 # check is allowed to run on its output
 _POSITION_CERT = {
-    "min-surface": positions.MIN_SURFACE_TOL,
+    "min-surface": 1e-9,
     "isotropic": 1e-7,
     "john": 1e-9,
     "lowner": 1e-9,
@@ -265,11 +265,11 @@ class BodyContext:
         return to_polytope(self.body).ridges().volumes.size
 
     def partial(self) -> float:
-        """Minimal surface quotient min_T S(TK)/|TK|^{(n-1)/n} (affine invariant)."""
+        """Minimal surface quotient min_T S(TK)/|TK|^{(n-1)/n} (affine
+        invariant), read from the certified min-surface solve."""
         if self.parent is not None:
             return self.parent.partial()
-        return self._memo(
-            "partial", lambda: positions.minimal_surface_position(self.body)[1])
+        return self.position_solve("min-surface")[1]["surface-quotient"]
 
     # -- shared panels --------------------------------------------------------
     #
@@ -465,10 +465,12 @@ class BodyContext:
 
     # -- positions ---------------------------------------------------------------
 
-    def positioned(self, kind: str) -> "BodyContext":
+    def position_solve(self, kind: str) -> tuple:
+        """`positions.solve` of ``kind``, memoized once its residual meets
+        the certificate (else `PositionCertificateError`)."""
         def build():
-            result, _ = positions.solve(kind, self.body,
-                                        self.rng("min-width-position"))
+            result, extras = positions.solve(kind, self.body,
+                                             self.rng("min-width-position"))
             cert = _POSITION_CERT[kind]
             if result.route == positions.SAMPLED_ROUTE:
                 # a panel estimate: checked against its own noise-aware flag
@@ -480,6 +482,12 @@ class BodyContext:
                 raise PositionCertificateError(
                     f"{kind} position residual {result.residual:.3g} exceeds "
                     f"certificate {cert:.1g} for {self.key}")
+            return result, extras
+        return self._memo(("position-solve", kind), build)
+
+    def positioned(self, kind: str) -> "BodyContext":
+        def build():
+            result = self.position_solve(kind)[0]
             child_body = result.apply(self.body)
             ctx = BodyContext(self.spec, self.cfg, body=child_body,
                               position=kind, residual=result.residual,

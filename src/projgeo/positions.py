@@ -6,14 +6,16 @@ Every operator returns a :class:`PositionResult` describing the affine map
 positioned body is to the defining fixed-point condition:
 
 * minimal surface area: the normalized surface-area measure is isotropic,
-  residual = ||n M - I||_F with M = (1/S) sum_i a_i u_i u_i^T;
+  residual = ||n M - I||_F with M = (1/S) sum_i a_i u_i u_i^T; this and the
+  edge measure below are one fixed point (`_isotropic_fixed_point`), which
+  raises `DegenerateInputError` on a singular measure;
 * isotropic: the covariance of the volume-1 body is L^2 I, computed in closed
   form from the exact covariance (residual is roundoff);
 * John / Loewner: largest inscribed / smallest circumscribed ellipsoid, the
   residual is the largest relative violation of John's KKT conditions,
   read from the returned ellipsoid and multipliers / the relative
   violation of the Loewner optimality condition, read from a freshly
-  inverted scatter;
+  inverted scatter of the orthonormal factor of its rows;
 * minimal mean width: the edge measure M = sum_e |e| g_e e^ e^T / sum_e
   |e| g_e (unit edge directions e^, normalized external angles g_e) is
   isotropic, residual = ||n M - I||_F; exact for zonotopes at every n and
@@ -28,9 +30,10 @@ by Woodbury in time linear in the row count; it starts from the polytope's
 interior point, so it runs no LP.  Loewner's ellipsoid is the polar of
 the one the same solve finds on the vertex rows, and Newton's method on
 its optimality conditions finishes it on the support found.  The
-edge-measure iteration transports facet normals instead of building
-hulls.  The sampled mean-width descent lays its support products out
-(vertices, directions) and reduces along the first axis.
+isotropy fixed point maps the measure's vectors (and, for edge angles,
+the facet normals) instead of building hulls.  The sampled mean-width
+descent lays its support products out (vertices, directions) and reduces
+along the first axis.
 """
 
 from __future__ import annotations
@@ -46,16 +49,13 @@ from .quermass import omega
 from .sampling import RngSeed, sphere_points
 
 # Solver settings: every position is solved at one fixed setting.
-MIN_SURFACE_TOL = 1e-6       # residual ||n M - I||_F that stops the iteration
-MIN_SURFACE_MAX_ITER = 500
-MIN_SURFACE_STEP_POWER = 0.5  # damping: the step is (n M)^power
+ISOTROPY_TOL = 1e-10         # residual ||n M - I||_F of the min-surface
+ISOTROPY_MAX_ITER = 200      # and edge-measure fixed point
 LOWNER_TOL = 1e-12           # relative violation of the Loewner condition
 LOWNER_NEWTON_STEPS = 30     # Newton steps per attempt
 JOHN_TOL = 1e-11             # relative KKT residual (`_john_kkt`)
 JOHN_MAX_ITER = 100          # interior-point steps
 JOHN_STEP = 0.99             # fraction of the step to the boundary y, s > 0
-EDGE_MEASURE_TOL = 1e-10     # residual ||n M - I||_F of the edge measure
-EDGE_MEASURE_MAX_ITER = 200
 MIN_WIDTH_PAIRS = 1000       # sampled route: antithetic direction pairs
 MIN_WIDTH_MAX_ITER = 300
 MIN_WIDTH_TOL = 0.02         # first-order residual floor for convergence
@@ -125,49 +125,50 @@ def _unimodular(matrix: np.ndarray) -> np.ndarray:
 # minimal surface area
 
 
-def minimal_surface_position(body: Body) -> tuple[PositionResult, float]:
-    """Damped fixed-point iteration for the minimal surface area position.
-
-    Pushes the surface-area measure toward isotropy by the volume-preserving
-    step A = (n M)^MIN_SURFACE_STEP_POWER; the measure of the image is
-    transported in closed form (u -> A^{-T}u normalized,
-    a -> a ||A^{-T}u||), so no hulls are rebuilt inside the loop.  Returns
-    the position and the minimal surface quotient S(TK)/|TK|^{(n-1)/n}.
+def _isotropic_fixed_point(vectors: np.ndarray, angles=None
+                           ) -> tuple[np.ndarray, float, float, int]:
+    """Damped fixed point B <- (n M)^{-1/2} B, |det B| = 1, on
+    M = Σ γ_i (B x_i)(B x_i)^T / |B x_i| / Σ γ_i |B x_i|, with γ = 1 or
+    γ = ``angles(B^{-1})``, until ||n M - I||_F <= ISOTROPY_TOL.  Raises
+    `DegenerateInputError` when n M is singular.  Returns B,
+    Σ γ_i |B x_i|, the residual and the steps taken.
     """
-    meas = body.surface_measure()
-    normals = meas.normals.copy()
-    weights = meas.weights.copy()
-    n = body.dim
+    n = vectors.shape[1]
     eye = np.eye(n)
-    total_transform = eye.copy()
-    residual = np.inf
-    iterations = 0
-    converged = False
-    for iterations in range(MIN_SURFACE_MAX_ITER + 1):
-        total = weights.sum()
-        moment = (normals * weights[:, None]).T @ normals / total
+    transform = eye
+    for iterations in range(ISOTROPY_MAX_ITER + 1):
+        moved = vectors @ transform.T
+        lengths = np.linalg.norm(moved, axis=1)
+        gamma = 1.0 if angles is None else angles(np.linalg.inv(transform))
+        total = float((lengths * gamma).sum())
+        # γ |Bx| x̂ x̂ᵀ = (γ/|Bx|) (Bx)(Bx)ᵀ
+        moment = (moved * (gamma / lengths)[:, None]).T @ moved / total
         residual = float(np.linalg.norm(n * moment - eye))
-        if residual < MIN_SURFACE_TOL:
-            converged = True
-            break
-        if iterations == MIN_SURFACE_MAX_ITER:
+        if residual <= ISOTROPY_TOL or iterations == ISOTROPY_MAX_ITER:
             break
         eigval, eigvec = np.linalg.eigh(n * moment)
-        eigval = np.clip(eigval, 1e-12, None)
-        step = (eigvec * eigval ** MIN_SURFACE_STEP_POWER) @ eigvec.T
-        step /= np.linalg.det(step) ** (1.0 / n)
-        back = np.linalg.inv(step).T
-        moved = normals @ back.T
-        lengths = np.linalg.norm(moved, axis=1)
-        normals = moved / lengths[:, None]
-        weights = weights * lengths
-        total_transform = _unimodular(step @ total_transform)
-    surface = float(weights.sum())
-    volume = body.volume()
-    quotient = surface / volume ** ((n - 1) / n)
-    result = PositionResult(transform=total_transform, residual=residual,
+        if eigval[0] <= 1e-14 * eigval[-1]:
+            raise DegenerateInputError(
+                "the measure is singular: the body is not full-dimensional")
+        step = (eigvec * eigval ** -0.5) @ eigvec.T
+        transform = _unimodular(step @ transform)
+    return transform, total, residual, iterations
+
+
+def minimal_surface_position(body: Body) -> tuple[PositionResult, float]:
+    """`_isotropic_fixed_point` on the vectors a_i u_i of the surface-area
+    measure: a unimodular T moves them to T^{-T} a_i u_i, the facets of TK,
+    so T = B^{-T} and Σ |B a_i u_i| = S(TK).  Returns the position and the
+    minimal surface quotient S(TK)/|TK|^{(n-1)/n}.
+    """
+    meas = body.surface_measure()
+    n = body.dim
+    back, surface, residual, iterations = _isotropic_fixed_point(
+        meas.normals * meas.weights[:, None])
+    quotient = surface / body.volume() ** ((n - 1) / n)
+    result = PositionResult(transform=np.linalg.inv(back).T, residual=residual,
                             objective=surface, iterations=iterations,
-                            converged=converged)
+                            converged=residual <= ISOTROPY_TOL)
     return result, quotient
 
 
@@ -273,9 +274,11 @@ def lowner_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
     orthonormal factor Q of the rows (rows = Q R): the levels, hence u, do
     not change under q -> R^{-T} q, and on the raw rows of a body stretched
     1e4 along a rotated axis the interior-point solve diverges.  Every level
-    is then recomputed from a fresh inverse of S on the rows themselves.  If
-    Newton fails, the support weights are returned with that residual,
-    uncertified.  ``converged`` means the residual is <= LOWNER_TOL.
+    is then recomputed from a fresh inverse of S on Q, which keeps digits
+    that the rows' S (condition ~1e8 there) loses; the center and shape
+    come from S on the rows.  If Newton fails, the support weights are
+    returned with that residual, uncertified.  ``converged`` means the
+    residual is <= LOWNER_TOL.
     ``iterations`` counts interior-point and Newton steps.  The returned
     position maps the ellipsoid to the unit ball.
     """
@@ -294,10 +297,11 @@ def lowner_position(body: Body) -> tuple[PositionResult, Ellipsoid]:
     iterations += steps
     if solved is not None:
         u = solved
-    scatter = rows.T @ (rows * u[:, None])
-    levels = np.einsum("ij,jk,ik->i", rows, np.linalg.inv(scatter), rows)
+    scatter = orth.T @ (orth * u[:, None])
+    levels = np.einsum("ij,jk,ik->i", orth, np.linalg.inv(scatter), orth)
     residual = max(float(levels.max()) / d - 1.0,
                    1.0 - float(levels[u > 0].min()) / d)
+    scatter = rows.T @ (rows * u[:, None])
     # a lifted scatter is [[Σ u v v^T, c], [c^T, 1]], c = Σ u v the center
     center = np.zeros(n) if symmetric else scatter[:n, n]
     shape = n * (scatter[:n, :n] - np.outer(center, center))
@@ -505,8 +509,7 @@ def min_mean_width_position(body: Body,
 
 
 def edge_measure_min_width_position(body: Body) -> PositionResult:
-    """Damped fixed point T <- (n M)^{-1/2} T, |det T| = 1, on the edge
-    measure of TK.
+    """`_isotropic_fixed_point` on the edge measure of TK.
 
     The mean width of a polytope is E h_K = ω_{n-1}/(n ω_n)·Σ_e |e|·γ_e
     over its edges e with normalized external angles γ_e, and its
@@ -519,30 +522,17 @@ def edge_measure_min_width_position(body: Body) -> PositionResult:
     and the objective the exact E h_{TK}.
     """
     n = body.dim
-    zonotope = is_zonotope(body)
-    edges = body.generators if zonotope else body.edges()
-    eye = np.eye(n)
-    transform = eye
-    for iterations in range(EDGE_MEASURE_MAX_ITER + 1):
-        moved = edges @ transform.T
-        lengths = np.linalg.norm(moved, axis=1)
-        gamma = 2.0 if zonotope else body.edge_angles(np.linalg.inv(transform))
-        total = float((lengths * gamma).sum())
-        # |Te| γ ê êᵀ = (γ/|Te|) (Te)(Te)ᵀ
-        moment = (moved * (gamma / lengths)[:, None]).T @ moved / total
-        residual = float(np.linalg.norm(n * moment - eye))
-        if residual <= EDGE_MEASURE_TOL or iterations == EDGE_MEASURE_MAX_ITER:
-            break
-        eigval, eigvec = np.linalg.eigh(n * moment)
-        if eigval[0] <= 1e-14 * eigval[-1]:
-            raise DegenerateInputError(
-                "the edge measure is singular: the body is not full-dimensional")
-        step = (eigvec * eigval ** -0.5) @ eigvec.T
-        transform = _unimodular(step @ transform)
+    if is_zonotope(body):
+        transform, total, residual, iterations = _isotropic_fixed_point(
+            body.generators)
+        total *= 2.0  # γ = 2 on every generator, a factor the step ignores
+    else:
+        transform, total, residual, iterations = _isotropic_fixed_point(
+            body.edges(), body.edge_angles)
     return PositionResult(transform=transform, residual=residual,
                           objective=omega(n - 1) / (n * omega(n)) * total,
                           iterations=iterations,
-                          converged=residual <= EDGE_MEASURE_TOL,
+                          converged=residual <= ISOTROPY_TOL,
                           route=EDGE_MEASURE_ROUTE)
 
 

@@ -286,6 +286,26 @@ def test_largest_position_residual_per_kind_reads_in_one_line(tmp_path):
             in out.splitlines())
 
 
+def test_largest_position_objective_change_per_kind_reads_in_one_line(tmp_path):
+    code, out = _run(tmp_path, _report(), _report())
+    lines = out.splitlines()
+    assert ("largest relative position-record objective change per kind: "
+            "none" in lines)
+    # the residuals moved; John's objective did not, min-width's by 2e-14
+    a, b = _positioned(0.03, 4e-11)
+    for report, width in ((a, 2.0), (b, 2.0 + 4e-14)):
+        kinds = report["results"][-1]["detail"]["positions"]
+        kinds["john"]["position"]["objective"] = 1.5
+        kinds["min-width"]["position"]["objective"] = width
+    code, out = _run(tmp_path, a, b)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("largest position-record residual per kind (A -> B): "
+                     "john 1e-08 -> 1e-08, min-width 0.03 -> 4e-11")
+    assert lines[at + 1] == ("largest relative position-record objective "
+                             "change per kind: john 0, min-width 2e-14")
+
+
 def test_top_level_key_changes_are_listed_without_changing_the_exit(tmp_path):
     a = {**_report(), "note": "old", "config": {"n": 3},
          "summary": {"cells": 3}}

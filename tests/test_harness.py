@@ -1,5 +1,6 @@
 """Check harness: quantities, sub-case semantics, catalog cells, suite runs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -733,7 +734,45 @@ def test_surface_quotient_is_linearly_invariant():
     t = rng.standard_normal((3, 3))
     image = transform_body(q3, t)
     assert minimal_surface_position(image)[1] == pytest.approx(
-        minimal_surface_position(q3)[1], rel=1e-4)
+        minimal_surface_position(q3)[1], rel=1e-9)
+
+
+def test_a_root_solves_its_minimal_surface_position_once(monkeypatch):
+    # partial() reads the certified solve that the min-surface child is
+    # built from
+    calls = []
+    real = positions.minimal_surface_position
+    monkeypatch.setattr(positions, "minimal_surface_position",
+                        lambda body: calls.append(body) or real(body))
+    ctx = BodyContext(bodies.random_hull(3, 10, 1), CFG)
+    for spec in CHECKS:
+        assert run_check(spec, ctx).status in ("pass", "skipped")
+    assert len(calls) == 1 and calls[0] is ctx.body
+    assert ctx.positioned("min-surface").partial() == ctx.partial() \
+        == ctx.position_solve("min-surface")[1]["surface-quotient"]
+
+
+def test_t_hyper_1_builds_no_positioned_child():
+    ctx = BodyContext(bodies.random_hull(3, 10, 1), CFG)
+    cell = run_check(CHECK_MAP["T-HYPER-1"], ctx)
+    assert cell.status == "pass"
+    assert cell.detail["min_surface_quotient"] == ctx.partial()
+    assert [key for key in ctx._cache
+            if isinstance(key, tuple) and key[0] == "positioned"] == []
+
+
+def test_partial_is_certified_like_a_positioned_check(monkeypatch):
+    real = positions.minimal_surface_position
+
+    def loose(body):
+        result, quotient = real(body)
+        return dataclasses.replace(result, residual=1e-8), quotient
+
+    monkeypatch.setattr(positions, "minimal_surface_position", loose)
+    ctx = BodyContext(bodies.cube(3), CFG)
+    with pytest.raises(checks.PositionCertificateError, match="min-surface"):
+        ctx.partial()
+    assert run_check(CHECK_MAP["T-HYPER-1"], ctx).status == "error"
 
 
 # ---------------------------------------------------------------------------
